@@ -5,10 +5,11 @@ from .cc import (CCValue, cc_map, frieze_from_tube, growth_via_homogeneous,
                  homogeneous_powers, quiddity_from_tube,
                  verify_degenerate_cc_identity)
 from .chebyshev import chebyshev_S, chebyshev_T
-from .errors import (AmbiguousPermutation, FriezelabError, InadmissiblePrime,
-                     InvalidFrieze, MissingDoubleArrow, NoRestoringPermutation,
-                     NonPolynomialCount, NotAffine, NotDivisible,
-                     NonPositiveEntry, SearchNotFound)
+from .errors import (AmbiguousPermutation, CrossCheckFailed, FriezelabError,
+                     InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
+                     NoRestoringPermutation, NonPolynomialCount, NotAffine,
+                     NotDivisible, NonPositiveEntry, SearchNotFound,
+                     UnsupportedQuiver)
 from .frieze import (FriezePattern, GrowthClass, Quiddity, classify_growth,
                      generate, growth, measured_growth)
 from .laurent import LaurentPoly, parse_laurent
@@ -25,12 +26,13 @@ from .theta import (ThetaValue, bracelet_value, double_arrow_seed,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousPermutation", "CCValue", "DEFAULT_PRIMES", "FriezePattern",
-    "FriezelabError", "GrassmannianTable", "GrowthClass", "InadmissiblePrime",
-    "InvalidFrieze", "LaurentPoly", "MissingDoubleArrow", "MutationWord",
-    "NoRestoringPermutation", "NonPolynomialCount", "NonPositiveEntry",
-    "NotAffine", "NotDivisible", "Quiddity", "Quiver", "QuiverRep",
-    "SearchNotFound", "Seed", "ThetaValue", "apply_generator_word",
+    "AmbiguousPermutation", "CCValue", "CrossCheckFailed", "DEFAULT_PRIMES",
+    "FriezePattern", "FriezelabError", "GrassmannianTable", "GrowthClass",
+    "InadmissiblePrime", "InvalidFrieze", "LaurentPoly",
+    "MissingDoubleArrow", "MutationWord", "NoRestoringPermutation",
+    "NonPolynomialCount", "NonPositiveEntry", "NotAffine", "NotDivisible",
+    "Quiddity", "Quiver", "QuiverRep", "SearchNotFound", "Seed",
+    "ThetaValue", "UnsupportedQuiver", "apply_generator_word",
     "bracelet_value", "cc_map", "chebyshev_S", "chebyshev_T",
     "classify_growth", "count_points", "defect", "delta", "direct_sum",
     "double_arrow_seed", "euler_characteristic", "euler_form",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chebyshev import chebyshev_S, chebyshev_T
+from .errors import CrossCheckFailed
 from .frieze import FriezePattern, Quiddity, generate
 from .laurent import LaurentPoly
 from .rep import DEFAULT_PRIMES, QuiverRep, grassmannian_table
@@ -49,7 +50,10 @@ def cc_map(rep: QuiverRep, primes: Sequence[int] = DEFAULT_PRIMES) -> CCValue:
     shift = LaurentPoly.monomial(names, tuple(-d for d in rep.dims))
     laurent = shift * total
     at_ones = laurent.at_ones()
-    assert at_ones == table.chi_sum()
+    chi_sum = table.chi_sum()
+    if at_ones != chi_sum:
+        raise CrossCheckFailed("character at ones is %d, but the Euler characteristics sum to %d"
+                               % (at_ones, chi_sum))
     return CCValue(laurent, at_ones)
 
 
@@ -78,7 +82,10 @@ def homogeneous_powers(x1: int, kmax: int) -> list[int]:
         values.append(cur)
         prev, cur = cur, x1 * cur - prev
     for k, u in enumerate(values):
-        assert u == chebyshev_S(k, x1)
+        want = chebyshev_S(k, x1)
+        if u != want:
+            raise CrossCheckFailed("u_%d = %d from the recurrence, but S_%d(%d) = %d"
+                                   % (k, u, k, x1, want))
     return values
 
 
@@ -89,7 +96,10 @@ def growth_via_homogeneous(x1: int, k: int) -> int:
     u = homogeneous_powers(x1, k)
     u_km2 = u[k - 2] if k >= 2 else (0 if k == 1 else -1)
     sk = u[k] - u_km2
-    assert sk == chebyshev_T(k, x1)
+    want = chebyshev_T(k, x1)
+    if sk != want:
+        raise CrossCheckFailed("s_%d = %d from homogeneous data, but T_%d(%d) = %d"
+                               % (k, sk, k, x1, want))
     return sk
 
 

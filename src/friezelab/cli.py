@@ -19,7 +19,7 @@ import os
 import sys
 
 from .cc import cc_map, growth_via_homogeneous, homogeneous_powers, quiddity_from_tube
-from .errors import FriezelabError
+from .errors import FriezelabError, UnsupportedQuiver
 from .frieze import FriezePattern, Quiddity, generate, growth
 from .modular import apply_generator_word, GENERATORS
 from .quivers import Quiver, has_double_arrow, mutation_class_search
@@ -168,6 +168,11 @@ def cmd_search(args) -> int:
 
 def cmd_modular(args) -> int:
     quiver = _load_quiver(args.quiver)
+    n = quiver.m - 1
+    if args.check_relations and n not in (6, 7, 8):
+        raise UnsupportedQuiver("the modular-group relations exist only for the affine E6, E7 "
+                                "and E8 base quivers (7, 8 or 9 vertices); got %d vertices"
+                                % quiver.m)
     seed = Seed.initial(quiver)
     status = 0
     lines = []
@@ -184,7 +189,6 @@ def cmd_modular(args) -> int:
             for label, var in zip(moved.quiver.labels, moved.vars):
                 lines.append("x[%s] = %s" % (label, var))
     if args.check_relations:
-        n = quiver.m - 1
         powers = {6: 3, 7: 4, 8: 5}[n]
         a2 = apply_generator_word(seed, ["ta"] * 2)
         b3 = apply_generator_word(seed, ["tb"] * 3)
@@ -437,6 +441,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        # a bad argument value found by the handler rather than by the parser
+        print(json.dumps({"error": {"type": "UsageError", "message": str(exc)}}))
+        return 2
     except (FriezelabError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1

@@ -17,6 +17,14 @@ class InvalidFrieze(FriezelabError):
     """Growth-coefficient structure violated (i-dependence or s1 < 2)."""
 
 
+class CrossCheckFailed(FriezelabError):
+    """Two independent computations of the same value disagree."""
+
+
+class UnsupportedQuiver(FriezelabError):
+    """The operation is defined only for a family of quivers this one is not in."""
+
+
 class MissingDoubleArrow(FriezelabError):
     """An operation required a double arrow that the quiver lacks."""
 

@@ -2,8 +2,8 @@
 
 The files live under friezelab/fixtures/{d4,e6,e7,e8,kronecker}/ and mirror
 the in-code constructors of the catalog module; a consistency check in the
-verification suite keeps the two in sync.  A copy of the directory is also
-linked at the repository root as fixtures/ for command-line use.
+verification suite keeps the two in sync.  The repository root links the
+same directory as fixtures/ for command-line use.
 """
 
 from __future__ import annotations

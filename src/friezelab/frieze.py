@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .chebyshev import chebyshev_T
-from .errors import InvalidFrieze, NonPositiveEntry
+from .errors import CrossCheckFailed, InvalidFrieze, NonPositiveEntry
 
 
 class Quiddity:
@@ -153,7 +153,10 @@ def growth(pattern: FriezePattern, k: int) -> int:
     prev, cur = 2, s1
     for _ in range(k - 1):
         prev, cur = cur, s1 * cur - prev
-    assert cur == chebyshev_T(k, s1)
+    want = chebyshev_T(k, s1)
+    if cur != want:
+        raise CrossCheckFailed("s_%d = %d from the recurrence, but T_%d(%d) = %d"
+                               % (k, cur, k, s1, want))
     return cur
 
 

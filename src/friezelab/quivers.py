@@ -2,14 +2,25 @@
 testing, canonical forms, and breadth-first search of a mutation class.
 
 Vertices carry string labels; B[i][j] = (#arrows i -> j) - (#arrows j -> i).
-Everything here is exact integer combinatorics on at most ~10 vertices, so
-the isomorphism and canonical-form routines use color refinement followed by
-brute force inside the refined classes.
+Everything here is exact integer combinatorics.
+
+Isomorphism testing and the canonical form share one color refinement: a
+vertex's signature is its color together with the sorted multiset of
+(B[i][j], color of j) over its nonzero entries, and signatures are ranked
+in their natural tuple order until the partition is stable.  The canonical
+form is individualization-refinement (McKay & Piperno, Practical graph
+isomorphism II, 2014): each vertex of the first smallest non-singleton cell
+is given a color of its own in turn, the partition is refined again, and
+the search recurses until every cell is a singleton.  The canonical key is
+the least B-matrix, read in leaf order, over all leaves of that tree.  Two
+vertices with equal rows are twins: swapping them is an automorphism that
+fixes the rest of the search node, so only the first of them is
+individualized.  The work is exponential only in the symmetry that
+refinement cannot break and that twins do not cover.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
@@ -155,28 +166,17 @@ class Quiver:
 
     # -- isomorphism -----------------------------------------------------------
 
-    def _colors(self, rounds: int = 2) -> list[int]:
-        # color refinement for a fixed number of rounds; any fixed round
-        # count is isomorphism-invariant, and two rounds already split the
-        # vertex classes of the small quivers handled here
-        m = self.m
-        b = self.b
-        colors = _normalize([tuple(sorted(b[i])) for i in range(m)])
-        for _ in range(rounds):
-            sig = [(colors[i], tuple(sorted(zip(b[i], colors))))
-                   for i in range(m)]
-            new = _normalize(sig)
-            if new == colors:
-                break
-            colors = new
-        return colors
-
     def isomorphisms_to(self, other: "Quiver") -> list[tuple[int, ...]]:
-        """All vertex bijections sigma with other.b[sigma(i)][sigma(j)] == self.b[i][j]."""
+        """All vertex bijections sigma with other.b[sigma(i)][sigma(j)] == self.b[i][j],
+        in lexicographic order."""
         if self.m != other.m:
             return []
         m = self.m
-        mine, theirs = self._colors(), other._colors()
+        # refine the disjoint union, so that the two halves' colors compare
+        union = _adjacency(self.b) + [[(j + m, x) for j, x in row]
+                                      for row in _adjacency(other.b)]
+        colors = _refine(union, [0] * (2 * m))
+        mine, theirs = colors[:m], colors[m:]
         if sorted(mine) != sorted(theirs):
             return []
         candidates = [[j for j in range(m) if theirs[j] == mine[i]] for i in range(m)]
@@ -206,28 +206,55 @@ class Quiver:
                     del assignment[i]
 
         backtrack(0)
-        return found
+        return sorted(found)
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         return self.isomorphisms_to(self)
 
     def canonical_key(self) -> tuple:
-        """Isomorphism-invariant key: minimal row-major matrix over the
-        permutations compatible with the refined color classes."""
+        """Complete isomorphism invariant: the lexicographically least
+        row-major flattening of B over the leaves of the
+        individualization-refinement tree.
+
+        Refinement runs to a stable partition; each vertex of the first
+        smallest non-singleton cell is then individualized in turn, and the
+        search recurses.  Vertices with equal rows are twins: a twin of a
+        vertex already tried is skipped, and a node whose every cell
+        consists of twins is a leaf.  A leaf's cell order is the vertex
+        order its matrix is read in.
+        """
         if self._key is not None:
             return self._key
         b = self.b
-        colors = self._colors()
-        classes: dict[int, list[int]] = {}
-        for i, c in enumerate(colors):
-            classes.setdefault(c, []).append(i)
-        ordered = [classes[c] for c in sorted(classes)]
+        m = self.m
+        adj = _adjacency(b)
         best: tuple | None = None
-        for arrangement in itertools.product(*(itertools.permutations(g) for g in ordered)):
-            perm: list[int] = [v for group in arrangement for v in group]
-            flat = tuple(tuple(b[s][t] for t in perm) for s in perm)
-            if best is None or flat < best:
-                best = flat
+        stack = [_refine(adj, [0] * m)]
+        while stack:
+            colors = stack.pop()
+            order = sorted(range(m), key=colors.__getitem__)
+            # Equal rows force B[u][v] == B[v][v] == 0, so swapping u and v is
+            # an automorphism that fixes this node: their subtrees give equal
+            # leaves.  Once every cell is a set of twins, every leaf below
+            # reads the matrix in this order.
+            if all(b[u] == b[v] for u, v in zip(order, order[1:]) if colors[u] == colors[v]):
+                leaf = tuple([row[w] for row in [b[v] for v in order] for w in order])
+                if best is None or leaf < best:
+                    best = leaf
+                continue
+            sizes = [0] * m
+            for c in colors:
+                sizes[c] += 1
+            cell_color = min((n, c) for c, n in enumerate(sizes) if n > 1)[1]
+            shifted = [2 * c + 1 for c in colors]
+            tried = set()
+            for v in range(m):
+                if colors[v] != cell_color or b[v] in tried:
+                    continue
+                tried.add(b[v])
+                child = shifted[:]
+                child[v] -= 1
+                stack.append(_refine(adj, child))
         self._key = best
         return best
 
@@ -245,10 +272,29 @@ class Quiver:
                    data.get("frozen", []))
 
 
-def _normalize(values: list) -> list[int]:
-    """Map arbitrary orderable signatures to dense ints, order-preserving."""
-    ranking = {v: r for r, v in enumerate(sorted(set(values), key=repr))}
-    return [ranking[v] for v in values]
+def _adjacency(b: Matrix) -> list[list[tuple[int, int]]]:
+    """Nonzero entries (j, B[i][j]) of each row i."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in b]
+
+
+def _refine(adj: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
+    """Coarsest stable refinement of a vertex coloring, as dense ranks.
+
+    A vertex's new color ranks (its color, sorted (B[i][j], color of j) over
+    its nonzero entries) in natural tuple order.  Since the old color leads
+    the signature, cells only split and keep their relative order.  Ranks
+    depend on signatures alone, so relabeling the vertices permutes the
+    result in the same way.
+    """
+    count = len(set(colors))
+    while True:
+        sigs = [(colors[i], tuple(sorted([(x, colors[j]) for j, x in row])))
+                for i, row in enumerate(adj)]
+        ranks = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        colors = [ranks[sig] for sig in sigs]
+        if len(ranks) == count or len(ranks) == len(adj):
+            return colors
+        count = len(ranks)
 
 
 class MutationWord:
@@ -289,8 +335,10 @@ def mutation_class_search(start: Quiver,
     queue: deque[tuple[Quiver, tuple[int, ...]]] = deque([(start, ())])
     while queue:
         quiver, word = queue.popleft()
+        # mutating again at the last vertex returns the parent, already visited
+        last = word[-1] if word else -1
         for k in range(quiver.m):
-            if quiver.labels[k] in quiver.frozen:
+            if k == last or quiver.labels[k] in quiver.frozen:
                 continue
             nxt = quiver.mutate(k)
             key = nxt.canonical_key()

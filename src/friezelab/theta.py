@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chebyshev import chebyshev_S, chebyshev_T
-from .errors import MissingDoubleArrow
+from .errors import CrossCheckFailed, MissingDoubleArrow
 from .laurent import LaurentPoly
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .seeds import Seed
@@ -96,5 +96,8 @@ def bracelet_value(theta_int: int, k: int) -> int:
     if theta_int < 2:
         raise ValueError("growth value must be at least 2")
     value = chebyshev_T(k, theta_int)
-    assert value == chebyshev_S(k, theta_int) - chebyshev_S(k - 2, theta_int)
+    via_s = chebyshev_S(k, theta_int) - chebyshev_S(k - 2, theta_int)
+    if value != via_s:
+        raise CrossCheckFailed("T_%d(%d) = %d, but S_%d - S_%d gives %d"
+                               % (k, theta_int, value, k, k - 2, via_s))
     return value

@@ -160,6 +160,22 @@ def test_modular_check_relations(capsys):
     assert all(payload["relations"].values())
 
 
+def test_modular_unknown_generator_is_usage_error(capsys):
+    code, out = run(capsys, "modular", "--quiver", fixture("e6/double_arrow.json"),
+                    "--word", "ta,zz")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "UsageError" and "zz" in error["message"]
+
+
+def test_modular_check_relations_rejects_non_e_quiver(capsys):
+    code, payload = run_json(capsys, "modular", "--quiver", fixture("d4/double_arrow.json"),
+                             "--check-relations")
+    assert code == 1
+    assert payload["error"]["type"] == "UnsupportedQuiver"
+    assert "E6, E7" in payload["error"]["message"]
+
+
 def test_reproduce_subset(capsys):
     code, payload = run_json(capsys, "reproduce-paper", "--only", "d4")
     assert code == 0

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 from friezelab import catalog
 from friezelab.cc import cc_map
@@ -44,3 +46,13 @@ def test_fixture_bytes_are_stable():
     path = fixture_root() / "d4" / "goldens.json"
     data = json.loads(path.read_text())
     assert json.dumps(data, indent=2, sort_keys=True) + "\n" == path.read_text()
+
+
+def test_readme_fixture_paths_resolve_from_repository_root():
+    # the README's examples use fixtures/... through the root symlink
+    root = Path(__file__).resolve().parent.parent
+    assert (root / "fixtures").resolve() == (root / "src" / "friezelab" / "fixtures").resolve()
+    paths = set(re.findall(r"fixtures/[\w/]+\.json", (root / "README.md").read_text()))
+    assert paths
+    for path in sorted(paths):
+        assert (root / path).is_file(), path

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -128,13 +129,75 @@ def test_search_not_found_budget():
         mutation_class_search(catalog.d4_star(), lambda q: False, max_nodes=5)
 
 
+# Words and arrived B-matrices of the double-arrow searches, recorded from the
+# brute-force canonical form that individualization-refinement replaced.  Any
+# complete invariant visits the same classes in the same order, so these must
+# not move.
+PINNED_SEARCHES = {
+    "d4": (catalog.d4_star, [2, 0, 3, 4],
+           [[0, 2, -1, -1, -1],
+            [-2, 0, 1, 1, 1],
+            [1, -1, 0, 0, 0],
+            [1, -1, 0, 0, 0],
+            [1, -1, 0, 0, 0]]),
+    "d5": (lambda: catalog.affine_d(5), [2, 3, 0, 4, 5],
+           [[0, -2, 0, 1, 1, 1],
+            [2, 0, 0, -1, -1, -1],
+            [0, 0, 0, 1, 0, 0],
+            [-1, 1, -1, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0]]),
+    "e6": (catalog.e6_affine, [1, 2, 0, 3, 5, 2, 0, 4, 6],
+           [[0, -1, 1, 0, 0, 0, 0],
+            [1, 0, -2, 0, 1, 0, 1],
+            [-1, 2, 0, 0, -1, 0, -1],
+            [0, 0, 0, 0, 0, 0, 1],
+            [0, -1, 1, 0, 0, -1, 0],
+            [0, 0, 0, 0, 1, 0, 0],
+            [0, -1, 1, -1, 0, 0, 0]]),
+    "e7": (catalog.e7_affine, [3, 4, 2, 5, 7, 1, 2, 3, 6],
+           [[0, -2, 1, 1, 0, 0, 1, 0],
+            [2, 0, -1, -1, 0, 0, -1, 0],
+            [-1, 1, 0, 0, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, -1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 1, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0, 0, -1],
+            [0, 0, 0, 0, -1, 0, 1, 0]]),
+    "e8": (catalog.e8_affine, [5, 4, 6, 3, 8, 2, 4, 7, 1, 2, 3, 5],
+           [[0, -2, 1, 1, 0, 1, 0, 0, 0],
+            [2, 0, -1, -1, 0, -1, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0, 0, 0, 0],
+            [-1, 1, 0, 0, -1, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0, 0, -1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0, 1, 0, 0, -1],
+            [0, 0, 0, 0, 0, 0, -1, 1, 0]]),
+}
+
+
+def assert_pinned_search(name):
+    make, word, b = PINNED_SEARCHES[name]
+    found, got = mutation_class_search(make(), has_double_arrow)
+    assert list(got.sequence) == word
+    assert [list(row) for row in found.b] == b
+
+
+@pytest.mark.parametrize("name", ["d4", "d5", "e6", "e7"])
+def test_search_outputs_pinned(name):
+    assert_pinned_search(name)
+
+
 def test_bfs_reaches_double_arrow_from_affine_orientations():
     starts = [catalog.affine_a(2, 1), catalog.affine_a(2, 2),
               catalog.affine_d(4), catalog.affine_d(5), catalog.affine_d(6),
-              catalog.e6_affine(), catalog.e7_affine(), catalog.e8_affine()]
+              catalog.e6_affine(), catalog.e7_affine()]
     for q in starts:
         found, _ = mutation_class_search(q, has_double_arrow)
         assert found.double_arrows()
+    # the pinned E8 quiver has its double arrow 2 => 1
+    assert_pinned_search("e8")
 
 
 def test_quiver_json_roundtrip():
@@ -164,3 +227,108 @@ def test_e_base_quivers_lie_in_affine_classes():
         found, _ = mutation_class_search(base, lambda q: q.is_acyclic())
         assert all(abs(x) <= 1 for row in found.b for x in row)
         assert sorted(found.underlying_degrees()) == expected_degrees[n]
+
+
+def oriented_cycles(*lengths):
+    """Disjoint union of oriented cycles of the given lengths."""
+    n = sum(lengths)
+    b = [[0] * n for _ in range(n)]
+    first = 0
+    for length in lengths:
+        for i in range(length):
+            s, t = first + i, first + (i + 1) % length
+            b[s][t], b[t][s] = 1, -1
+        first += length
+    return Quiver([str(i) for i in range(n)], b)
+
+
+def relabeled(q, rng):
+    perm = list(range(q.m))
+    rng.shuffle(perm)
+    return q.permuted(perm)
+
+
+def class_sample(rng, per_start=12):
+    """Quivers from the D4, D5, E6 and E7 mutation classes, each with a
+    randomly relabeled copy next to it."""
+    out = []
+    for start in (catalog.d4_star(), catalog.affine_d(5), catalog.e6_affine(),
+                  catalog.e7_affine()):
+        for _ in range(per_start):
+            q = start.mutate_word([rng.randrange(start.m) for _ in range(rng.randrange(10))])
+            out.extend([q, relabeled(q, rng)])
+    return out
+
+
+def reference_isomorphisms(p, q):
+    """Every bijection sigma with q.b[sigma(i)][sigma(j)] == p.b[i][j], by
+    plain backtracking over the vertices in order, in lexicographic order."""
+    m = p.m
+    found, image = [], []
+
+    def extend(i):
+        if i == m:
+            found.append(tuple(image))
+            return
+        for j in range(m):
+            if j not in image and all(p.b[i][i2] == q.b[j][j2] for i2, j2 in enumerate(image)):
+                image.append(j)
+                extend(i + 1)
+                image.pop()
+
+    extend(0)
+    return found
+
+
+def test_canonical_key_invariant_under_relabeling_in_mutation_classes():
+    rng = random.Random(11)
+    for q in class_sample(rng):
+        for _ in range(3):
+            assert relabeled(q, rng).canonical_key() == q.canonical_key()
+
+
+def test_canonical_key_equal_exactly_when_isomorphic():
+    rng = random.Random(12)
+    sample = class_sample(rng, per_start=8)
+    isomorphic_pairs = 0
+    for i, p in enumerate(sample):
+        for q in sample[i:]:
+            same_key = p.canonical_key() == q.canonical_key()
+            assert same_key == bool(p.isomorphisms_to(q))
+            isomorphic_pairs += same_key
+    # every quiver sits next to a relabeled copy, so both outcomes occur
+    assert len(sample) < isomorphic_pairs < len(sample) * (len(sample) + 1) // 2
+
+
+def test_canonical_key_of_oriented_12_cycle_is_fast():
+    # all 12 vertices share one color under refinement alone; a brute force
+    # inside the color classes would try 12! orderings
+    cycle = oriented_cycles(12)
+    start = time.perf_counter()
+    key = cycle.canonical_key()
+    assert time.perf_counter() - start < 1.0
+    assert relabeled(cycle, random.Random(3)).canonical_key() == key
+    assert key != oriented_cycles(11).canonical_key()
+
+
+def test_canonical_key_where_refinement_alone_cannot_split():
+    # every vertex has one arrow in and one out, so refinement leaves a single
+    # cell; vertices of the 3-cycle and of the 4-cycle lie in different orbits
+    rng = random.Random(4)
+    triangles, hexagon, mixed = oriented_cycles(3, 3), oriented_cycles(6), oriented_cycles(3, 4)
+    for q in (triangles, hexagon, mixed):
+        for _ in range(6):
+            assert relabeled(q, rng).canonical_key() == q.canonical_key()
+    assert triangles.canonical_key() != hexagon.canonical_key()
+    assert not triangles.isomorphisms_to(hexagon)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_isomorphisms_to_matches_reference_on_e_base_quivers(n):
+    rng = random.Random(n)
+    base = catalog.e_double_arrow(n)
+    ta = base.mutate_word([base.index(label) for label in ("a", "0", "1")])
+    for p in [base, ta] + [relabeled(base, rng) for _ in range(4)]:
+        assert p.isomorphisms_to(base) == reference_isomorphisms(p, base)
+        assert base.isomorphisms_to(p) == reference_isomorphisms(base, p)
+    assert len(ta.isomorphisms_to(base)) == (2 if n == 6 else 1)
