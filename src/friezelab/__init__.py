@@ -2,8 +2,7 @@
 mutation, quiver Grassmannian counting, and cluster characters."""
 
 from .cc import (CCValue, cc_map, frieze_from_tube, growth_via_homogeneous,
-                 homogeneous_powers, quiddity_from_tube,
-                 verify_degenerate_cc_identity)
+                 homogeneous_powers, quiddity_from_tube)
 from .chebyshev import chebyshev_S, chebyshev_T
 from .errors import (AmbiguousPermutation, CrossCheckFailed, FriezelabError,
                      InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
@@ -42,5 +41,4 @@ __all__ = [
     "measured_growth", "modular_generator", "mutation_class_search",
     "parse_laurent", "quiddity_from_tube", "subrep_dimvectors", "theta",
     "theta_invariance", "triangle_neighbors",
-    "verify_degenerate_cc_identity",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chebyshev import chebyshev_S, chebyshev_T
+from .chebyshev import chebyshev_S, chebyshev_S_values, chebyshev_T
 from .errors import CrossCheckFailed
 from .frieze import FriezePattern, Quiddity, generate
 from .laurent import LaurentPoly
@@ -73,44 +73,19 @@ def frieze_from_tube(quiver, tube: Sequence[QuiverRep], depth: int,
 
 def homogeneous_powers(x1: int, kmax: int) -> list[int]:
     """Values u_0..u_kmax of the quasi-length recurrence
-    u_{k+1} = x1*u_k - u_{k-1} with u_0 = 1, u_{-1} = 0 (and u_{-2} = -1)."""
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    values = []
-    prev, cur = 0, 1
-    for k in range(kmax + 1):
-        values.append(cur)
-        prev, cur = cur, x1 * cur - prev
-    for k, u in enumerate(values):
-        want = chebyshev_S(k, x1)
-        if u != want:
-            raise CrossCheckFailed("u_%d = %d from the recurrence, but S_%d(%d) = %d"
-                                   % (k, u, k, x1, want))
-    return values
+    u_{k+1} = x1*u_k - u_{k-1} with u_0 = 1, u_{-1} = 0 (and u_{-2} = -1):
+    the second-kind Chebyshev values S_k(x1)."""
+    return chebyshev_S_values(kmax, x1)
 
 
 def growth_via_homogeneous(x1: int, k: int) -> int:
-    """s_k = u_k - u_{k-2}, the growth coefficient from homogeneous data."""
+    """s_k = u_k - u_{k-2}, the growth coefficient from homogeneous data,
+    certified against the first-kind value T_k(x1)."""
     if k < 1:
         raise ValueError("k must be positive")
-    u = homogeneous_powers(x1, k)
-    u_km2 = u[k - 2] if k >= 2 else (0 if k == 1 else -1)
-    sk = u[k] - u_km2
+    sk = chebyshev_S(k, x1) - chebyshev_S(k - 2, x1)
     want = chebyshev_T(k, x1)
     if sk != want:
         raise CrossCheckFailed("s_%d = %d from homogeneous data, but T_%d(%d) = %d"
                                % (k, sk, k, x1, want))
     return sk
-
-
-def verify_degenerate_cc_identity(primes: Sequence[int] = DEFAULT_PRIMES) -> bool:
-    """Check that the parameter-0 degeneration of the dimension-(1,1,2,1,1)
-    fixture has character exactly one more than the generic one (its
-    all-ones value is 15 = 14 + 1)."""
-    from .catalog import d4_m_lambda
-
-    generic = cc_map(d4_m_lambda(2), primes)
-    degenerate = cc_map(d4_m_lambda(0), primes)
-    return (degenerate.laurent == generic.laurent + 1
-            and degenerate.at_ones == generic.at_ones + 1
-            and degenerate.at_ones == 15)

@@ -3,17 +3,15 @@
 Both families satisfy P(k+1) = x*P(k) - P(k-1); the first kind starts at
 T0 = 2, T1 = x, the second kind at S0 = 1, S1 = x with the backward
 extension S(-1) = 0, S(-2) = -1.  They are related by T(k) = S(k) - S(k-2).
+This module is the only place the recurrence is run.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Iterator
+
 from .laurent import LaurentPoly
-
-
-def _two_like(x):
-    if isinstance(x, LaurentPoly):
-        return LaurentPoly.constant(x.vars, 2)
-    return 2
 
 
 def _const_like(x, value):
@@ -22,27 +20,34 @@ def _const_like(x, value):
     return value
 
 
+def _recurrence(first, second, x) -> Iterator:
+    """first, second, then P(k+1) = x*P(k) - P(k-1) without end."""
+    while True:
+        yield first
+        first, second = second, x * second - first
+
+
 def chebyshev_T(k: int, x):
     """First-kind value T_k(x); x may be an int or a LaurentPoly."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return _two_like(x)
-    prev, cur = _two_like(x), x
-    for _ in range(k - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
+    return next(islice(_recurrence(_const_like(x, 2), x, x), k, None))
+
+
+def _second_kind(x) -> Iterator:
+    """S_{-2}(x), S_{-1}(x), S_0(x), S_1(x), ..."""
+    return _recurrence(_const_like(x, -1), _const_like(x, 0), x)
 
 
 def chebyshev_S(k: int, x):
     """Second-kind value S_k(x) for k >= -2."""
     if k < -2:
         raise ValueError("k must be at least -2")
-    if k == -2:
-        return _const_like(x, -1)
-    if k == -1:
-        return _const_like(x, 0)
-    prev, cur = _const_like(x, 0), _const_like(x, 1)
-    for _ in range(k):
-        prev, cur = cur, x * cur - prev
-    return cur
+    return next(islice(_second_kind(x), k + 2, None))
+
+
+def chebyshev_S_values(kmax: int, x) -> list:
+    """The values S_0(x), ..., S_kmax(x), in one pass of the recurrence."""
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    return list(islice(_second_kind(x), 2, kmax + 3))

@@ -4,24 +4,20 @@ Every subcommand reads quivers and representations from JSON files and
 emits either a human-readable report or, with --json, a single JSON object
 whose integer payloads are decimal strings (frieze entries overflow 64 bits
 quickly).  Module errors exit with status 1 and a machine-readable error
-object; usage errors exit with status 2.
-
-FRIEZELAB_THREADS is accepted as an upper bound on internal parallelism;
-the current implementation computes everything in one thread, which
-trivially respects any cap.
+object; usage errors exit with status 2 and a JSON error object of type
+UsageError.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cc import cc_map, growth_via_homogeneous, homogeneous_powers, quiddity_from_tube
-from .errors import FriezelabError, UnsupportedQuiver
+from .errors import FriezelabError
 from .frieze import FriezePattern, Quiddity, generate, growth
-from .modular import apply_generator_word, GENERATORS
+from .modular import apply_generator_word, check_relations, GENERATORS
 from .quivers import Quiver, has_double_arrow, mutation_class_search
 from .rep import (DEFAULT_PRIMES, QuiverRep, count_points,
                   euler_characteristic, grassmannian_table)
@@ -72,6 +68,20 @@ def _load_rep(path: str) -> QuiverRep:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _emit_error(kind: str, message: str) -> None:
+    print(json.dumps({"error": {"type": kind, "message": message}}))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (subparsers inherit the class) whose usage errors
+    print the JSON error object before exiting with status 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _emit_error("UsageError", message)
+        raise SystemExit(2)
 
 
 def _seed_json(seed: Seed) -> dict:
@@ -167,14 +177,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_modular(args) -> int:
-    quiver = _load_quiver(args.quiver)
-    n = quiver.m - 1
-    if args.check_relations and n not in (6, 7, 8):
-        raise UnsupportedQuiver("the modular-group relations exist only for the affine E6, E7 "
-                                "and E8 base quivers (7, 8 or 9 vertices); got %d vertices"
-                                % quiver.m)
-    seed = Seed.initial(quiver)
-    status = 0
+    seed = Seed.initial(_load_quiver(args.quiver))
+    relations = check_relations(seed) if args.check_relations else None
     lines = []
     if args.word:
         names = [w.strip() for w in args.word.split(",") if w.strip()]
@@ -182,33 +186,21 @@ def cmd_modular(args) -> int:
             if name not in GENERATORS:
                 raise argparse.ArgumentTypeError("unknown generator %r" % name)
         moved = apply_generator_word(seed, names)
-        if args.json and not args.check_relations:
+        if args.json and relations is None:
             _emit(_seed_json(moved))
         elif not args.json:
             lines.append("applied %s" % ",".join(names))
             for label, var in zip(moved.quiver.labels, moved.vars):
                 lines.append("x[%s] = %s" % (label, var))
-    if args.check_relations:
-        powers = {6: 3, 7: 4, 8: 5}[n]
-        a2 = apply_generator_word(seed, ["ta"] * 2)
-        b3 = apply_generator_word(seed, ["tb"] * 3)
-        ck = apply_generator_word(seed, ["tc"] * powers)
-        relations = {"ta^2 == tb^3": a2 == b3, "tb^3 == tc^%d" % powers: b3 == ck}
-        if n == 6:
-            relations["gamma^2 == id"] = apply_generator_word(seed, ["gamma", "gamma"]) == seed
-            relations["gamma*ta == ta*gamma"] = (
-                apply_generator_word(seed, ["gamma", "ta"])
-                == apply_generator_word(seed, ["ta", "gamma"]))
-        if not all(relations.values()):
-            status = 1
+    if relations is not None:
         if args.json:
-            _emit({"relations": {k: bool(v) for k, v in relations.items()}})
+            _emit({"relations": relations})
         else:
             for k, v in relations.items():
                 lines.append("%s: %s" % (k, "ok" if v else "FAIL"))
     for line in lines:
         print(line)
-    return status
+    return 0 if relations is None or all(relations.values()) else 1
 
 
 def cmd_theta(args) -> int:
@@ -345,7 +337,7 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="friezelab",
         description="Exact computations with periodic friezes, cluster seeds, "
                     "quiver Grassmannians, and cluster characters.")
@@ -432,21 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("FRIEZELAB_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(json.dumps({"error": {"type": "UsageError",
-                                    "message": "FRIEZELAB_THREADS must be a positive integer"}}))
-        return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         # a bad argument value found by the handler rather than by the parser
-        print(json.dumps({"error": {"type": "UsageError", "message": str(exc)}}))
+        _emit_error("UsageError", str(exc))
         return 2
     except (FriezelabError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        _emit_error(type(exc).__name__, str(exc))
         return 1
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .chebyshev import chebyshev_T
-from .errors import CrossCheckFailed, InvalidFrieze, NonPositiveEntry
+from .errors import InvalidFrieze, NonPositiveEntry
 
 
 class Quiddity:
@@ -133,31 +133,12 @@ def _check_diamond(pattern: FriezePattern) -> None:
 
 
 def growth(pattern: FriezePattern, k: int) -> int:
-    """The k-th growth coefficient s_k of the pattern.
-
-    s_1 is read from the entries (row n minus row n-2, checked to be
-    independent of the starting diagonal); higher k follow the recurrence
-    s_{k+1} = s_1*s_k - s_{k-1} with s_0 = 2 and are cross-checked against
-    the first-kind Chebyshev value.
-    """
+    """The k-th growth coefficient s_k = T_k(s_1) of the pattern, with s_1
+    read from the entries (row n minus row n-2, checked to be independent
+    of the starting diagonal)."""
     if k < 1:
         raise ValueError("k must be positive")
-    n = pattern.period
-    if pattern.depth < n:
-        raise ValueError("pattern depth %d too shallow to read s_1 (need >= %d)"
-                         % (pattern.depth, n))
-    diffs = {pattern.entry(i, i + n + 1) - pattern.entry(i + 1, i + n) for i in range(n)}
-    if len(diffs) != 1:
-        raise InvalidFrieze("growth difference depends on the diagonal: %s" % sorted(diffs))
-    s1 = diffs.pop()
-    prev, cur = 2, s1
-    for _ in range(k - 1):
-        prev, cur = cur, s1 * cur - prev
-    want = chebyshev_T(k, s1)
-    if cur != want:
-        raise CrossCheckFailed("s_%d = %d from the recurrence, but T_%d(%d) = %d"
-                               % (k, cur, k, s1, want))
-    return cur
+    return chebyshev_T(k, measured_growth(pattern, 1))
 
 
 def measured_growth(pattern: FriezePattern, k: int) -> int:

@@ -9,26 +9,24 @@ returns the quiver to its base labeling:
     tc = mu_ck ... mu_c1 mu_c mu_0 mu_1      (k = n - 5)
     gamma = the order-2 symmetry of the 7-vertex quiver (legs b and c swap)
 
-The written composition order is ambiguous, so the word is first applied
-rightmost factor first; if no restoring permutation exists the leftmost
-factor is applied first instead and the convention that succeeded is
-recorded (empirically always the leftmost-first one).  When several
-restoring permutations exist, the one fixing every vertex outside the word
-is preferred; if that does not single one out, the candidates must agree on
-the variables or AmbiguousPermutation is raised.
+The word is applied leftmost factor first: under that convention every
+generator of E6, E7 and E8 returns the base quiver to a relabeling of
+itself.  When several restoring permutations exist, the one fixing every
+vertex outside the word is preferred; if that does not single one out, the
+candidates must agree on the variables or AmbiguousPermutation is raised.
 """
 
 from __future__ import annotations
 
 from .catalog import e_double_arrow
-from .errors import AmbiguousPermutation, NoRestoringPermutation
+from .errors import AmbiguousPermutation, NoRestoringPermutation, UnsupportedQuiver
 from .quivers import MutationWord, Quiver
 from .seeds import Seed
 
 GENERATORS = ("ta", "tb", "tc", "gamma")
 
-# (n, generator) -> (mutation sequence, candidate restoring perms, convention)
-_CACHE: dict[tuple[int, str], tuple[tuple[int, ...], list[tuple[int, ...]], str]] = {}
+# (n, generator) -> (mutation sequence, candidate restoring perms)
+_CACHE: dict[tuple[int, str], tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
 
 
 def rank_of(quiver: Quiver) -> int:
@@ -62,49 +60,37 @@ def gamma_permutation(n: int = 6) -> tuple[int, ...]:
     raise NoRestoringPermutation("base quiver unexpectedly has no symmetry")
 
 
-def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], list[tuple[int, ...]], str]:
-    """Determine the mutation sequence, the restoring permutations, and the
-    composition convention for a generator, on the quiver level only."""
+def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Determine the mutation sequence and the restoring permutations of a
+    generator, on the quiver level only."""
     cached = _CACHE.get((n, generator))
     if cached is not None:
         return cached
     base = e_double_arrow(n)
     labels = generator_labels(n, generator)
-    for convention, ordered in (("rightmost-first", labels[::-1]),
-                                ("leftmost-first", labels)):
-        word = tuple(base.index(l) for l in ordered)
-        mutated = base.mutate_word(word)
-        isos = mutated.isomorphisms_to(base)
-        if not isos:
-            continue
-        touched = set(word)
-        fixing = [s for s in isos
-                  if all(s[i] == i for i in range(base.m) if i not in touched)]
-        candidates = fixing if len(fixing) == 1 else isos
-        result = (word, candidates, convention)
-        _CACHE[(n, generator)] = result
-        return result
-    raise NoRestoringPermutation(
-        "word %s returns to no relabeling of the base quiver under either convention" % labels)
+    word = tuple(base.index(l) for l in labels)
+    isos = base.mutate_word(word).isomorphisms_to(base)
+    if not isos:
+        raise NoRestoringPermutation(
+            "word %s returns to no relabeling of the base quiver" % labels)
+    touched = set(word)
+    fixing = [s for s in isos
+              if all(s[i] == i for i in range(base.m) if i not in touched)]
+    result = (word, fixing if len(fixing) == 1 else isos)
+    _CACHE[(n, generator)] = result
+    return result
 
 
 def generator_word(n: int, generator: str) -> MutationWord:
     """The generator as a mutation word with its restoring permutation."""
     if generator == "gamma":
         return MutationWord([], gamma_permutation(n))
-    word, candidates, _ = _resolve(n, generator)
+    word, candidates = _resolve(n, generator)
     if len(candidates) != 1:
         raise AmbiguousPermutation(
             "generator %s on the E%d base quiver admits %d restoring permutations"
             % (generator, n, len(candidates)))
     return MutationWord(word, candidates[0])
-
-
-def word_convention(n: int, generator: str) -> str:
-    """Which composition order produced a restoring permutation."""
-    if generator == "gamma":
-        return "n/a"
-    return _resolve(n, generator)[2]
 
 
 def modular_generator(seed: Seed, generator: str) -> Seed:
@@ -128,7 +114,7 @@ def modular_generator(seed: Seed, generator: str) -> Seed:
     if generator == "gamma":
         result = based.restored(gamma_permutation(n), base)
     else:
-        word, candidates, _ = _resolve(n, generator)
+        word, candidates = _resolve(n, generator)
         mutated = based.mutate_word(word)
         if len(candidates) == 1:
             result = mutated.restored(candidates[0], base)
@@ -152,3 +138,24 @@ def apply_generator_word(seed: Seed, generators: list[str]) -> Seed:
     for g in generators:
         seed = modular_generator(seed, g)
     return seed
+
+
+def check_relations(seed: Seed) -> dict[str, bool]:
+    """The defining relations of the modular group, evaluated as exact seed
+    equalities on a seed of an affine E_n double-arrow base quiver:
+    ta^2 == tb^3 == tc^(n-3), and for n = 6 also gamma^2 == id and
+    gamma*ta == ta*gamma."""
+    n = seed.quiver.m - 1
+    if n not in (6, 7, 8):
+        raise UnsupportedQuiver("the modular-group relations exist only for the affine E6, E7 "
+                                "and E8 base quivers (7, 8 or 9 vertices); got %d vertices"
+                                % seed.quiver.m)
+    a2 = apply_generator_word(seed, ["ta"] * 2)
+    b3 = apply_generator_word(seed, ["tb"] * 3)
+    ck = apply_generator_word(seed, ["tc"] * (n - 3))
+    relations = {"ta^2 == tb^3": a2 == b3, "tb^3 == tc^%d" % (n - 3): b3 == ck}
+    if n == 6:
+        relations["gamma^2 == id"] = apply_generator_word(seed, ["gamma", "gamma"]) == seed
+        relations["gamma*ta == ta*gamma"] = (apply_generator_word(seed, ["gamma", "ta"])
+                                             == apply_generator_word(seed, ["ta", "gamma"]))
+    return relations

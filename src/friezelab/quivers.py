@@ -95,7 +95,10 @@ class Quiver:
                     out.extend([(i, j)] * self.b[i][j])
         return out
 
-    def is_acyclic(self) -> bool:
+    def topological_order(self) -> list[int]:
+        """Vertices ordered so that every arrow points forward (Kahn's
+        algorithm); fewer than m vertices when the quiver has an oriented
+        cycle."""
         m = self.m
         indeg = [0] * m
         for i in range(m):
@@ -103,16 +106,19 @@ class Quiver:
                 if self.b[i][j] > 0:
                     indeg[j] += 1
         queue = deque(i for i in range(m) if indeg[i] == 0)
-        seen = 0
+        order = []
         while queue:
             i = queue.popleft()
-            seen += 1
+            order.append(i)
             for j in range(m):
                 if self.b[i][j] > 0:
                     indeg[j] -= 1
                     if indeg[j] == 0:
                         queue.append(j)
-        return seen == m
+        return order
+
+    def is_acyclic(self) -> bool:
+        return len(self.topological_order()) == self.m
 
     def underlying_degrees(self) -> list[int]:
         return [sum(abs(x) for x in row) for row in self.b]

@@ -15,6 +15,7 @@ stays tiny; nothing here is meant for large representations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -185,19 +186,13 @@ def _integer_kernel(matrix: Sequence[Sequence[int]]) -> list[DimVector]:
             vec[pc] = -rows[row_idx][fc]
         lcm = 1
         for x in vec:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
         ints = [int(x * lcm) for x in vec]
         g = 0
         for x in ints:
-            g = _gcd(g, abs(x))
+            g = math.gcd(g, abs(x))
         basis.append(tuple(x // g for x in ints) if g else tuple(ints))
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def defect(quiver: Quiver, alpha: Sequence[int]) -> int:
@@ -212,38 +207,18 @@ def extending_vertices(quiver: Quiver) -> set[int]:
 
 def projective_dims(quiver: Quiver, vertex: int) -> DimVector:
     """Dimension vector of the projective at a vertex: path counts (acyclic)."""
-    if not quiver.is_acyclic():
+    order = quiver.topological_order()
+    if len(order) < quiver.m:
         raise ValueError("projective dimension vectors need an acyclic quiver")
     m = quiver.m
     counts = [0] * m
     counts[vertex] = 1
-    order = _topological_order(quiver)
     for i in order:
         if counts[i]:
             for j in range(m):
                 if quiver.b[i][j] > 0:
                     counts[j] += quiver.b[i][j] * counts[i]
     return tuple(counts)
-
-
-def _topological_order(quiver: Quiver) -> list[int]:
-    m = quiver.m
-    indeg = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if quiver.b[i][j] > 0:
-                indeg[j] += quiver.b[i][j]
-    stack = [i for i in range(m) if indeg[i] == 0]
-    order = []
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        for j in range(m):
-            if quiver.b[i][j] > 0:
-                indeg[j] -= quiver.b[i][j]
-                if indeg[j] == 0:
-                    stack.append(j)
-    return order
 
 
 # -- subspace enumeration over F_p -------------------------------------------

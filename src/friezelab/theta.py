@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chebyshev import chebyshev_S, chebyshev_T
-from .errors import CrossCheckFailed, MissingDoubleArrow
+from .cc import growth_via_homogeneous
+from .errors import MissingDoubleArrow
 from .laurent import LaurentPoly
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .seeds import Seed
@@ -91,13 +91,6 @@ def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = 50_000) -> int:
 def bracelet_value(theta_int: int, k: int) -> int:
     """Value of the k-th bracelet: the first-kind Chebyshev transform of
     the growth element's integer value."""
-    if k < 1:
-        raise ValueError("k must be positive")
     if theta_int < 2:
         raise ValueError("growth value must be at least 2")
-    value = chebyshev_T(k, theta_int)
-    via_s = chebyshev_S(k, theta_int) - chebyshev_S(k - 2, theta_int)
-    if value != via_s:
-        raise CrossCheckFailed("T_%d(%d) = %d, but S_%d - S_%d gives %d"
-                               % (k, theta_int, value, k, k - 2, via_s))
-    return value
+    return growth_via_homogeneous(theta_int, k)

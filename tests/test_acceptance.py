@@ -1,29 +1,29 @@
-"""Acceptance suite: every criterion is an exact integer or polynomial
-equality, checked end to end and timed against its stated budget.
+"""Acceptance suite: every worked example in the check registry
+(friezelab.reproduce.ALL_CHECKS) is an exact integer or polynomial
+equality, checked end to end and timed against its budget there.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion.
+Run with `pytest tests/test_acceptance.py -v -s` to see one ACCEPT line per
+check.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from friezelab import catalog
-from friezelab.cc import cc_map, growth_via_homogeneous, quiddity_from_tube
-from friezelab.chebyshev import chebyshev_S, chebyshev_T
 from friezelab.errors import NonPositiveEntry
-from friezelab.fixtures import load_json
-from friezelab.frieze import Quiddity, generate, growth, measured_growth
-from friezelab.laurent import LaurentPoly
-from friezelab.modular import apply_generator_word
+from friezelab.frieze import generate
 from friezelab.quivers import has_double_arrow, mutation_class_search
-from friezelab.rep import (euler_characteristic, grassmannian_table,
-                           subrep_dimvectors)
+from friezelab.rep import euler_characteristic, subrep_dimvectors
+from friezelab.reproduce import ALL_CHECKS
 from friezelab.seeds import Seed
-from friezelab.theta import double_arrow_seed, growth_from_affine_quiver, theta
 
 
 @contextmanager
@@ -35,109 +35,22 @@ def budget(name: str, seconds: float):
     print("ACCEPT %-28s PASS (%.2fs)" % (name, elapsed))
 
 
-def test_criterion_01_frieze_reproduction():
-    with budget("1 frieze-reproduction", 1.0):
-        f = generate([8, 2], depth=6)
-        assert [f.row(r) for r in range(2, 7)] == [
-            [15, 15], [28, 112], [209, 209], [1560, 390], [2911, 2911]]
-        g = generate([4, 4], depth=5)
-        assert [g.row(r) for r in range(2, 5)] == [[15, 15], [56, 56], [209, 209]]
+@pytest.mark.parametrize("name, seconds, check", ALL_CHECKS,
+                         ids=[name for name, _, _ in ALL_CHECKS])
+def test_worked_example(name, seconds, check):
+    with budget(name, seconds):
+        check()
 
 
-def test_criterion_02_growth_d4():
-    with budget("2 growth-d4", 1.0):
-        for quiddity in ((8, 2), (4, 4), (4, 4)):
-            f = generate(quiddity, depth=7)
-            assert growth(f, 1) == 14
-            assert growth(f, 2) == 194
-            assert growth(f, 3) == 2702 == chebyshev_T(3, 14)
-
-
-def test_criterion_03_grassmannian_table():
-    with budget("3 grassmannian-table", 30.0):
-        table = grassmannian_table(catalog.d4_m_lambda(2))
-        golden = load_json("d4/goldens.json")["grassmannian_table"]
-        assert table.as_dict() == {tuple(r["e"]): int(r["chi"]) for r in golden}
-        assert len(table) == 13
-        assert table.as_dict()[(1, 1, 1, 0, 0)] == 2
-        assert sum(1 for _, chi in table if chi == 2) == 1
-
-
-def test_criterion_04_cc_laurent_golden():
-    with budget("4 cc-laurent-golden", 30.0):
-        value = cc_map(catalog.d4_m_lambda(2))
-        names = ("x1", "x2", "x3", "x4", "x5")
-        denominator = LaurentPoly.monomial(names, (1, 1, 2, 1, 1))
-        numerator = value.laurent * denominator
-        coefficients = sorted(numerator.terms.values())
-        assert coefficients == [1, 1, 1, 1, 2, 2, 2, 4]
-        assert len(numerator.terms) == 8
-        golden = LaurentPoly.from_json(load_json("d4/goldens.json")["cc_m_lambda"])
-        assert value.laurent == golden
-
-
-def test_criterion_05_tube_quiddities():
-    with budget("5 tube-quiddities", 60.0):
-        q = catalog.d4_star()
-        rows = [quiddity_from_tube(q, tube) for tube in catalog.d4_tubes()]
-        assert rows == [Quiddity([8, 2]), Quiddity([4, 4]), Quiddity([4, 4])]
-
-
-def test_criterion_06_theta_pipeline():
-    with budget("6 theta-pipeline", 30.0):
-        assert growth_from_affine_quiver(catalog.d4_star(), max_nodes=1000) == 14
-        seed, (u, v), _ = double_arrow_seed(catalog.d4_star(), max_nodes=1000)
-        assert theta(seed, u, v).laurent == cc_map(catalog.d4_m_lambda(2)).laurent
-
-
-def test_criterion_07_e6():
-    with budget("7 e6", 300.0):
-        assert growth_from_affine_quiver(catalog.e6_affine()) == 322
-        f = generate([9, 36], depth=4)
-        assert f.row(2) == [323, 323]
-        # The original tabulation of this 2-periodic pattern prints the third
-        # row as 11592, 2898, 1152, 2898; periodicity forces the third entry
-        # to repeat 11592, so the printed 1152 is a typo and we emit 11592.
-        assert f.row(3) == [11592, 2898]
-        assert f.entry(-3, 1) == f.entry(-1, 3) == 11592
-        assert growth(f, 1) == 322
-        g = generate([7, 7, 7], depth=4)
-        assert g.row(2) == [48, 48, 48]
-        assert g.row(3) == [329, 329, 329]
-        assert growth(g, 1) == 322
-
-
-def test_criterion_08_modular_relations():
-    with budget("8 modular-relations", 120.0):
-        for n, c_power in ((6, 3), (7, 4), (8, 5)):
-            S = Seed.initial(catalog.e_double_arrow(n))
-            a2 = apply_generator_word(S, ["ta"] * 2)
-            b3 = apply_generator_word(S, ["tb"] * 3)
-            ck = apply_generator_word(S, ["tc"] * c_power)
-            assert a2 == b3 == ck
-        S6 = Seed.initial(catalog.e_double_arrow(6))
-        assert apply_generator_word(S6, ["gamma", "gamma"]) == S6
-        assert (apply_generator_word(S6, ["gamma", "ta"])
-                == apply_generator_word(S6, ["ta", "gamma"]))
-
-
-def test_criterion_09_growth_via_homogeneous():
-    with budget("9 growth-identities", 30.0):
-        assert chebyshev_S(2, 14) == 195
-        assert chebyshev_S(3, 14) == 2716
-        f = generate([8, 2], depth=12)
-        for k in range(1, 7):
-            sk = growth_via_homogeneous(14, k)
-            assert sk == chebyshev_T(k, 14)
-            assert sk == measured_growth(f, k)
-
-
-def test_criterion_10_degenerate_identity():
-    with budget("10 degenerate-identity", 30.0):
-        generic = cc_map(catalog.d4_m_lambda(2))
-        degenerate = cc_map(catalog.d4_m_lambda(0))
-        assert degenerate.laurent == generic.laurent + 1
-        assert degenerate.at_ones == 15
+def test_worked_examples_hold_under_optimize():
+    # python -O strips assert statements, so the checks must raise on their own
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-O", "-m", "friezelab.cli", "reproduce-paper",
+                           "--json"], capture_output=True, text=True, env=env, timeout=300)
+    payload = json.loads(done.stdout)
+    assert done.returncode == 0
+    assert len(payload["checks"]) == 17 and all(c["ok"] for c in payload["checks"])
+    assert payload["failed"] == 0
 
 
 def test_criterion_11_property_suites():
@@ -196,7 +109,8 @@ def test_criterion_11_property_suites():
 
 
 def test_bfs_budget_for_affine_starts():
-    # supporting check for the search invariants used by criteria 6 and 7
+    # supporting check for the search invariants used by the theta and E6
+    # growth pipelines
     with budget("search-budgets", 120.0):
         for quiver, cap in ((catalog.d4_star(), 1000), (catalog.e6_affine(), 1000),
                             (catalog.affine_d(5), 1000), (catalog.affine_a(3, 2), 1000)):

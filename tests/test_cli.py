@@ -26,6 +26,16 @@ def fixture(relative: str) -> str:
     return str(fixture_root() / relative)
 
 
+def usage_error(capsys, *argv):
+    """Run a command argparse rejects; return the JSON error on stdout."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "UsageError"
+    return error
+
+
 def test_frieze_growth_report(capsys):
     code, payload = run_json(capsys, "frieze", "--quiddity", "8,2",
                              "--depth", "6", "--growth", "2")
@@ -50,9 +60,23 @@ def test_frieze_output_is_deterministic(capsys):
 
 
 def test_frieze_usage_error_on_nonpositive_quiddity(capsys):
+    error = usage_error(capsys, "frieze", "--quiddity", "0,5")
+    assert "--quiddity" in error["message"]
+
+
+@pytest.mark.parametrize("argv, mentions", [
+    (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--dimvec", "1,x,1"], "--dimvec"),
+    (["nosuch"], "nosuch"),
+])
+def test_parser_usage_errors_are_json(capsys, argv, mentions):
+    assert mentions in usage_error(capsys, *argv)["message"]
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["frieze", "--quiddity", "0,5"])
-    assert info.value.code == 2
+        main(["frieze", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: friezelab frieze")
 
 
 def test_frieze_human_layout(capsys):
@@ -125,9 +149,9 @@ def test_grassmannian_table_json(capsys):
 
 
 def test_grassmannian_rejects_composite_primes(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--primes", "3,9"])
-    assert info.value.code == 2
+    error = usage_error(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
+                        "--primes", "3,9")
+    assert "9 is not prime" in error["message"]
 
 
 def test_cc_at_ones(capsys):
@@ -218,12 +242,3 @@ def test_search_budget_error(capsys):
                     "--max-nodes", "2")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "SearchNotFound"
-
-
-def test_threads_env_guard(monkeypatch, capsys):
-    monkeypatch.setenv("FRIEZELAB_THREADS", "zero")
-    code, out = run(capsys, "frieze", "--quiddity", "8,2")
-    assert code == 2
-    monkeypatch.setenv("FRIEZELAB_THREADS", "4")
-    code, _ = run(capsys, "frieze", "--quiddity", "8,2")
-    assert code == 0

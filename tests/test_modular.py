@@ -4,7 +4,7 @@ from friezelab import catalog
 from friezelab.errors import NoRestoringPermutation
 from friezelab.modular import (apply_generator_word, gamma_permutation,
                                generator_labels, generator_word,
-                               modular_generator, word_convention)
+                               modular_generator)
 from friezelab.seeds import Seed
 
 
@@ -17,12 +17,6 @@ def test_generator_labels():
     assert generator_labels(6, "tb") == ["b1", "b", "0", "1"]
     assert generator_labels(6, "tc") == ["c1", "c", "0", "1"]
     assert generator_labels(8, "tc") == ["c3", "c2", "c1", "c", "0", "1"]
-
-
-def test_convention_is_recorded():
-    for n in (6, 7, 8):
-        for g in ("ta", "tb", "tc"):
-            assert word_convention(n, g) == "leftmost-first"
 
 
 def test_generator_words_restore_base_quiver():
@@ -99,10 +93,10 @@ def test_ambiguous_permutation_contract(monkeypatch):
     from friezelab.errors import AmbiguousPermutation
 
     base = catalog.e_double_arrow(6)
-    word, candidates, convention = mod._resolve(6, "ta")
+    word, candidates = mod._resolve(6, "ta")
     mutated = base.mutate_word(word)
     all_isos = mutated.isomorphisms_to(base)
     assert len(all_isos) == 2 and len(candidates) == 1
-    monkeypatch.setitem(mod._CACHE, (6, "ta"), (word, all_isos, convention))
+    monkeypatch.setitem(mod._CACHE, (6, "ta"), (word, all_isos))
     with pytest.raises(AmbiguousPermutation):
         modular_generator(base_seed(6), "ta")
