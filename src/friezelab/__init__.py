@@ -19,8 +19,8 @@ from .rep import (DEFAULT_PRIMES, GrassmannianTable, QuiverRep, count_points,
                   extending_vertices, grassmannian_table, subrep_dimvectors)
 from .seeds import Seed
 from .theta import (ThetaValue, bracelet_value, double_arrow_seed,
-                    growth_from_affine_quiver, theta, theta_invariance,
-                    triangle_neighbors)
+                    growth_from_affine_quiver, theta, theta_at_ones,
+                    theta_invariance, triangle_neighbors)
 
 __version__ = "0.1.0"
 
@@ -40,5 +40,5 @@ __all__ = [
     "growth_via_homogeneous", "has_double_arrow", "homogeneous_powers",
     "measured_growth", "modular_generator", "mutation_class_search",
     "parse_laurent", "quiddity_from_tube", "subrep_dimvectors", "theta",
-    "theta_invariance", "triangle_neighbors",
+    "theta_at_ones", "theta_invariance", "triangle_neighbors",
 ]

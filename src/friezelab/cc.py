@@ -18,9 +18,10 @@ test on the displayed dimension-(1,1,2,1,1) character.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
-from .chebyshev import chebyshev_S, chebyshev_S_values, chebyshev_T
+from .chebyshev import chebyshev_S_values, first_kind, second_kind
 from .errors import CrossCheckFailed
 from .frieze import FriezePattern, Quiddity, generate
 from .laurent import LaurentPoly
@@ -78,14 +79,24 @@ def homogeneous_powers(x1: int, kmax: int) -> list[int]:
     return chebyshev_S_values(kmax, x1)
 
 
+def homogeneous_growth(x1: int) -> Iterator[tuple[int, int]]:
+    """(u_k, s_k) for k = 0, 1, 2, ...: the quasi-length values u_k and the
+    growth coefficients s_k = u_k - u_{k-2} from homogeneous data, each s_k
+    certified against the first-kind value T_k(x1).  Each recurrence runs
+    once, and only the last three u values are kept."""
+    u = second_kind(x1)
+    older, old = next(u), next(u)  # u_{-2}, u_{-1}
+    for k, (uk, want) in enumerate(zip(u, first_kind(x1))):
+        sk = uk - older
+        if sk != want:
+            raise CrossCheckFailed("s_%d = %d from homogeneous data, but T_%d(%d) = %d"
+                                   % (k, sk, k, x1, want))
+        yield uk, sk
+        older, old = old, uk
+
+
 def growth_via_homogeneous(x1: int, k: int) -> int:
-    """s_k = u_k - u_{k-2}, the growth coefficient from homogeneous data,
-    certified against the first-kind value T_k(x1)."""
+    """s_k = u_k - u_{k-2}, certified as in homogeneous_growth."""
     if k < 1:
         raise ValueError("k must be positive")
-    sk = chebyshev_S(k, x1) - chebyshev_S(k - 2, x1)
-    want = chebyshev_T(k, x1)
-    if sk != want:
-        raise CrossCheckFailed("s_%d = %d from homogeneous data, but T_%d(%d) = %d"
-                               % (k, sk, k, x1, want))
-    return sk
+    return next(islice(homogeneous_growth(x1), k, None))[1]

@@ -27,14 +27,19 @@ def _recurrence(first, second, x) -> Iterator:
         first, second = second, x * second - first
 
 
+def first_kind(x) -> Iterator:
+    """T_0(x), T_1(x), ..."""
+    return _recurrence(_const_like(x, 2), x, x)
+
+
 def chebyshev_T(k: int, x):
     """First-kind value T_k(x); x may be an int or a LaurentPoly."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return next(islice(_recurrence(_const_like(x, 2), x, x), k, None))
+    return next(islice(first_kind(x), k, None))
 
 
-def _second_kind(x) -> Iterator:
+def second_kind(x) -> Iterator:
     """S_{-2}(x), S_{-1}(x), S_0(x), S_1(x), ..."""
     return _recurrence(_const_like(x, -1), _const_like(x, 0), x)
 
@@ -43,11 +48,11 @@ def chebyshev_S(k: int, x):
     """Second-kind value S_k(x) for k >= -2."""
     if k < -2:
         raise ValueError("k must be at least -2")
-    return next(islice(_second_kind(x), k + 2, None))
+    return next(islice(second_kind(x), k + 2, None))
 
 
 def chebyshev_S_values(kmax: int, x) -> list:
     """The values S_0(x), ..., S_kmax(x), in one pass of the recurrence."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    return list(islice(_second_kind(x), 2, kmax + 3))
+    return list(islice(second_kind(x), 2, kmax + 3))

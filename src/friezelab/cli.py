@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
-from .cc import cc_map, growth_via_homogeneous, homogeneous_powers, quiddity_from_tube
+from .cc import cc_map, homogeneous_growth, quiddity_from_tube
 from .errors import FriezelabError
 from .frieze import FriezePattern, Quiddity, generate, growth
 from .modular import apply_generator_word, check_relations, GENERATORS
@@ -23,7 +24,7 @@ from .rep import (DEFAULT_PRIMES, QuiverRep, count_points,
                   euler_characteristic, grassmannian_table)
 from .reproduce import run_checks
 from .seeds import Seed
-from .theta import double_arrow_seed, theta, theta_invariance
+from .theta import theta, theta_at_ones, theta_invariance
 
 
 def _positive_int(text: str) -> int:
@@ -205,14 +206,13 @@ def cmd_modular(args) -> int:
 
 def cmd_theta(args) -> int:
     quiver = _load_quiver(args.quiver)
-    if quiver.double_arrows():
-        seed = Seed.initial(quiver)
-        u, v = quiver.double_arrows()[0]
-        word = []
-    else:
-        seed, (u, v), mutation_word = double_arrow_seed(quiver, args.max_nodes)
-        word = [quiver.labels[k] for k in mutation_word.sequence]
-    value = theta(seed, u, v)
+    _, found = mutation_class_search(quiver, has_double_arrow, args.max_nodes)
+    if args.at_ones and not args.json and not args.invariance_words:
+        print(theta_at_ones(quiver, found.sequence))
+        return 0
+    seed = Seed.initial(quiver).mutate_word(found)
+    word = [quiver.labels[k] for k in found.sequence]
+    value = theta(seed)
     invariance = None
     if args.invariance_words:
         words = []
@@ -300,11 +300,11 @@ def cmd_tube_frieze(args) -> int:
 
 
 def cmd_growth_identity(args) -> int:
-    u = homogeneous_powers(args.x1, args.k)
+    rows = list(islice(homogeneous_growth(args.x1), args.k + 1))
     report = {
         "x1": str(args.x1),
-        "u": [str(x) for x in u],
-        "s": {str(k): str(growth_via_homogeneous(args.x1, k)) for k in range(1, args.k + 1)},
+        "u": [str(u) for u, _ in rows],
+        "s": {str(k): str(s) for k, (_, s) in enumerate(rows) if k},
     }
     if args.json:
         _emit(report)
@@ -425,6 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # frieze entries and growth coefficients may exceed the interpreter's
+    # default limit of 4300 digits for int-to-str conversion
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
@@ -434,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FriezelabError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

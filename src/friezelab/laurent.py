@@ -6,6 +6,17 @@ zero coefficients are dropped on construction, so two values are equal iff
 their term maps are equal.  All operations return new objects; instances are
 treated as immutable and are safe to share.
 
+The public constructor validates its input.  Ring operations whose result
+is canonical by construction (sums, negation, products, exact quotients)
+return through the internal `_raw` constructor, which does not re-check.
+
+Exact division is sparse division with a heap (Monagan & Pearce, Sparse
+polynomial division using a heap, J. Symb. Comput. 46, 2011): the
+remainder lives in one mutable dict, a heap of graded-lexicographic keys
+with lazy deletion yields its leading term, and each quotient term
+subtracts its product with the divisor's non-leading terms in place.  It
+certifies exactness: it raises NotDivisible unless the remainder empties.
+
 Serialization order is graded-lexicographic on exponent vectors (total
 degree descending, then lexicographic descending), which makes printed and
 JSON forms byte-stable.
@@ -16,6 +27,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import NotDivisible
@@ -46,6 +59,15 @@ class LaurentPoly:
             if coef:
                 clean[exp] = coef
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _raw(cls, variables: tuple[str, ...], terms: dict[Exponent, int]) -> "LaurentPoly":
+        # internal fast path: trusts the caller to pass distinct names and a
+        # dict of exponent tuples of matching length to nonzero ints
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -110,13 +132,13 @@ class LaurentPoly:
             if new:
                 terms[exp] = new
             else:
-                terms.pop(exp, None)
-        return LaurentPoly(self.vars, terms)
+                del terms[exp]
+        return LaurentPoly._raw(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -127,15 +149,13 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         out: dict[Exponent, int] = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(exp, 0) + c1 * c2
-                if new:
-                    out[exp] = new
-                else:
-                    out.pop(exp, None)
-        return LaurentPoly(self.vars, out)
+            for e2, c2 in right:
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
+        return LaurentPoly._raw(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -153,10 +173,6 @@ class LaurentPoly:
 
     # -- division ----------------------------------------------------------
 
-    def _leading(self) -> tuple[Exponent, int]:
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
-
     def _min_exponents(self) -> Exponent:
         # Per-variable minimum over the support; the Newton-polytope identity
         # min(p*q) = min(p) + min(q) makes this the right shift for division.
@@ -164,31 +180,66 @@ class LaurentPoly:
         return tuple(mins)
 
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Return r with r * divisor == self, or raise NotDivisible."""
+        """Return r with r * divisor == self, or raise NotDivisible.
+
+        Both operands are shifted by their per-variable minimum exponents,
+        which turns them into polynomials, and their exponents are negated,
+        so that the smallest heap key (sum, exponent) is the
+        graded-lexicographically largest term.  The remainder is one dict;
+        the heap holds the key of every term it has gained, and a popped key
+        whose term has since cancelled is skipped.  Every product pushed lies
+        strictly below the term just popped in this monomial order, which
+        over polynomials has finitely many monomials below any given one,
+        so the loop ends.  A leading term that the divisor's leading term
+        does not divide, in exponent or coefficient, raises NotDivisible;
+        the quotient is returned only once the remainder is empty.  Its
+        coefficients are nonzero quotients, so it is built with `_raw`.
+        """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly.zero(self.vars)
-        shift_p = self._min_exponents()
-        shift_q = divisor._min_exponents()
-        p = {tuple(a - b for a, b in zip(e, shift_p)): c for e, c in self.terms.items()}
-        q = LaurentPoly(self.vars, {tuple(a - b for a, b in zip(e, shift_q)): c
-                                    for e, c in divisor.terms.items()})
-        lt_exp, lt_coef = q._leading()
+            return LaurentPoly._raw(self.vars, {})
+        low_p = self._min_exponents()
+        low_q = divisor._min_exponents()
+        rem = {tuple(map(sub, low_p, e)): c for e, c in self.terms.items()}
+        keyed = []
+        for e, c in divisor.terms.items():
+            n = tuple(map(sub, low_q, e))
+            keyed.append((sum(n), n, c))
+        keyed.sort()
+        lead_deg, lead, lead_coef = keyed[0]
+        rest = keyed[1:]
+        heap = [(sum(n), n) for n in rem]
+        heapify(heap)
         quotient: dict[Exponent, int] = {}
-        rem = LaurentPoly(self.vars, p)
-        while not rem.is_zero():
-            rexp, rcoef = rem._leading()
-            qexp = tuple(a - b for a, b in zip(rexp, lt_exp))
-            if any(x < 0 for x in qexp) or rcoef % lt_coef:
+        get = rem.get
+        while heap:
+            deg, top = heappop(heap)
+            coef = rem.pop(top, 0)
+            if not coef:
+                continue
+            qexp = tuple(map(sub, top, lead))
+            if max(qexp, default=0) > 0 or coef % lead_coef:
                 raise NotDivisible("no exact Laurent quotient exists")
-            qcoef = rcoef // lt_coef
-            quotient[qexp] = quotient.get(qexp, 0) + qcoef
-            rem = rem - q * LaurentPoly.monomial(self.vars, qexp, qcoef)
-        back = tuple(a - b for a, b in zip(shift_p, shift_q))
-        return LaurentPoly(self.vars, {tuple(a + b for a, b in zip(e, back)): c
-                                       for e, c in quotient.items()})
+            qcoef = coef // lead_coef
+            quotient[qexp] = qcoef
+            qdeg = deg - lead_deg
+            for d, n, c in rest:
+                exp = tuple(map(add, qexp, n))
+                old = get(exp)
+                if old is None:
+                    rem[exp] = -qcoef * c
+                    heappush(heap, (qdeg + d, exp))
+                else:
+                    new = old - qcoef * c
+                    if new:
+                        rem[exp] = new
+                    else:
+                        del rem[exp]
+        back = tuple(map(sub, low_p, low_q))
+        return LaurentPoly._raw(self.vars, {tuple(map(sub, back, e)): c
+                                            for e, c in quotient.items()})
 
     # -- evaluation --------------------------------------------------------
 
@@ -217,7 +268,8 @@ class LaurentPoly:
         return val.numerator
 
     def at_ones(self) -> int:
-        return self.specialize_int({v: 1 for v in self.vars})
+        """Value at the all-ones point: the sum of the coefficients."""
+        return sum(self.terms.values())
 
     # -- serialization -----------------------------------------------------
 

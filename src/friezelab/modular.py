@@ -33,7 +33,9 @@ def rank_of(quiver: Quiver) -> int:
     """The n with quiver isomorphic to the affine E_n double-arrow shape."""
     n = quiver.m - 1
     if n not in (6, 7, 8):
-        raise ValueError("quiver has %d vertices; expected 7, 8 or 9" % quiver.m)
+        raise UnsupportedQuiver("the cluster modular group is implemented only for the affine "
+                                "E6, E7 and E8 base quivers (7, 8 or 9 vertices); got %d vertices"
+                                % quiver.m)
     return n
 
 
@@ -107,7 +109,8 @@ def modular_generator(seed: Seed, generator: str) -> Seed:
     else:
         isos = seed.quiver.isomorphisms_to(base)
         if not isos:
-            raise ValueError("seed quiver is not isomorphic to the E%d double-arrow shape" % n)
+            raise UnsupportedQuiver("seed quiver is not isomorphic to the E%d double-arrow shape"
+                                    % n)
         transport = min(isos)
         based = seed.restored(transport, base)
 
@@ -145,11 +148,7 @@ def check_relations(seed: Seed) -> dict[str, bool]:
     equalities on a seed of an affine E_n double-arrow base quiver:
     ta^2 == tb^3 == tc^(n-3), and for n = 6 also gamma^2 == id and
     gamma*ta == ta*gamma."""
-    n = seed.quiver.m - 1
-    if n not in (6, 7, 8):
-        raise UnsupportedQuiver("the modular-group relations exist only for the affine E6, E7 "
-                                "and E8 base quivers (7, 8 or 9 vertices); got %d vertices"
-                                % seed.quiver.m)
+    n = rank_of(seed.quiver)
     a2 = apply_generator_word(seed, ["ta"] * 2)
     b3 = apply_generator_word(seed, ["tb"] * 3)
     ck = apply_generator_word(seed, ["tc"] * (n - 3))

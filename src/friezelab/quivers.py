@@ -126,26 +126,28 @@ class Quiver:
     # -- mutation --------------------------------------------------------------
 
     def mutate(self, k: int) -> "Quiver":
-        """Standard matrix mutation at vertex index k."""
-        m = self.m
+        """Standard matrix mutation at vertex index k.
+
+        A row with B[i][k] == 0 is left unchanged and is reused as it is.
+        """
         b = self.b
+        out_k = [(j, x) for j, x in enumerate(b[k]) if x > 0]
+        in_k = [(j, x) for j, x in enumerate(b[k]) if x < 0]
         rows = []
-        for i in range(m):
+        for i, old in enumerate(b):
+            bik = old[k]
             if i == k:
-                rows.append(tuple(-x for x in b[i]))
-                continue
-            bik = b[i][k]
-            row = list(b[i])
-            row[k] = -row[k]
-            if bik > 0:
-                for j in range(m):
-                    if j != k and b[k][j] > 0:
-                        row[j] += bik * b[k][j]
-            elif bik < 0:
-                for j in range(m):
-                    if j != k and b[k][j] < 0:
-                        row[j] -= bik * b[k][j]
-            rows.append(tuple(row))
+                rows.append(tuple(-x for x in old))
+            elif not bik:
+                rows.append(old)
+            else:
+                # b'_ij = b_ij + |b_ik| b_kj where b_ik and b_kj have the same sign
+                row = list(old)
+                row[k] = -bik
+                weight = abs(bik)
+                for j, x in (out_k if bik > 0 else in_k):
+                    row[j] += weight * x
+                rows.append(tuple(row))
         return Quiver._raw(self.labels, tuple(rows), self.frozen)
 
     def mutate_word(self, word: Sequence[int]) -> "Quiver":

@@ -59,22 +59,10 @@ class Seed:
 
     def mutate(self, k: int) -> "Seed":
         """Exchange mutation at vertex index k (not allowed on frozen ones)."""
-        quiver = self.quiver
-        if quiver.labels[k] in quiver.frozen:
-            raise ValueError("cannot mutate frozen vertex %r" % quiver.labels[k])
-        b = quiver.b
-        ring_vars = self.vars[k].vars
-        inc = LaurentPoly.one(ring_vars)
-        out = LaurentPoly.one(ring_vars)
-        for j in range(quiver.m):
-            if b[j][k] > 0:
-                inc = inc * self.vars[j] ** b[j][k]
-            if b[k][j] > 0:
-                out = out * self.vars[j] ** b[k][j]
-        new_var = (inc + out).div_exact(self.vars[k])
+        one = LaurentPoly.one(self.vars[k].vars)
         variables = list(self.vars)
-        variables[k] = new_var
-        return Seed(quiver.mutate(k), variables)
+        variables[k] = exchange(self.quiver, self.vars, k, one, LaurentPoly.div_exact)
+        return Seed(self.quiver.mutate(k), variables)
 
     def mutate_word(self, word: Sequence[int] | MutationWord) -> "Seed":
         if isinstance(word, MutationWord):
@@ -104,6 +92,26 @@ class Seed:
         if moved.b != base.b:
             raise ValueError("permutation does not carry this quiver to the base quiver")
         return Seed(base, _permute_tuple(self.vars, perm))
+
+
+def exchange(quiver: Quiver, values: Sequence, k: int, one, divide):
+    """The new value x'_k of the exchange relation x_k * x'_k = P+ + P- at
+    vertex index k, where P+ multiplies values[j]^b_jk over the arrows
+    j -> k and P- values[j]^b_kj over the arrows k -> j.
+
+    The values may be Laurent polynomials or integers: `one` is the unit
+    of their ring and `divide(a, b)` their exact division.
+    """
+    if quiver.labels[k] in quiver.frozen:
+        raise ValueError("cannot mutate frozen vertex %r" % quiver.labels[k])
+    b = quiver.b
+    inc = out = one
+    for j in range(quiver.m):
+        if b[j][k] > 0:
+            inc = inc * values[j] ** b[j][k]
+        if b[k][j] > 0:
+            out = out * values[j] ** b[k][j]
+    return divide(inc + out, values[k])
 
 
 def _permute_tuple(values: Sequence, perm: Sequence[int]) -> tuple:

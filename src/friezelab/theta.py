@@ -9,6 +9,10 @@ the principal growth coefficient of every tube frieze of the mutation
 class.  The triangle variables sit at the vertices w completing directed
 triangles u => v -> w -> u; the Kronecker quiver has none and uses the
 empty product 1.
+
+Its all-ones value needs no Laurent algebra: every cluster variable at all
+ones is a positive integer (the Laurent phenomenon with positivity), so
+`theta_at_ones` replays the exchange relations on integers.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cc import growth_via_homogeneous
-from .errors import MissingDoubleArrow
+from .errors import CrossCheckFailed, MissingDoubleArrow
 from .laurent import LaurentPoly
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
-from .seeds import Seed
+from .seeds import Seed, exchange
 
 
 @dataclass(frozen=True)
@@ -40,20 +44,25 @@ def triangle_neighbors(quiver: Quiver, u: int, v: int) -> list[int]:
 
 def theta(seed: Seed, u: int | None = None, v: int | None = None) -> ThetaValue:
     """The growth element at a double-arrow seed, in the initial variables."""
-    quiver = seed.quiver
+    one = LaurentPoly.one(seed.vars[0].vars)
+    laurent = _growth_element(seed.quiver, seed.vars, one, LaurentPoly.div_exact, u, v)
+    return ThetaValue(laurent, laurent.at_ones())
+
+
+def _growth_element(quiver: Quiver, values: Sequence, one, divide,
+                    u: int | None = None, v: int | None = None):
+    """(x_u^2 + x_v^2 + prod of the triangle variables) / (x_u * x_v) at the
+    double arrow u => v, the first one by default.  The values are Laurent
+    polynomials or integers, with unit `one` and exact division `divide`."""
     if u is None or v is None:
         doubles = quiver.double_arrows()
         if not doubles:
             raise MissingDoubleArrow("seed quiver has no double arrow")
         u, v = doubles[0]
-    neighbors = triangle_neighbors(quiver, u, v)
-    ring = seed.vars[u].vars
-    numerator = seed.vars[u] ** 2 + seed.vars[v] ** 2
-    product = LaurentPoly.one(ring)
-    for w in neighbors:
-        product = product * seed.vars[w]
-    laurent = (numerator + product).div_exact(seed.vars[u] * seed.vars[v])
-    return ThetaValue(laurent, laurent.at_ones())
+    product = one
+    for w in triangle_neighbors(quiver, u, v):
+        product = product * values[w]
+    return divide(values[u] ** 2 + values[v] ** 2 + product, values[u] * values[v])
 
 
 def theta_invariance(seed: Seed, words: Sequence[MutationWord | Sequence[int]]) -> bool:
@@ -80,12 +89,36 @@ def double_arrow_seed(quiver: Quiver, max_nodes: int = 50_000) -> tuple[Seed, tu
     return seed, (u, v), word
 
 
+def theta_at_ones(quiver: Quiver, word: Sequence[int]) -> int:
+    """theta(Seed.initial(quiver).mutate_word(word)).integer, on integers.
+
+    The exchange relation x_k * x'_k = P+ + P- is replayed along the word
+    with every initial variable 1, and the growth element is read as
+    (a_u^2 + a_v^2 + prod a_w) / (a_u * a_v) at the first double arrow
+    u => v.  A division with a nonzero remainder contradicts the Laurent
+    phenomenon and raises CrossCheckFailed.
+    """
+    values = [1] * quiver.m
+    for k in word:
+        values[k] = exchange(quiver, values, k, 1, _exact_quotient)
+        quiver = quiver.mutate(k)
+    return _growth_element(quiver, values, 1, _exact_quotient)
+
+
+def _exact_quotient(numerator: int, denominator: int) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise CrossCheckFailed("%d is not divisible by %d: the all-ones values contradict "
+                               "the Laurent phenomenon" % (numerator, denominator))
+    return quotient
+
+
 def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = 50_000) -> int:
     """Principal growth coefficient of every tube frieze of an acyclic
-    affine quiver: search for a double arrow, read the growth element,
-    specialize at all ones."""
-    seed, (u, v), _ = double_arrow_seed(quiver, max_nodes)
-    return theta(seed, u, v).integer
+    affine quiver: search for a double arrow and read the growth element
+    at all ones on integers."""
+    _, word = mutation_class_search(quiver, has_double_arrow, max_nodes)
+    return theta_at_ones(quiver, word.sequence)
 
 
 def bracelet_value(theta_int: int, k: int) -> int:

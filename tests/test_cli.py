@@ -1,9 +1,11 @@
 import json
 import shutil
+import sys
 
 import pytest
 
 from friezelab import catalog
+from friezelab.chebyshev import chebyshev_S, chebyshev_T
 from friezelab.cli import main, render_frieze
 from friezelab.fixtures import fixture_root
 from friezelab.frieze import generate
@@ -99,6 +101,15 @@ def test_theta_at_ones(capsys):
     assert code == 0 and out.strip() == "14"
 
 
+@pytest.mark.parametrize("quiver", ["e6/quiver.json", "e7/quiver.json", "kronecker/quiver.json"])
+def test_theta_at_ones_prints_the_laurent_value(capsys, quiver):
+    # plain --at-ones takes the integer path; --json still reads the Laurent form
+    code, out = run(capsys, "theta", "--quiver", fixture(quiver), "--at-ones")
+    _, payload = run_json(capsys, "theta", "--quiver", fixture(quiver))
+    assert code == 0 and out == payload["at_ones"] + "\n"
+    assert LaurentPoly.from_json(payload["laurent"]).at_ones() == int(payload["at_ones"])
+
+
 def test_theta_json(capsys):
     code, payload = run_json(capsys, "theta", "--quiver", fixture("e6/quiver.json"))
     assert code == 0
@@ -177,6 +188,36 @@ def test_growth_identity(capsys):
     assert payload["s"]["3"] == "2702"
 
 
+def _decimal_to_int(text: str) -> int:
+    # chunked, so that no conversion meets the interpreter's digit limit
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_growth_identity_prints_integers_above_the_digit_limit(capsys):
+    # interpreters before 3.10.7 have no digit limit; on the others, pin the
+    # default limit, which the environment may have changed
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, payload = run_json(capsys, "growth-identity", "--x1", "14", "--k", "4000")
+        assert code == 0
+        s_k = payload["s"]["4000"]
+        assert len(s_k) > 4300 and _decimal_to_int(s_k) == chebyshev_T(4000, 14)
+        assert _decimal_to_int(payload["u"][-1]) == chebyshev_S(4000, 14)
+        if limited:
+            # the limit is lifted only while main runs
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(previous)
+
+
 def test_modular_check_relations(capsys):
     code, payload = run_json(capsys, "modular", "--quiver", fixture("e6/double_arrow.json"),
                              "--check-relations")
@@ -195,6 +236,14 @@ def test_modular_unknown_generator_is_usage_error(capsys):
 def test_modular_check_relations_rejects_non_e_quiver(capsys):
     code, payload = run_json(capsys, "modular", "--quiver", fixture("d4/double_arrow.json"),
                              "--check-relations")
+    assert code == 1
+    assert payload["error"]["type"] == "UnsupportedQuiver"
+    assert "E6, E7" in payload["error"]["message"]
+
+
+def test_modular_word_rejects_non_e_quiver(capsys):
+    code, payload = run_json(capsys, "modular", "--quiver", fixture("d4/double_arrow.json"),
+                             "--word", "ta")
     assert code == 1
     assert payload["error"]["type"] == "UnsupportedQuiver"
     assert "E6, E7" in payload["error"]["message"]

@@ -1,10 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from friezelab import catalog
 from friezelab.errors import NotDivisible
 from friezelab.laurent import LaurentPoly, parse_laurent
+from friezelab.seeds import Seed
+from friezelab.theta import double_arrow_seed, theta
 
 V2 = ("x0", "x1")
 
@@ -159,3 +163,113 @@ def test_pow():
     assert (x0 + 1) ** 3 == lp("x0^3 + 3*x0^2 + 3*x0 + 1")
     with pytest.raises(ValueError):
         x0 ** -1
+
+
+def test_div_exact_roundtrip_several_variables():
+    # negative exponents, zero dividends, and three or four variables
+    rng = random.Random(5)
+    checked = zeros = 0
+    while checked < 150:
+        variables = ("a", "b", "c", "d")[:rng.choice((3, 4))]
+        p = _random_poly(rng, variables, max_terms=6)
+        q = _random_poly(rng, variables, max_terms=5)
+        if q.is_zero():
+            continue
+        zeros += p.is_zero()
+        assert (p * q).div_exact(q) == p
+        checked += 1
+    assert zeros
+
+
+def test_div_exact_rejects_non_unit_remainder():
+    # p*q + c == q*r would make q divide the constant c, so q would be a
+    # unit; a Laurent polynomial with two or more terms is not one
+    rng = random.Random(17)
+    checked = 0
+    while checked < 150:
+        variables = ("a", "b", "c", "d")[:rng.choice((2, 3, 4))]
+        p = _random_poly(rng, variables, max_terms=5)
+        q = _random_poly(rng, variables, max_terms=5)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        if len(q.terms) < 2:
+            continue
+        with pytest.raises(NotDivisible):
+            (p * q + c).div_exact(q)
+        checked += 1
+
+
+def test_div_exact_without_variables():
+    assert LaurentPoly((), {(): 6}).div_exact(LaurentPoly((), {(): -3})) == -2
+    with pytest.raises(NotDivisible):
+        LaurentPoly((), {(): 6}).div_exact(LaurentPoly((), {(): 4}))
+
+
+def test_ring_results_have_no_zero_coefficients():
+    rng = random.Random(23)
+    for _ in range(200):
+        p = _random_poly(rng, V2)
+        q = _random_poly(rng, V2)
+        results = [p + q, p - q, -p, p * q, p * q - q * p]
+        if not q.is_zero():
+            results.append((p * q).div_exact(q))
+        for r in results:
+            assert 0 not in r.terms.values()
+
+
+def test_at_ones_is_coefficient_sum():
+    rng = random.Random(29)
+    for _ in range(100):
+        p = _random_poly(rng, V2, max_terms=6)
+        assert p.at_ones() == p.specialize({"x0": 1, "x1": 1}) == sum(p.terms.values())
+
+
+def test_pow_matches_repeated_multiplication():
+    # powers run by repeated squaring, not by repeated multiplication
+    rng = random.Random(31)
+    for _ in range(60):
+        p = _random_poly(rng, ("a", "b", "c"), max_terms=5)
+        k = rng.randint(0, 5)
+        expected = LaurentPoly.one(p.vars)
+        for _ in range(k):
+            expected = expected * p
+        assert p ** k == expected
+
+
+def test_div_exact_roundtrip_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    variables = ("a", "b", "c")
+    polys = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * len(variables)),
+                            st.integers(-9, 9), max_size=6).map(
+                                lambda terms: LaurentPoly(variables, terms))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(polys, polys)
+    def check(p, q):
+        hypothesis.assume(not q.is_zero())
+        assert (p * q).div_exact(q) == p
+
+    check()
+
+
+def _sha256(poly):
+    return hashlib.sha256(poly.dumps().encode()).hexdigest()
+
+
+def test_dumps_bytes_pinned():
+    # digests of the outputs before the heap division replaced long division
+    seed = Seed.initial(catalog.kronecker())
+    k = 0
+    for _ in range(20):
+        seed = seed.mutate(k)
+        k = 1 - k
+    variable = seed.vars[1]
+    assert variable.at_ones() == 165580141  # F_41
+    assert _sha256(variable) == \
+        "f8d082ae1251728a36f85a6edc050e48f372f26b5e018731814b16e8ff791495"
+
+    arrived, (u, v), _ = double_arrow_seed(catalog.e7_affine())
+    value = theta(arrived, u, v)
+    assert value.integer == 702
+    assert _sha256(value.laurent) == \
+        "86d9d593f48021b40d50f112b3d476cd2e053d407f4d264a6ae71ae25bd36d69"

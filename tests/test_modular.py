@@ -1,7 +1,7 @@
 import pytest
 
 from friezelab import catalog
-from friezelab.errors import NoRestoringPermutation
+from friezelab.errors import NoRestoringPermutation, UnsupportedQuiver
 from friezelab.modular import (apply_generator_word, gamma_permutation,
                                generator_labels, generator_word,
                                modular_generator)
@@ -76,8 +76,10 @@ def test_generator_on_relabeled_seed():
 
 def test_non_base_quiver_rejected():
     seed = Seed.initial(catalog.e6_affine())
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedQuiver):
         modular_generator(seed, "ta")
+    with pytest.raises(UnsupportedQuiver):
+        modular_generator(Seed.initial(catalog.d4_double_arrow()), "ta")
 
 
 def test_unknown_generator_rejected():

@@ -60,6 +60,24 @@ def test_skew_symmetry_preserved_by_random_mutations():
                 assert q.b[i][j] == -q.b[j][i]
 
 
+def test_mutation_matches_matrix_formula():
+    # b'_ij = -b_ij if k in {i, j}, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2
+    rng = random.Random(41)
+    for _ in range(300):
+        m = rng.randint(2, 7)
+        b = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                b[i][j] = rng.randint(-3, 3)
+                b[j][i] = -b[i][j]
+        k = rng.randrange(m)
+        want = [[-b[i][j] if k in (i, j)
+                 else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+                 for j in range(m)] for i in range(m)]
+        got = Quiver([str(i) for i in range(m)], b).mutate(k)
+        assert [list(row) for row in got.b] == want
+
+
 def test_double_arrows():
     assert catalog.kronecker().double_arrows() == [(0, 1)]
     assert catalog.d4_star().double_arrows() == []

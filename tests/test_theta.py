@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -5,13 +6,16 @@ import pytest
 from friezelab import catalog
 from friezelab.cc import cc_map
 from friezelab.chebyshev import chebyshev_T
-from friezelab.errors import MissingDoubleArrow
+from friezelab.errors import CrossCheckFailed, MissingDoubleArrow
 from friezelab.laurent import LaurentPoly, parse_laurent
 from friezelab.modular import generator_word
+from friezelab.quivers import Quiver, has_double_arrow, mutation_class_search
 from friezelab.seeds import Seed
 from friezelab.theta import (bracelet_value, double_arrow_seed,
-                             growth_from_affine_quiver, theta,
+                             growth_from_affine_quiver, theta, theta_at_ones,
                              theta_invariance, triangle_neighbors)
+
+theta_module = importlib.import_module("friezelab.theta")
 
 
 def test_triangle_neighbors_shapes():
@@ -84,6 +88,37 @@ def test_growth_from_affine_quiver_values():
     assert growth_from_affine_quiver(catalog.d4_star(), 1000) == 14
     assert growth_from_affine_quiver(catalog.kronecker()) == 3
     assert growth_from_affine_quiver(catalog.e6_affine()) == 322
+
+
+@pytest.mark.parametrize("name", ["d4_star", "e6_affine", "e7_affine", "kronecker"])
+def test_integer_path_matches_laurent_theta(name):
+    quiver = getattr(catalog, name)()
+    _, word = mutation_class_search(quiver, has_double_arrow)
+    value = theta(Seed.initial(quiver).mutate_word(word))
+    assert theta_at_ones(quiver, word.sequence) == value.integer == value.laurent.at_ones()
+
+
+def test_integer_path_along_a_kronecker_chain():
+    quiver = catalog.kronecker()
+    word = [0, 1] * 6
+    assert theta_at_ones(quiver, word) == theta(Seed.initial(quiver).mutate_word(word)).integer == 3
+
+
+def test_integer_path_rejects_bad_words():
+    fan = catalog.d4_double_arrow()
+    with pytest.raises(MissingDoubleArrow):
+        theta_at_ones(fan, [fan.index("a")])
+    frozen = Quiver(fan.labels, fan.b, frozen=["a"])
+    with pytest.raises(ValueError):
+        theta_at_ones(frozen, [frozen.index("a")])
+
+
+def test_integer_path_certifies_its_divisions(monkeypatch):
+    quiver = catalog.d4_star()
+    _, word = mutation_class_search(quiver, has_double_arrow)
+    monkeypatch.setattr(theta_module, "triangle_neighbors", lambda *args: [])
+    with pytest.raises(CrossCheckFailed):
+        theta_at_ones(quiver, word.sequence)
 
 
 def test_theta_matches_cc_character_in_initial_variables():
