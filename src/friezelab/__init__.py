@@ -2,7 +2,7 @@
 mutation, quiver Grassmannian counting, and cluster characters."""
 
 from .cc import (CCValue, cc_map, frieze_from_tube, growth_via_homogeneous,
-                 homogeneous_powers, quiddity_from_tube)
+                 quiddity_from_tube)
 from .chebyshev import chebyshev_S, chebyshev_T
 from .errors import (AmbiguousPermutation, CrossCheckFailed, FriezelabError,
                      InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
@@ -16,7 +16,7 @@ from .modular import apply_generator_word, generator_word, modular_generator
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .rep import (DEFAULT_PRIMES, GrassmannianTable, QuiverRep, count_points,
                   defect, delta, direct_sum, euler_characteristic, euler_form,
-                  extending_vertices, grassmannian_table, subrep_dimvectors)
+                  grassmannian_table, subrep_dimvectors)
 from .seeds import Seed
 from .theta import (ThetaValue, bracelet_value, double_arrow_seed,
                     growth_from_affine_quiver, theta, theta_at_ones,
@@ -35,9 +35,9 @@ __all__ = [
     "bracelet_value", "cc_map", "chebyshev_S", "chebyshev_T",
     "classify_growth", "count_points", "defect", "delta", "direct_sum",
     "double_arrow_seed", "euler_characteristic", "euler_form",
-    "extending_vertices", "frieze_from_tube", "generate", "generator_word",
+    "frieze_from_tube", "generate", "generator_word",
     "grassmannian_table", "growth", "growth_from_affine_quiver",
-    "growth_via_homogeneous", "has_double_arrow", "homogeneous_powers",
+    "growth_via_homogeneous", "has_double_arrow",
     "measured_growth", "modular_generator", "mutation_class_search",
     "parse_laurent", "quiddity_from_tube", "subrep_dimvectors", "theta",
     "theta_at_ones", "theta_invariance", "triangle_neighbors",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .chebyshev import chebyshev_S_values, first_kind, second_kind
+from .chebyshev import first_kind, second_kind
 from .errors import CrossCheckFailed
 from .frieze import FriezePattern, Quiddity, generate
 from .laurent import LaurentPoly
@@ -70,13 +70,6 @@ def quiddity_from_tube(quiver, tube: Sequence[QuiverRep],
 def frieze_from_tube(quiver, tube: Sequence[QuiverRep], depth: int,
                      primes: Sequence[int] = DEFAULT_PRIMES) -> FriezePattern:
     return generate(quiddity_from_tube(quiver, tube, primes), depth)
-
-
-def homogeneous_powers(x1: int, kmax: int) -> list[int]:
-    """Values u_0..u_kmax of the quasi-length recurrence
-    u_{k+1} = x1*u_k - u_{k-1} with u_0 = 1, u_{-1} = 0 (and u_{-2} = -1):
-    the second-kind Chebyshev values S_k(x1)."""
-    return chebyshev_S_values(kmax, x1)
 
 
 def homogeneous_growth(x1: int) -> Iterator[tuple[int, int]]:

@@ -5,13 +5,15 @@ emits either a human-readable report or, with --json, a single JSON object
 whose integer payloads are decimal strings (frieze entries overflow 64 bits
 quickly).  Module errors exit with status 1 and a machine-readable error
 object; usage errors exit with status 2 and a JSON error object of type
-UsageError.
+UsageError.  When the reader closes stdout early, the run stops quietly with
+status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
@@ -431,7 +433,14 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout is closed, so no error object can be printed; point stdout
+        # at devnull so that the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except argparse.ArgumentTypeError as exc:
         # a bad argument value found by the handler rather than by the parser
         _emit_error("UsageError", str(exc))

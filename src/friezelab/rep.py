@@ -2,22 +2,28 @@
 
 A representation assigns a dimension to every vertex and an integer matrix to
 every arrow (shape dims[head] x dims[tail]); matrices are reduced mod p on
-demand.  Subrepresentations with a prescribed dimension vector are counted by
-enumerating reduced-row-echelon representatives of each vertex Grassmannian
-and filtering by closure under the arrow maps.  Euler characteristics are
-extracted by interpolating the count as a polynomial in the field size and
-evaluating at 1, with one held-out prime double-checking every interpolation.
-
-Vertex dimensions in the shipped fixtures are at most 3, so the enumeration
-stays tiny; nothing here is meant for large representations.
+demand.  Subrepresentations are counted by one exact backtracking routine over
+the vertices in Quiver.topological_order(), vertices on oriented cycles last.
+At a vertex v, U_v runs over the subspaces containing the span W_v of the
+images from its tails, and a branch dies once the images reaching a vertex
+outgrow the dimension allowed there or, along an arrow that closes a cycle,
+leave the subspace chosen there.  A vertex that constrains no later choice is
+not enumerated but counted by the Gaussian binomial [d_v - w, e_v - w]_p.
+Given a set of allowed dimensions per vertex, the routine counts every
+allowed e at once, so one traversal per prime fills a whole table.  Euler
+characteristics are extracted by interpolating the count as a polynomial in
+the field size and evaluating at 1, with one held-out prime double-checking
+every interpolation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InadmissiblePrime, NonPolynomialCount, NotAffine
@@ -30,7 +36,7 @@ DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 
 class QuiverRep:
-    """A representation of an acyclic quiver by integer matrices."""
+    """A representation of a quiver by integer matrices."""
 
     __slots__ = ("quiver", "dims", "maps", "params")
 
@@ -105,17 +111,9 @@ def direct_sum(m1: QuiverRep, m2: QuiverRep) -> QuiverRep:
     if m1.quiver != m2.quiver:
         raise ValueError("summands must share the quiver")
     dims = tuple(a + b for a, b in zip(m1.dims, m2.dims))
-    maps = []
-    for (t, h), a, b in zip(m1.arrows, m1.maps, m2.maps):
-        rows = []
-        for r in range(m1.dims[h]):
-            rows.append(tuple(a[r]) + (0,) * m2.dims[t])
-        for r in range(m2.dims[h]):
-            rows.append((0,) * m1.dims[t] + tuple(b[r]))
-        maps.append(rows)
-    params = dict(m1.params)
-    params.update(m2.params)
-    return QuiverRep(m1.quiver, dims, maps, params)
+    maps = [[row + (0,) * m2.dims[t] for row in a] + [(0,) * m1.dims[t] + row for row in b]
+            for (t, h), a, b in zip(m1.arrows, m1.maps, m2.maps)]
+    return QuiverRep(m1.quiver, dims, maps, {**m1.params, **m2.params})
 
 
 # -- Euler form, radical vector, defect -------------------------------------
@@ -133,14 +131,7 @@ def euler_form(quiver: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int
 def symmetrized_cartan(quiver: Quiver) -> list[list[int]]:
     """2 on the diagonal, minus the total number of arrows between i and j."""
     m = quiver.m
-    c = [[0] * m for _ in range(m)]
-    for i in range(m):
-        c[i][i] = 2
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                c[i][j] = -abs(quiver.b[i][j])
-    return c
+    return [[2 if i == j else -abs(quiver.b[i][j]) for j in range(m)] for i in range(m)]
 
 
 def delta(quiver: Quiver) -> DimVector:
@@ -159,50 +150,34 @@ def delta(quiver: Quiver) -> DimVector:
 
 
 def _integer_kernel(matrix: Sequence[Sequence[int]]) -> list[DimVector]:
-    """Primitive integer basis of the kernel, via fraction-free elimination."""
+    """Primitive integer basis of the kernel, via Gauss-Jordan elimination over Q."""
     m = len(matrix)
     rows = [[Fraction(x) for x in row] for row in matrix]
     pivots: list[int] = []
-    r = 0
     for col in range(m):
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if rows[i][col]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        top = [x / rows[pivot][col] for x in rows[pivot]]
+        rows[pivot] = rows[r]
+        rows = [top if i == r else [a - row[col] * b for a, b in zip(row, top)]
+                for i, row in enumerate(rows)]
         pivots.append(col)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rows[row_idx][fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        ints = [int(x * lcm) for x in vec]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
-        basis.append(tuple(x // g for x in ints) if g else tuple(ints))
+    for fc in (c for c in range(m) if c not in pivots):
+        vec = [Fraction(int(c == fc)) for c in range(m)]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        scale = math.lcm(*(x.denominator for x in vec))
+        g = math.gcd(*(int(x * scale) for x in vec))
+        basis.append(tuple(int(x * scale) // g for x in vec))
     return basis
 
 
 def defect(quiver: Quiver, alpha: Sequence[int]) -> int:
     """<delta, alpha>: negative/zero/positive for preprojective/regular/preinjective."""
     return euler_form(quiver, delta(quiver), alpha)
-
-
-def extending_vertices(quiver: Quiver) -> set[int]:
-    d = delta(quiver)
-    return {i for i, x in enumerate(d) if x == 1}
 
 
 def projective_dims(quiver: Quiver, vertex: int) -> DimVector:
@@ -221,45 +196,113 @@ def projective_dims(quiver: Quiver, vertex: int) -> DimVector:
     return tuple(counts)
 
 
-# -- subspace enumeration over F_p -------------------------------------------
+# -- counting subrepresentations over F_p -------------------------------------
 
-def rref_subspaces(n: int, k: int, p: int):
-    """Yield all k-dimensional subspaces of F_p^n as RREF row tuples."""
-    if k < 0 or k > n:
+def rref_subspaces(n: int, k: int, p: int, support: Sequence[int] | None = None):
+    """Yield all k-dimensional subspaces of F_p^n as RREF row tuples; with a
+    support, those of the coordinate subspace on these sorted coordinates."""
+    coords = range(n) if support is None else support
+    if k < 0:
         return
-    if k == 0:
-        yield ()
-        return
-    for pivots in itertools.combinations(range(n), k):
-        free_positions = []
-        for r in range(k):
-            for c in range(pivots[r] + 1, n):
-                if c not in pivots:
-                    free_positions.append((r, c))
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(k)]
-            for r in range(k):
-                rows[r][pivots[r]] = 1
-            for (r, c), v in zip(free_positions, values):
-                rows[r][c] = v
-            yield tuple(tuple(row) for row in rows)
+    for pivots in itertools.combinations(coords, k):
+        free = [(r, c) for r, piv in enumerate(pivots) for c in coords
+                if c > piv and c not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [[int(c == piv) for c in range(n)] for piv in pivots]
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
+            yield tuple(map(tuple, rows))
 
 
-def _in_span(rows: Matrix, pivots: tuple[int, ...], vec: list[int], p: int) -> bool:
-    vec = list(vec)
-    for row, piv in zip(rows, pivots):
+def _gaussian_binomial(n: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of F_p^n, for 0 <= k <= n."""
+    return (math.prod(p ** (n - i) - 1 for i in range(k))
+            // math.prod(p ** (i + 1) - 1 for i in range(k)))
+
+
+def _insert(basis: list, vec, p: int) -> list:
+    """An echelon basis [(pivot, row), ...] of span(basis) + vec: basis itself
+    when vec already lies in the span, else a new list.  Each row is 1 at its
+    pivot and 0 at the pivots of the rows before it."""
+    for piv, row in basis:
         c = vec[piv]
         if c:
-            for i in range(len(vec)):
-                vec[i] = (vec[i] - c * row[i]) % p
-    return not any(vec)
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    piv = next((i for i, x in enumerate(vec) if x), None)
+    if piv is None:
+        return basis
+    inv = pow(vec[piv], -1, p)
+    return basis + [(piv, [x * inv % p for x in vec])]
 
 
-def _pivots(rows: Matrix) -> tuple[int, ...]:
-    out = []
-    for row in rows:
-        out.append(next(i for i, x in enumerate(row) if x))
-    return tuple(out)
+def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
+                        p: int) -> dict[DimVector, int]:
+    """The number of subrepresentations over F_p of every dimension vector e
+    with e[v] in allowed[v]; only nonzero counts appear."""
+    if not rep.admissible(p):
+        raise InadmissiblePrime("prime %d degenerates a parameter of the fixture" % p)
+    dims, m = rep.dims, rep.quiver.m
+    order = rep.quiver.topological_order()
+    order += sorted(set(range(m)) - set(order))  # vertices on oriented cycles go last
+    pos = {v: i for i, v in enumerate(order)}
+    # arrows v -> h as (h, matrix mod p, whether h is visited after v)
+    out = [[] for _ in range(m)]
+    for (t, h), mat in zip(rep.arrows, rep.maps):
+        out[t].append((h, [[x % p for x in row] for row in mat], pos[h] > pos[t]))
+    watched = {h for arrows in out for h, _, later in arrows if not later}
+    # U_v constrains no later choice: count it by a Gaussian binomial, last
+    free = [v not in watched and all(allowed[h] == (dims[h],) for h, _, _ in out[v])
+            for v in range(m)]
+    order.sort(key=free.__getitem__)
+    top = [max(a) for a in allowed]
+    chosen: list = [None] * m  # echelon basis of U_h at the heads of backward arrows
+    subspaces = functools.cache(lambda n, k, support: list(rref_subspaces(n, k, p, support)))
+    counts: dict[DimVector, int] = {}
+    e = [0] * m
+
+    def push(v, spans, rows):
+        """spans with the images of rows added at the heads visited later, or
+        None when one outgrows its head or an image leaves an earlier U_h."""
+        spans = list(spans)
+        for h, mat, later in out[v]:
+            span = spans[h] if later else chosen[h]
+            for row in rows:
+                span = _insert(span, [sum(map(mul, r, row)) % p for r in mat], p)
+            if (len(span) > top[h]) if later else (span is not chosen[h]):
+                return None
+            if later:
+                spans[h] = span
+        return spans
+
+    def visit(i, spans, weight):
+        if i == m:
+            counts[tuple(e)] = counts.get(tuple(e), 0) + weight
+            return
+        v = order[i]
+        span = spans[v]
+        w = len(span)
+        if free[v]:
+            for k in allowed[v]:
+                if k >= w:
+                    e[v] = k
+                    visit(i + 1, spans, weight * _gaussian_binomial(dims[v] - w, k - w, p))
+            return
+        base = push(v, spans, [row for _, row in span])
+        if base is None:
+            return
+        complement = tuple(sorted(set(range(dims[v])) - {piv for piv, _ in span}))
+        for k in allowed[v]:
+            e[v] = k
+            # U_v = W_v + S, S a (k - w)-subspace on the coordinates off W_v's pivots
+            for rows in subspaces(dims[v], k - w, complement):
+                spans_out = push(v, base, rows)
+                if spans_out is not None:
+                    if v in watched:
+                        chosen[v] = functools.reduce(lambda b, r: _insert(b, r, p), rows, span)
+                    visit(i + 1, spans_out, weight)
+
+    visit(0, [[] for _ in range(m)], 1)
+    return counts
 
 
 def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
@@ -269,41 +312,15 @@ def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
         raise ValueError("dimension vector length mismatch")
     if any(x < 0 or x > d for x, d in zip(e, rep.dims)):
         raise ValueError("dimension vector %s exceeds dims %s" % (e, rep.dims))
-    if not rep.admissible(p):
-        raise InadmissiblePrime("prime %d degenerates a parameter of the fixture" % p)
-    arrows = rep.arrows
-    reduced = [tuple(tuple(x % p for x in row) for row in mat) for mat in rep.maps]
-    spaces = [list(rref_subspaces(rep.dims[i], e[i], p)) for i in range(rep.quiver.m)]
-    pivot_cache = [[_pivots(rows) for rows in per_vertex] for per_vertex in spaces]
-    count = 0
-    for choice in itertools.product(*(range(len(s)) for s in spaces)):
-        ok = True
-        for (t, h), mat in zip(arrows, reduced):
-            ut = spaces[t][choice[t]]
-            uh = spaces[h][choice[h]]
-            ph = pivot_cache[h][choice[h]]
-            for u in ut:
-                img = [sum(m_row[c] * u[c] for c in range(len(u))) % p for m_row in mat]
-                if not _in_span(uh, ph, img, p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    return _count_by_dimvector(rep, [(x,) for x in e], p).get(e, 0)
 
 
 def subrep_dimvectors(rep: QuiverRep, prime: int | None = None) -> list[DimVector]:
     """All e <= dims whose Grassmannian is nonempty over a test prime."""
     if prime is None:
         prime = next(p for p in DEFAULT_PRIMES if rep.admissible(p))
-    out = []
-    for e in itertools.product(*(range(d + 1) for d in rep.dims)):
-        if count_points(rep, e, prime) > 0:
-            out.append(e)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    every = [tuple(range(d + 1)) for d in rep.dims]
+    return sorted(_count_by_dimvector(rep, every, prime), key=lambda e: (sum(e), e))
 
 
 def _interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
@@ -337,6 +354,12 @@ def euler_characteristic(rep: QuiverRep, e: Sequence[int],
                          primes: Sequence[int] = DEFAULT_PRIMES) -> int:
     """Counting polynomial evaluated at 1, certified by a held-out prime."""
     e = tuple(int(x) for x in e)
+    return _certified_chi(rep, e, primes, lambda p: count_points(rep, e, p))
+
+
+def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -> int:
+    """Interpolate count(p) at the first bound + 1 admissible primes and
+    evaluate at 1; the next admissible prime is held out and must agree."""
     bound = counting_degree_bound(rep, e)
     admissible = [p for p in primes if rep.admissible(p)]
     if len(admissible) < bound + 2:
@@ -344,12 +367,12 @@ def euler_characteristic(rep: QuiverRep, e: Sequence[int],
                          % (bound + 2, len(admissible)))
     sample = admissible[:bound + 1]
     held_out = admissible[bound + 1]
-    points = [(p, count_points(rep, e, p)) for p in sample]
+    points = [(p, count(p)) for p in sample]
     coeffs = _interpolate(points)
     if any(c.denominator != 1 for c in coeffs):
         raise NonPolynomialCount("interpolated counting polynomial for e=%s is not integral" % (e,))
     predicted = sum(int(c) * held_out ** d for d, c in enumerate(coeffs))
-    actual = count_points(rep, e, held_out)
+    actual = count(held_out)
     if predicted != actual:
         raise NonPolynomialCount(
             "held-out prime %d disagrees for e=%s: predicted %d, counted %d"
@@ -379,8 +402,11 @@ class GrassmannianTable:
 
 def grassmannian_table(rep: QuiverRep,
                        primes: Sequence[int] = DEFAULT_PRIMES) -> GrassmannianTable:
-    """(e, chi) for every nonempty subrepresentation dimension vector."""
-    rows = []
-    for e in subrep_dimvectors(rep):
-        rows.append((e, euler_characteristic(rep, e, primes)))
+    """(e, chi) for every nonempty subrepresentation dimension vector.  One
+    counting traversal per prime serves every e."""
+    counts = functools.cache(functools.partial(
+        _count_by_dimvector, rep, [tuple(range(d + 1)) for d in rep.dims]))
+    first = next(p for p in DEFAULT_PRIMES if rep.admissible(p))  # as in subrep_dimvectors
+    rows = [(e, _certified_chi(rep, e, primes, lambda p: counts(p).get(e, 0)))
+            for e in sorted(counts(first), key=lambda e: (sum(e), e))]
     return GrassmannianTable(tuple(rows))

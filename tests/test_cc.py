@@ -2,8 +2,8 @@ import pytest
 
 from friezelab import catalog
 from friezelab.cc import (cc_map, frieze_from_tube, growth_via_homogeneous,
-                          homogeneous_powers, quiddity_from_tube)
-from friezelab.chebyshev import chebyshev_T
+                          quiddity_from_tube)
+from friezelab.chebyshev import chebyshev_S_values, chebyshev_T
 from friezelab.frieze import Quiddity, generate, growth
 from friezelab.laurent import parse_laurent
 from friezelab.rep import direct_sum, grassmannian_table
@@ -105,12 +105,12 @@ def test_e6_quiddity_fixture_friezes():
 
 
 def test_homogeneous_powers_at_14():
-    u = homogeneous_powers(14, 3)
+    u = chebyshev_S_values(3, 14)
     assert u == [1, 14, 195, 2716]
 
 
 def test_homogeneous_powers_at_two():
-    assert homogeneous_powers(2, 10) == list(range(1, 12))
+    assert chebyshev_S_values(10, 2) == list(range(1, 12))
 
 
 def test_growth_via_homogeneous():

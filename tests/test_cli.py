@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +294,17 @@ def test_search_budget_error(capsys):
                     "--max-nodes", "2")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "SearchNotFound"
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes 20 bytes of about 5 MB and closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "friezelab.cli", "frieze", "--quiddity", "8,2",
+                             "--depth", "3000", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(20) == b'{"quiddity": ["8", "'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    proc.stderr.close()
+    assert b"Traceback" not in stderr and stderr == b""

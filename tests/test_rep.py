@@ -1,14 +1,16 @@
+import itertools
+import math
 import random
 
 import pytest
 
+import friezelab.rep as rep_module
 from friezelab import catalog
 from friezelab.errors import InadmissiblePrime, NotAffine
 from friezelab.quivers import Quiver
 from friezelab.rep import (DEFAULT_PRIMES, QuiverRep, count_points,
                            counting_degree_bound, delta, defect, direct_sum,
-                           euler_characteristic, euler_form,
-                           extending_vertices, grassmannian_table,
+                           euler_characteristic, euler_form, grassmannian_table,
                            projective_dims, rref_subspaces, subrep_dimvectors)
 
 TABLE_ROWS = {
@@ -93,7 +95,8 @@ def test_defect():
 
 def test_extending_vertices_d4():
     q = catalog.d4_star()
-    assert {q.labels[i] for i in extending_vertices(q)} == {"1", "2", "4", "5"}
+    extending = {i for i, x in enumerate(delta(q)) if x == 1}
+    assert {q.labels[i] for i in extending} == {"1", "2", "4", "5"}
 
 
 def test_rref_subspace_counts():
@@ -104,6 +107,126 @@ def test_rref_subspace_counts():
     assert len(list(rref_subspaces(3, 2, 3))) == 13
     assert list(rref_subspaces(2, 0, 3)) == [()]
     assert len(list(rref_subspaces(2, 2, 7))) == 1
+
+
+def test_rref_subspaces_are_distinct_and_reduced():
+    # distinct RREF matrices of rank k are distinct subspaces, so together
+    # with the Gaussian binomial counts above this shows every subspace is
+    # yielded once; with a support the rows vanish off it
+    for n, k, p, support in ((3, 1, 3, None), (3, 2, 2, None), (4, 2, 3, (0, 2, 3))):
+        coords = range(n) if support is None else support
+        subs = list(rref_subspaces(n, k, p, support))
+        assert len(set(subs)) == len(subs) == rep_module._gaussian_binomial(len(coords), k, p)
+        for rows in subs:
+            pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+            assert pivots == sorted(pivots) and all(rows[r][c] == 1 for r, c in enumerate(pivots))
+            assert all(row[c] == 0 for row in rows for c in pivots if c != row.index(1))
+            assert all(row[c] == 0 for row in rows for c in range(n) if c not in coords)
+
+
+# -- the counting engine against the product enumeration -----------------------
+
+def _span(rows, n, p):
+    """Every vector of the span of rows in F_p^n."""
+    return {tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % p for i in range(n))
+            for coeffs in itertools.product(range(p), repeat=len(rows))}
+
+
+def _reference_count(rep, e, p):
+    """Subrepresentations of dimension vector e over F_p, by running through
+    the full product of the vertex Grassmannians and keeping the tuples that
+    every arrow maps into themselves."""
+    arrows = rep.arrows
+    spaces = [list(rref_subspaces(d, k, p)) for d, k in zip(rep.dims, e)]
+    members = [[_span(rows, d, p) for rows in per_vertex]
+               for d, per_vertex in zip(rep.dims, spaces)]
+    # maps_into[a][i][j]: arrow a maps the i-th subspace at its tail into the
+    # j-th subspace at its head
+    maps_into = [[[all(tuple(sum(a * b for a, b in zip(r, u)) % p for r in mat) in span
+                       for u in rows) for span in members[h]] for rows in spaces[t]]
+                 for (t, h), mat in zip(arrows, rep.maps)]
+    return sum(all(table[choice[t]][choice[h]] for (t, h), table in zip(arrows, maps_into))
+               for choice in itertools.product(*(range(len(s)) for s in spaces)))
+
+
+def _oriented_triangle():
+    return Quiver(["a", "b", "c"], [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+
+
+def _random_rep(quiver, rng, max_dim):
+    """Dimensions up to max_dim, few of them zero, and entries in 0..3, with
+    some maps forced to rank at most one or to zero so that rank-deficient
+    maps occur.  The product enumeration over every e at p = 5 stays below
+    20,000 subspace tuples."""
+    while True:
+        dims = [rng.choice([0] + [1, 2, 3][:max_dim] * 3) for _ in range(quiver.m)]
+        if math.prod(sum(rep_module._gaussian_binomial(d, k, 5) for k in range(d + 1))
+                     for d in dims) <= 20000:
+            break
+    maps = []
+    for t, h in quiver.arrows():
+        kind = rng.randrange(6)
+        col = [rng.randint(0, 3) for _ in range(dims[h])]
+        row = [rng.randint(1, 3) for _ in range(dims[t])]
+        maps.append([[0] * dims[t] if kind == 0 else
+                     [a * b for b in row] if kind < 3 else
+                     [rng.randint(0, 3) for _ in range(dims[t])] for a in col])
+    return QuiverRep(quiver, dims, maps)
+
+
+def _oracle_reps():
+    rng = random.Random(20261018)
+    quivers = [(catalog.d4_star(), 2), (catalog.affine_a(2, 1), 2), (catalog.kronecker(), 3),
+               (catalog.e6_affine(), 2), (_oriented_triangle(), 2)]
+    reps = [_random_rep(q, rng, top) for q, top in quivers for _ in range(4)]
+    reps += [catalog.d4_m_lambda(lam) for lam in (0, 1, 2, 3, 4)]
+    reps += [r for pair in catalog.d4_tubes() for r in pair]
+    return reps
+
+
+def _every_e(rep):
+    return itertools.product(*(range(d + 1) for d in rep.dims))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_count_points_matches_product_enumeration(p):
+    for M in _oracle_reps():
+        if not M.admissible(p):
+            with pytest.raises(InadmissiblePrime):
+                count_points(M, M.dims, p)
+            continue
+        table = rep_module._count_by_dimvector(M, [tuple(range(d + 1)) for d in M.dims], p)
+        for e in _every_e(M):
+            want = _reference_count(M, e, p)
+            assert count_points(M, e, p) == want, (M.quiver.labels, M.dims, M.maps, e)
+            assert table.get(e, 0) == want, (M.quiver.labels, M.dims, M.maps, e)
+        assert 0 not in table.values()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_count_points_matches_product_enumeration_on_an_e6_delta_rep(p):
+    rng = random.Random(7)
+    q = catalog.e6_affine()
+    d = delta(q)
+    maps = [[[rng.randint(0, 1) for _ in range(d[t])] for _ in range(d[h])]
+            for t, h in q.arrows()]
+    M = QuiverRep(q, d, maps)
+    table = rep_module._count_by_dimvector(M, [tuple(range(x + 1)) for x in d], p)
+    for e in _every_e(M):
+        want = _reference_count(M, e, p)
+        assert count_points(M, e, p) == table.get(e, 0) == want, e
+
+
+def test_oriented_cycle_counts_image_inclusion():
+    # a -> b -> c -> a with identity maps on F_p: a subrepresentation is one
+    # subspace U with U_a = U_b = U_c, so dimension vector (1, 1, 1) counts
+    # the p + 1 lines of F_p^2 and (1, 0, 0) counts none
+    q = _oriented_triangle()
+    identity = [[1, 0], [0, 1]]
+    M = QuiverRep(q, (2, 2, 2), [identity] * len(q.arrows()))
+    assert count_points(M, (1, 1, 1), 3) == 4
+    assert count_points(M, (1, 0, 0), 3) == 0
+    assert subrep_dimvectors(M) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
 
 
 def test_count_points_trivial_ends():
