@@ -186,17 +186,6 @@ def zero_rep(quiver: Quiver) -> QuiverRep:
     return QuiverRep(quiver, dims, [[] for _ in quiver.arrows()])
 
 
-def simple_rep(quiver: Quiver, vertex: int) -> QuiverRep:
-    dims = tuple(1 if i == vertex else 0 for i in range(quiver.m))
-    maps = []
-    for t, h in quiver.arrows():
-        if dims[h] == 0:
-            maps.append([])
-        else:
-            maps.append([[]] if dims[t] == 0 else [[0]])
-    return QuiverRep(quiver, dims, maps)
-
-
 E6_TUBE_QUIDDITIES = ((9, 36), (7, 7, 7), (7, 7, 7))
 
 # Dimension vectors of the quasi-simples at the mouths of the three

@@ -7,16 +7,21 @@ Everything here is exact integer combinatorics.
 Isomorphism testing and the canonical form share one color refinement: a
 vertex's signature is its color together with the sorted multiset of
 (B[i][j], color of j) over its nonzero entries, and signatures are ranked
-in their natural tuple order until the partition is stable.  The canonical
-form is individualization-refinement (McKay & Piperno, Practical graph
-isomorphism II, 2014): each vertex of the first smallest non-singleton cell
-is given a color of its own in turn, the partition is refined again, and
-the search recurses until every cell is a singleton.  The canonical key is
-the least B-matrix, read in leaf order, over all leaves of that tree.  Two
-vertices with equal rows are twins: swapping them is an automorphism that
-fixes the rest of the search node, so only the first of them is
-individualized.  The work is exponential only in the symmetry that
-refinement cannot break and that twins do not cover.
+in their natural tuple order until the partition is stable.  Frozen
+vertices start in a color of their own, so no isomorphism unfreezes one.
+The canonical form is individualization-refinement (McKay & Piperno,
+Practical graph isomorphism II, 2014): each vertex of the first smallest
+non-singleton cell is given a color of its own in turn, the partition is
+refined again, and the search recurses until every cell is a singleton.
+The canonical key is the least B-matrix, read in leaf order, over all
+leaves of that tree (then the number of frozen vertices, if any); that
+leaf's vertex order is the canonical order.  Two vertices with equal rows
+are twins: swapping them is an automorphism that fixes the rest of the
+search node, so only the first of them is individualized.  The work is
+exponential only in the symmetry that refinement cannot break and that
+twins do not cover.  The mutation-class search keys each edge of the class
+graph once: every class keeps its representative's canonical order and the
+vertices whose mutation leads back to a visited class.
 """
 
 from __future__ import annotations
@@ -120,9 +125,6 @@ class Quiver:
     def is_acyclic(self) -> bool:
         return len(self.topological_order()) == self.m
 
-    def underlying_degrees(self) -> list[int]:
-        return [sum(abs(x) for x in row) for row in self.b]
-
     # -- mutation --------------------------------------------------------------
 
     def mutate(self, k: int) -> "Quiver":
@@ -183,7 +185,7 @@ class Quiver:
         # refine the disjoint union, so that the two halves' colors compare
         union = _adjacency(self.b) + [[(j + m, x) for j, x in row]
                                       for row in _adjacency(other.b)]
-        colors = _refine(union, [0] * (2 * m))
+        colors = _refine(union, self._frozen_colors() + other._frozen_colors())
         mine, theirs = colors[:m], colors[m:]
         if sorted(mine) != sorted(theirs):
             return []
@@ -219,10 +221,13 @@ class Quiver:
     def automorphisms(self) -> list[tuple[int, ...]]:
         return self.isomorphisms_to(self)
 
+    def _frozen_colors(self) -> list[int]:
+        return [int(label in self.frozen) for label in self.labels]
+
     def canonical_key(self) -> tuple:
-        """Complete isomorphism invariant: the lexicographically least
-        row-major flattening of B over the leaves of the
-        individualization-refinement tree.
+        """Complete invariant of isomorphisms that keep frozen vertices
+        frozen: the least row-major flattening of B over the leaves of the
+        individualization-refinement tree, then the frozen count if nonzero.
 
         Refinement runs to a stable partition; each vertex of the first
         smallest non-singleton cell is then individualized in turn, and the
@@ -231,13 +236,18 @@ class Quiver:
         consists of twins is a leaf.  A leaf's cell order is the vertex
         order its matrix is read in.
         """
-        if self._key is not None:
-            return self._key
+        if self._key is None:
+            self._key = self._canonical_form()[0]
+        return self._key
+
+    def _canonical_form(self) -> tuple[tuple, tuple[int, ...]]:
+        """Uncached (key, order) with key[i * m + j] == B[order[i]][order[j]]."""
         b = self.b
         m = self.m
         adj = _adjacency(b)
         best: tuple | None = None
-        stack = [_refine(adj, [0] * m)]
+        best_order: list[int] = []
+        stack = [_refine(adj, self._frozen_colors())]
         while stack:
             colors = stack.pop()
             order = sorted(range(m), key=colors.__getitem__)
@@ -248,7 +258,7 @@ class Quiver:
             if all(b[u] == b[v] for u, v in zip(order, order[1:]) if colors[u] == colors[v]):
                 leaf = tuple([row[w] for row in [b[v] for v in order] for w in order])
                 if best is None or leaf < best:
-                    best = leaf
+                    best, best_order = leaf, order
                 continue
             sizes = [0] * m
             for c in colors:
@@ -263,8 +273,9 @@ class Quiver:
                 child = shifted[:]
                 child[v] -= 1
                 stack.append(_refine(adj, child))
-        self._key = best
-        return best
+        if self.frozen:
+            best += (len(self.frozen),)
+        return best, tuple(best_order)
 
     # -- serialization -----------------------------------------------------------
 
@@ -335,30 +346,46 @@ def mutation_class_search(start: Quiver,
 
     Returns the first quiver satisfying the predicate together with the
     mutation word reaching it; raises SearchNotFound once max_nodes distinct
-    canonical quivers have been visited.
+    canonical quivers have been visited.  Frozen vertices are never mutated,
+    and the canonical form never maps one to a mutable vertex.
+
+    Each edge of the class graph costs at most one canonical form.  A child
+    mu_k(Q) in a visited class R adds to R's skip set the vertex r that the
+    two canonical orders match with k, since mu_r(R) is isomorphic to Q; a
+    new child's skip set is {k}.  Of mutable vertices with equal rows
+    (twins, whose children are isomorphic) only the first is mutated.  Only
+    children that would be found visited are skipped, so words, arrived
+    quivers and visited counts are those of keying every child.
     """
     if predicate(start):
         return start, MutationWord([])
-    visited = {start.canonical_key()}
-    queue: deque[tuple[Quiver, tuple[int, ...]]] = deque([(start, ())])
+    key, order = start._canonical_form()
+    # canonical key -> [canonical order of its representative, skip bitmask]
+    visited = {key: [order, 0]}
+    queue = deque([(start, (), visited[key])])
     while queue:
-        quiver, word = queue.popleft()
-        # mutating again at the last vertex returns the parent, already visited
-        last = word[-1] if word else -1
+        quiver, word, entry = queue.popleft()
+        rows = set()
         for k in range(quiver.m):
-            if k == last or quiver.labels[k] in quiver.frozen:
+            row = quiver.b[k]
+            if quiver.labels[k] in quiver.frozen or row in rows:
+                continue
+            rows.add(row)
+            if entry[1] >> k & 1:
                 continue
             nxt = quiver.mutate(k)
-            key = nxt.canonical_key()
-            if key in visited:
+            key, order = nxt._canonical_form()
+            seen = visited.get(key)
+            if seen is not None:
+                seen[1] |= 1 << seen[0][order.index(k)]
                 continue
             if predicate(nxt):
                 return nxt, MutationWord(word + (k,))
-            visited.add(key)
+            visited[key] = [order, 1 << k]
             if len(visited) >= max_nodes:
                 raise SearchNotFound("no quiver matching the predicate within %d canonical quivers"
                                      % max_nodes)
-            queue.append((nxt, word + (k,)))
+            queue.append((nxt, word + (k,), visited[key]))
     raise SearchNotFound("mutation class exhausted (%d canonical quivers) without a match"
                          % len(visited))
 

@@ -180,22 +180,6 @@ def defect(quiver: Quiver, alpha: Sequence[int]) -> int:
     return euler_form(quiver, delta(quiver), alpha)
 
 
-def projective_dims(quiver: Quiver, vertex: int) -> DimVector:
-    """Dimension vector of the projective at a vertex: path counts (acyclic)."""
-    order = quiver.topological_order()
-    if len(order) < quiver.m:
-        raise ValueError("projective dimension vectors need an acyclic quiver")
-    m = quiver.m
-    counts = [0] * m
-    counts[vertex] = 1
-    for i in order:
-        if counts[i]:
-            for j in range(m):
-                if quiver.b[i][j] > 0:
-                    counts[j] += quiver.b[i][j] * counts[i]
-    return tuple(counts)
-
-
 # -- counting subrepresentations over F_p -------------------------------------
 
 def rref_subspaces(n: int, k: int, p: int, support: Sequence[int] | None = None):

@@ -28,31 +28,14 @@ def test_generator_words_restore_base_quiver():
             assert moved.b == base.b
 
 
-def test_tau_relations_e6():
-    S = base_seed(6)
-    a2 = apply_generator_word(S, ["ta"] * 2)
-    b3 = apply_generator_word(S, ["tb"] * 3)
-    c3 = apply_generator_word(S, ["tc"] * 3)
-    assert a2 == b3 == c3
-    assert a2 != S
-
-
-@pytest.mark.parametrize("n,c_power", [(7, 4), (8, 5)])
-def test_tau_relations_e7_e8(n, c_power):
-    S = base_seed(n)
-    a2 = apply_generator_word(S, ["ta"] * 2)
-    b3 = apply_generator_word(S, ["tb"] * 3)
-    ck = apply_generator_word(S, ["tc"] * c_power)
-    assert a2 == b3 == ck
-
-
 def test_gamma_relations_e6():
+    # the tau relations, gamma^2 == id, gamma*ta == ta*gamma and
+    # gamma*tb == tc*gamma are stated by modular.check_relations and the
+    # modular-relations-e* checks; this is the one relation they do not state,
+    # and ta^2 != id keeps the tau relations from holding vacuously
     S = base_seed(6)
-    assert apply_generator_word(S, ["gamma", "gamma"]) == S
-    # gamma commutes with ta; conjugating tb by gamma gives tc
-    assert apply_generator_word(S, ["gamma", "ta"]) == apply_generator_word(S, ["ta", "gamma"])
-    assert apply_generator_word(S, ["gamma", "tb"]) == apply_generator_word(S, ["tc", "gamma"])
     assert apply_generator_word(S, ["gamma", "tc"]) == apply_generator_word(S, ["tb", "gamma"])
+    assert apply_generator_word(S, ["ta", "ta"]) != S
 
 
 def test_gamma_only_for_e6():

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -214,13 +215,129 @@ def test_bfs_reaches_double_arrow_from_affine_orientations():
     for q in starts:
         found, _ = mutation_class_search(q, has_double_arrow)
         assert found.double_arrows()
-    # the pinned E8 quiver has its double arrow 2 => 1
-    assert_pinned_search("e8")
+    # the E8 search runs in test_search_computes_one_canonical_form_per_edge
+
+
+@pytest.mark.parametrize("name,budget", [("e7", 4300), ("e8", 34000)])
+def test_search_computes_one_canonical_form_per_edge(name, budget, monkeypatch):
+    # at most one canonical form per edge of the class graph that the search
+    # crosses: 4,212 for E7 and 33,378 for E8, where keying every child but
+    # the parent takes 7,085 and 58,975; the pinned E8 quiver has its double
+    # arrow 2 => 1
+    calls = []
+    form = Quiver._canonical_form
+    monkeypatch.setattr(Quiver, "_canonical_form", lambda q: calls.append(q) or form(q))
+    assert_pinned_search(name)
+    assert len(calls) <= budget
+
+
+def dynkin(kind, n):
+    """A Dynkin quiver with every arrow i -> j, i < j: the path 0 - ... - (n-1)
+    for A; for D and E the last vertex hangs off vertex n-3 or vertex 2."""
+    edges = [(i, i + 1) for i in range(n - 2)]
+    edges.append({"A": (n - 2, n - 1), "D": (n - 3, n - 1), "E": (2, n - 1)}[kind])
+    b = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        b[i][j], b[j][i] = 1, -1
+    return Quiver([str(i) for i in range(n)], b)
+
+
+@pytest.mark.parametrize("kind,n,size", [("A", 4, 6), ("A", 5, 19), ("D", 4, 6), ("D", 5, 26),
+                                         ("D", 6, 80), ("E", 6, 67), ("E", 7, 416),
+                                         ("E", 8, 1574)])
+def test_exhaustive_mutation_class_sizes(kind, n, size):
+    # quivers up to isomorphism in the whole mutation class; E6, E7 and E8
+    # are the counts known from the literature
+    with pytest.raises(SearchNotFound, match=r"exhausted \(%d canonical quivers\)" % size):
+        mutation_class_search(dynkin(kind, n), lambda q: False)
 
 
 def test_quiver_json_roundtrip():
     for q in (catalog.kronecker(), catalog.d4_star(), catalog.e_double_arrow(7)):
         assert Quiver.from_json(q.to_json()) == q
+
+
+def test_frozen_vertex_is_no_mutable_vertex_in_search():
+    # with frozen vertices colored apart, mu_0(q) is a new class, and its
+    # mutation at 1 has a double arrow
+    q = Quiver(["0", "1", "2"], [[0, 1, 1], [-1, 0, -1], [-1, 1, 0]], frozen=["2"])
+    found, word = mutation_class_search(q, has_double_arrow)
+    assert word == MutationWord([0, 1])
+    assert found == q.mutate_word([0, 1]) and found.double_arrows()
+    assert q.mutate(0).canonical_key() != q.canonical_key()
+    assert not q.mutate(0).isomorphisms_to(q)
+
+
+def test_canonical_key_tells_frozen_sets_apart():
+    b = [[0, 1, 1], [-1, 0, -1], [-1, 1, 0]]
+    keys = {Quiver(["0", "1", "2"], b, frozen).canonical_key()
+            for frozen in ([], ["0"], ["1"], ["2"], ["0", "1"], ["0", "1", "2"])}
+    assert len(keys) == 6
+    # relabeling moves the frozen labels with their vertices
+    q = Quiver(["0", "1", "2"], b, ["1"])
+    assert q.permuted([2, 0, 1]).canonical_key() == q.canonical_key()
+
+
+def plain_search(start, predicate, max_nodes):
+    """Breadth-first search that keys every child: (word, arrived quiver) or
+    the number of canonical quivers visited when it gives up."""
+    if predicate(start):
+        return (), start
+    visited = {start.canonical_key()}
+    queue = deque([(start, ())])
+    while queue:
+        quiver, word = queue.popleft()
+        for k in range(quiver.m):
+            if quiver.labels[k] in quiver.frozen:
+                continue
+            nxt = quiver.mutate(k)
+            if nxt.canonical_key() in visited:
+                continue
+            if predicate(nxt):
+                return word + (k,), nxt
+            visited.add(nxt.canonical_key())
+            if len(visited) >= max_nodes:
+                return len(visited)
+            queue.append((nxt, word + (k,)))
+    return len(visited)
+
+
+def test_search_matches_plain_search_on_random_ice_quivers():
+    # the skips drop only children whose class is visited, so words, arrived
+    # quivers and visited counts are those of keying every child
+    rng = random.Random(21)
+    for _ in range(60):
+        m = rng.randint(3, 6)
+        b = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                b[i][j] = rng.choice([-2, -1, -1, 0, 0, 0, 1, 1, 2])
+                b[j][i] = -b[i][j]
+        labels = [str(i) for i in range(m)]
+        q = Quiver(labels, b, rng.sample(labels, rng.randint(0, 2)))
+        for predicate in (has_double_arrow, lambda p: p.b[0][1] == 1):
+            want = plain_search(q, predicate, 120)
+            try:
+                found, word = mutation_class_search(q, predicate, 120)
+            except SearchNotFound as error:
+                assert "(%d canonical quivers)" % want in str(error) or (
+                    want == 120 and "within 120" in str(error))
+            else:
+                assert (word.sequence, found) == want
+
+
+def test_search_mutates_one_vertex_of_each_twin_class(monkeypatch):
+    # arrows c -> f, c -> 1, c -> 2, c -> 3: all four leaves have equal rows,
+    # but f is frozen, so 1 is the first mutable one and stands for 2 and 3
+    labels = ["c", "f", "1", "2", "3"]
+    b = [[0, 1, 1, 1, 1]] + [[-1, 0, 0, 0, 0] for _ in range(4)]
+    q = Quiver(labels, b, frozen=["f"])
+    mutated = []
+    mutate = Quiver.mutate
+    monkeypatch.setattr(Quiver, "mutate", lambda p, k: mutated.append((p, k)) or mutate(p, k))
+    with pytest.raises(SearchNotFound):
+        mutation_class_search(q, lambda _: False, max_nodes=50)
+    assert [k for p, k in mutated if p is q] == [0, 2]
 
 
 def test_frozen_vertices_skipped_in_search():
@@ -244,7 +361,8 @@ def test_e_base_quivers_lie_in_affine_classes():
         base = catalog.e_double_arrow(n)
         found, _ = mutation_class_search(base, lambda q: q.is_acyclic())
         assert all(abs(x) <= 1 for row in found.b for x in row)
-        assert sorted(found.underlying_degrees()) == expected_degrees[n]
+        degrees = [sum(abs(x) for x in row) for row in found.b]
+        assert sorted(degrees) == expected_degrees[n]
 
 
 def oriented_cycles(*lengths):
