@@ -181,11 +181,6 @@ def kronecker_regular(nu: int = 2) -> QuiverRep:
     return QuiverRep(kronecker(), (1, 1), [[[1]], [[nu]]], params)
 
 
-def zero_rep(quiver: Quiver) -> QuiverRep:
-    dims = (0,) * quiver.m
-    return QuiverRep(quiver, dims, [[] for _ in quiver.arrows()])
-
-
 E6_TUBE_QUIDDITIES = ((9, 36), (7, 7, 7), (7, 7, 7))
 
 # Dimension vectors of the quasi-simples at the mouths of the three

@@ -49,10 +49,3 @@ def chebyshev_S(k: int, x):
     if k < -2:
         raise ValueError("k must be at least -2")
     return next(islice(second_kind(x), k + 2, None))
-
-
-def chebyshev_S_values(kmax: int, x) -> list:
-    """The values S_0(x), ..., S_kmax(x), in one pass of the recurrence."""
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    return list(islice(second_kind(x), 2, kmax + 3))

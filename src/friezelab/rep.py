@@ -1,19 +1,20 @@
 """Quiver representations over prime fields and quiver-Grassmannian counting.
 
 A representation assigns a dimension to every vertex and an integer matrix to
-every arrow (shape dims[head] x dims[tail]); matrices are reduced mod p on
-demand.  Subrepresentations are counted by one exact backtracking routine over
-the vertices in Quiver.topological_order(), vertices on oriented cycles last.
-At a vertex v, U_v runs over the subspaces containing the span W_v of the
-images from its tails, and a branch dies once the images reaching a vertex
-outgrow the dimension allowed there or, along an arrow that closes a cycle,
-leave the subspace chosen there.  A vertex that constrains no later choice is
-not enumerated but counted by the Gaussian binomial [d_v - w, e_v - w]_p.
-Given a set of allowed dimensions per vertex, the routine counts every
-allowed e at once, so one traversal per prime fills a whole table.  Euler
-characteristics are extracted by interpolating the count as a polynomial in
-the field size and evaluating at 1, with one held-out prime double-checking
-every interpolation.
+every arrow (shape dims[head] x dims[tail]).  Subrepresentations are counted
+by one exact backtracking routine over the vertices in
+Quiver.topological_order(), vertices on oriented cycles last.  At a vertex v,
+U_v runs over the subspaces containing the span W_v of the images from its
+tails, and a branch dies once the images reaching a vertex outgrow the
+dimension allowed there or, along an arrow that closes a cycle, leave the
+subspace chosen there.  A vertex that constrains no later choice is not
+enumerated but counted by the Gaussian binomial [d_v - w, e_v - w]_p.  Given a
+set of allowed dimensions per vertex, the routine counts every allowed e at
+once, so one traversal per prime fills a whole table.  Vertex order, arrow
+tables mod p and subspace lists are kept on the QuiverRep per prime while it
+lives, so a QuiverRep is treated as immutable.  Euler characteristics are
+extracted by interpolating the count as a polynomial in the field size and
+evaluating at 1, with one held-out prime double-checking every interpolation.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 
 class QuiverRep:
-    """A representation of a quiver by integer matrices."""
+    """A representation of a quiver by integer matrices; immutable, like Quiver."""
 
-    __slots__ = ("quiver", "dims", "maps", "params")
+    __slots__ = ("quiver", "dims", "maps", "params", "_prepared")
 
     def __init__(self, quiver: Quiver, dims: Iterable[int],
                  maps: Sequence[Sequence[Sequence[int]]],
@@ -63,10 +64,7 @@ class QuiverRep:
         self.dims = dims
         self.maps = tuple(clean)
         self.params = dict(params or {})
-
-    @property
-    def arrows(self) -> list[tuple[int, int]]:
-        return self.quiver.arrows()
+        self._prepared: dict = {}  # prime -> _prepare(self, prime)
 
     def admissible(self, p: int) -> bool:
         """A prime is admissible unless some parameter degenerates mod p."""
@@ -77,7 +75,7 @@ class QuiverRep:
             "quiver": self.quiver.to_json(),
             "dims": list(self.dims),
             "maps": [{"arrow": [t, h], "matrix": [list(r) for r in mat]}
-                     for (t, h), mat in zip(self.arrows, self.maps)],
+                     for (t, h), mat in zip(self.quiver.arrows(), self.maps)],
             "params": dict(self.params),
         }
 
@@ -112,7 +110,7 @@ def direct_sum(m1: QuiverRep, m2: QuiverRep) -> QuiverRep:
         raise ValueError("summands must share the quiver")
     dims = tuple(a + b for a, b in zip(m1.dims, m2.dims))
     maps = [[row + (0,) * m2.dims[t] for row in a] + [(0,) * m1.dims[t] + row for row in b]
-            for (t, h), a, b in zip(m1.arrows, m1.maps, m2.maps)]
+            for (t, h), a, b in zip(m1.quiver.arrows(), m1.maps, m2.maps)]
     return QuiverRep(m1.quiver, dims, maps, {**m1.params, **m2.params})
 
 
@@ -219,28 +217,35 @@ def _insert(basis: list, vec, p: int) -> list:
     return basis + [(piv, [x * inv % p for x in vec])]
 
 
+def _prepare(rep: QuiverRep, p: int):
+    """The set-up of _count_by_dimvector over F_p, made once per prime."""
+    if p not in rep._prepared:
+        order = rep.quiver.topological_order()
+        order += sorted(set(range(rep.quiver.m)) - set(order))  # vertices on oriented cycles last
+        out = [[] for _ in order]  # arrows v -> h as (h, matrix mod p, h visited after v)
+        for (t, h), mat in zip(rep.quiver.arrows(), rep.maps):
+            out[t].append((h, [[x % p for x in r] for r in mat], order.index(h) > order.index(t)))
+        watched = frozenset(h for arrows in out for h, _, later in arrows if not later)
+        rep._prepared[p] = (tuple(order), out, watched, {})
+    return rep._prepared[p]
+
+
 def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
                         p: int) -> dict[DimVector, int]:
     """The number of subrepresentations over F_p of every dimension vector e
-    with e[v] in allowed[v]; only nonzero counts appear."""
+    with e[v] in allowed[v]; only nonzero counts appear.  The vertex order, arrow
+    tables mod p and subspace lists are kept on rep per prime for as long as rep
+    lives (see _prepare), so rep is treated as immutable."""
     if not rep.admissible(p):
         raise InadmissiblePrime("prime %d degenerates a parameter of the fixture" % p)
     dims, m = rep.dims, rep.quiver.m
-    order = rep.quiver.topological_order()
-    order += sorted(set(range(m)) - set(order))  # vertices on oriented cycles go last
-    pos = {v: i for i, v in enumerate(order)}
-    # arrows v -> h as (h, matrix mod p, whether h is visited after v)
-    out = [[] for _ in range(m)]
-    for (t, h), mat in zip(rep.arrows, rep.maps):
-        out[t].append((h, [[x % p for x in row] for row in mat], pos[h] > pos[t]))
-    watched = {h for arrows in out for h, _, later in arrows if not later}
+    order, out, watched, subspaces = _prepare(rep, p)
     # U_v constrains no later choice: count it by a Gaussian binomial, last
     free = [v not in watched and all(allowed[h] == (dims[h],) for h, _, _ in out[v])
             for v in range(m)]
-    order.sort(key=free.__getitem__)
+    order = sorted(order, key=free.__getitem__)
     top = [max(a) for a in allowed]
     chosen: list = [None] * m  # echelon basis of U_h at the heads of backward arrows
-    subspaces = functools.cache(lambda n, k, support: list(rref_subspaces(n, k, p, support)))
     counts: dict[DimVector, int] = {}
     e = [0] * m
 
@@ -278,7 +283,9 @@ def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
         for k in allowed[v]:
             e[v] = k
             # U_v = W_v + S, S a (k - w)-subspace on the coordinates off W_v's pivots
-            for rows in subspaces(dims[v], k - w, complement):
+            if (key := (dims[v], k - w, complement)) not in subspaces:
+                subspaces[key] = list(rref_subspaces(dims[v], k - w, p, complement))
+            for rows in subspaces[key]:
                 spans_out = push(v, base, rows)
                 if spans_out is not None:
                     if v in watched:
@@ -301,10 +308,16 @@ def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
 
 def subrep_dimvectors(rep: QuiverRep, prime: int | None = None) -> list[DimVector]:
     """All e <= dims whose Grassmannian is nonempty over a test prime."""
-    if prime is None:
-        prime = next(p for p in DEFAULT_PRIMES if rep.admissible(p))
+    prime = _first_admissible(rep, DEFAULT_PRIMES) if prime is None else prime
     every = [tuple(range(d + 1)) for d in rep.dims]
     return sorted(_count_by_dimvector(rep, every, prime), key=lambda e: (sum(e), e))
+
+
+def _first_admissible(rep: QuiverRep, primes: Sequence[int]) -> int:
+    for p in primes:
+        if rep.admissible(p):
+            return p
+    raise InadmissiblePrime("no prime of %s is admissible for the fixture" % (tuple(primes),))
 
 
 def _interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
@@ -386,11 +399,10 @@ class GrassmannianTable:
 
 def grassmannian_table(rep: QuiverRep,
                        primes: Sequence[int] = DEFAULT_PRIMES) -> GrassmannianTable:
-    """(e, chi) for every nonempty subrepresentation dimension vector.  One
-    counting traversal per prime serves every e."""
+    """(e, chi) for every e with Gr_e nonempty at the first admissible prime of
+    primes.  One counting traversal per prime serves every e."""
     counts = functools.cache(functools.partial(
         _count_by_dimvector, rep, [tuple(range(d + 1)) for d in rep.dims]))
-    first = next(p for p in DEFAULT_PRIMES if rep.admissible(p))  # as in subrep_dimvectors
     rows = [(e, _certified_chi(rep, e, primes, lambda p: counts(p).get(e, 0)))
-            for e in sorted(counts(first), key=lambda e: (sum(e), e))]
+            for e in sorted(counts(_first_admissible(rep, primes)), key=lambda e: (sum(e), e))]
     return GrassmannianTable(tuple(rows))

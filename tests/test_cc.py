@@ -1,12 +1,14 @@
+import itertools
+
 import pytest
 
 from friezelab import catalog
 from friezelab.cc import (cc_map, frieze_from_tube, growth_via_homogeneous,
                           quiddity_from_tube)
-from friezelab.chebyshev import chebyshev_S_values, chebyshev_T
+from friezelab.chebyshev import chebyshev_S, chebyshev_T, second_kind
 from friezelab.frieze import Quiddity, generate, growth
 from friezelab.laurent import parse_laurent
-from friezelab.rep import direct_sum, grassmannian_table
+from friezelab.rep import QuiverRep, direct_sum, grassmannian_table
 from friezelab.reproduce import check_d4_degenerate_identity
 from friezelab.theta import growth_from_affine_quiver
 
@@ -33,7 +35,8 @@ def test_cc_map_matches_displayed_character():
 
 
 def test_cc_map_zero_representation():
-    value = cc_map(catalog.zero_rep(catalog.d4_star()))
+    q = catalog.d4_star()
+    value = cc_map(QuiverRep(q, (0,) * q.m, [[] for _ in q.arrows()]))
     assert value.laurent == 1
     assert value.at_ones == 1
 
@@ -105,12 +108,12 @@ def test_e6_quiddity_fixture_friezes():
 
 
 def test_homogeneous_powers_at_14():
-    u = chebyshev_S_values(3, 14)
+    u = [chebyshev_S(k, 14) for k in range(4)]
     assert u == [1, 14, 195, 2716]
 
 
 def test_homogeneous_powers_at_two():
-    assert chebyshev_S_values(10, 2) == list(range(1, 12))
+    assert list(itertools.islice(second_kind(2), 2, 13)) == list(range(1, 12))
 
 
 def test_growth_via_homogeneous():

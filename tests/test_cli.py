@@ -168,6 +168,21 @@ def test_grassmannian_rejects_composite_primes(capsys):
     assert "9 is not prime" in error["message"]
 
 
+def test_grassmannian_table_at_given_primes_only(capsys, tmp_path):
+    data = json.loads(Path(fixture("d4/m_lambda.json")).read_text())
+    data["params"]["lambda"] = 4849845  # = 3*5*7*11*13*17*19, inadmissible at every default prime
+    rep = tmp_path / "m_lambda_big.json"
+    rep.write_text(json.dumps(data))
+    code, payload = run_json(capsys, "grassmannian", "--rep", str(rep), "--table")
+    assert code == 1
+    assert payload["error"]["type"] == "InadmissiblePrime"
+    code, payload = run_json(capsys, "grassmannian", "--rep", str(rep), "--table",
+                             "--primes", "23,29,31,37,41,43,47")
+    assert code == 0
+    assert payload == run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
+                               "--table")[1]
+
+
 def test_cc_at_ones(capsys):
     code, out = run(capsys, "cc", "--rep", fixture("d4/m_lambda.json"), "--at-ones")
     assert code == 0 and out.strip() == "14"

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -141,7 +143,7 @@ def _reference_count(rep, e, p):
     """Subrepresentations of dimension vector e over F_p, by running through
     the full product of the vertex Grassmannians and keeping the tuples that
     every arrow maps into themselves."""
-    arrows = rep.arrows
+    arrows = rep.quiver.arrows()
     spaces = [list(rref_subspaces(d, k, p)) for d, k in zip(rep.dims, e)]
     members = [[_span(rows, d, p) for rows in per_vertex]
                for d, per_vertex in zip(rep.dims, spaces)]
@@ -222,6 +224,51 @@ def test_count_points_matches_product_enumeration_on_an_e6_delta_rep(p):
         assert count_points(M, e, p) == table.get(e, 0) == want, e
 
 
+def _perfbench_e6_delta_reps():
+    """The four p=3 E6 delta-representations of the seed-0 tube workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    maps = []
+    for op in inputs.generate("tube", 0):
+        if op["kind"] == "count" and op["p"] == 3 and op["maps"] not in maps:
+            maps.append(op["maps"])
+    return [QuiverRep(catalog.e6_affine(), inputs.E6_DELTA, m) for m in maps]
+
+
+def test_counting_setup_is_made_once_per_prime(monkeypatch):
+    one, two = catalog.d4_m_lambda(2), catalog.d4_m_lambda(2)
+    es = list(itertools.islice(itertools.cycle(_every_e(one)), 200))
+    calls = []
+    real = Quiver.topological_order
+    monkeypatch.setattr(Quiver, "topological_order",
+                        lambda quiver: calls.append(quiver) or real(quiver))
+    for e in es:
+        count_points(one, e, 3)
+    assert len(calls) == 1
+    calls.clear()
+    for i, e in enumerate(es):
+        count_points(two, e, (3, 5)[i % 2])
+    assert len(calls) == 2
+
+
+def test_per_e_counts_equal_one_traversal():
+    reps = _perfbench_e6_delta_reps()
+    assert len(reps) == 4
+    for M in reps:
+        every = [tuple(range(d + 1)) for d in M.dims]
+        for p in (3, 5, 3):  # the set-up of p=3 is reused after p=5's
+            fresh = QuiverRep(M.quiver, M.dims, M.maps)
+            table = rep_module._count_by_dimvector(fresh, every, p)
+            for e in _every_e(M):
+                assert count_points(M, e, p) == table.get(e, 0), (p, e)
+    M = catalog.d4_m_lambda(3)
+    assert count_points(M, (1, 1, 1, 0, 0), 5) == 6
+    with pytest.raises(InadmissiblePrime):
+        count_points(M, (1, 1, 1, 0, 0), 3)
+
+
 def test_oriented_cycle_counts_image_inclusion():
     # a -> b -> c -> a with identity maps on F_p: a subrepresentation is one
     # subspace U with U_a = U_b = U_c, so dimension vector (1, 1, 1) counts
@@ -266,7 +313,8 @@ def test_subrep_dimvectors_m_lambda():
 
 
 def test_subrep_dimvectors_zero_and_simple():
-    zero = catalog.zero_rep(catalog.d4_star())
+    q = catalog.d4_star()
+    zero = QuiverRep(q, (0,) * q.m, [[] for _ in q.arrows()])
     assert subrep_dimvectors(zero) == [(0, 0, 0, 0, 0)]
     # the simple at the center "3"; its four arrows have zero-size matrices
     simple = QuiverRep(catalog.d4_star(), (0, 0, 1, 0, 0), [[], [], [[]], [[]]])
@@ -284,6 +332,23 @@ def test_grassmannian_table_matches_reference():
     assert table.as_dict() == TABLE_ROWS
     assert table.chi_sum() == 14
     assert len(table) == 13
+
+
+def test_table_reads_dimension_vectors_at_the_first_given_prime(monkeypatch):
+    M = catalog.d4_m_lambda(2)
+    # 4849845 = 3*5*7*11*13*17*19 vanishes mod every default prime
+    N = QuiverRep(M.quiver, M.dims, M.maps, {"lambda": 4849845})
+    with pytest.raises(InadmissiblePrime):
+        grassmannian_table(N)
+    with pytest.raises(InadmissiblePrime):
+        subrep_dimvectors(N)
+    assert grassmannian_table(N, (23, 29, 31, 37, 41, 43, 47)).as_dict() == TABLE_ROWS
+    traversed = []
+    real = rep_module._count_by_dimvector
+    monkeypatch.setattr(rep_module, "_count_by_dimvector",
+                        lambda rep, allowed, p: traversed.append(p) or real(rep, allowed, p))
+    assert grassmannian_table(M, (5, 7, 11, 13)).as_dict() == TABLE_ROWS
+    assert sorted(traversed) == [5, 7, 11]
 
 
 def test_quasi_simple_tables():
