@@ -1,24 +1,22 @@
 """friezelab: exact arithmetic for periodic frieze patterns, cluster-seed
 mutation, quiver Grassmannian counting, and cluster characters."""
 
-from .cc import (CCValue, cc_map, frieze_from_tube, growth_via_homogeneous,
-                 quiddity_from_tube)
+from .cc import CCValue, cc_map, growth_via_homogeneous, quiddity_from_tube
 from .chebyshev import chebyshev_S, chebyshev_T
 from .errors import (AmbiguousPermutation, CrossCheckFailed, FriezelabError,
                      InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
                      NoRestoringPermutation, NonPolynomialCount, NotAffine,
                      NotDivisible, NonPositiveEntry, SearchNotFound,
                      UnsupportedQuiver)
-from .frieze import (FriezePattern, GrowthClass, Quiddity, classify_growth,
-                     generate, growth, measured_growth)
-from .laurent import LaurentPoly, parse_laurent
-from .modular import apply_generator_word, generator_word, modular_generator
+from .frieze import FriezePattern, Quiddity, generate, growth, measured_growth
+from .laurent import LaurentPoly
+from .modular import apply_generator_word, modular_generator
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .rep import (DEFAULT_PRIMES, GrassmannianTable, QuiverRep, count_points,
                   defect, delta, direct_sum, euler_characteristic, euler_form,
                   grassmannian_table, subrep_dimvectors)
 from .seeds import Seed
-from .theta import (ThetaValue, bracelet_value, double_arrow_seed,
+from .theta import (ThetaValue, double_arrow_seed,
                     growth_from_affine_quiver, theta, theta_at_ones,
                     theta_invariance, triangle_neighbors)
 
@@ -26,19 +24,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousPermutation", "CCValue", "CrossCheckFailed", "DEFAULT_PRIMES",
-    "FriezePattern", "FriezelabError", "GrassmannianTable", "GrowthClass",
+    "FriezePattern", "FriezelabError", "GrassmannianTable",
     "InadmissiblePrime", "InvalidFrieze", "LaurentPoly",
     "MissingDoubleArrow", "MutationWord", "NoRestoringPermutation",
     "NonPolynomialCount", "NonPositiveEntry", "NotAffine", "NotDivisible",
     "Quiddity", "Quiver", "QuiverRep", "SearchNotFound", "Seed",
-    "ThetaValue", "UnsupportedQuiver", "apply_generator_word",
-    "bracelet_value", "cc_map", "chebyshev_S", "chebyshev_T",
-    "classify_growth", "count_points", "defect", "delta", "direct_sum",
-    "double_arrow_seed", "euler_characteristic", "euler_form",
-    "frieze_from_tube", "generate", "generator_word",
-    "grassmannian_table", "growth", "growth_from_affine_quiver",
-    "growth_via_homogeneous", "has_double_arrow",
-    "measured_growth", "modular_generator", "mutation_class_search",
-    "parse_laurent", "quiddity_from_tube", "subrep_dimvectors", "theta",
-    "theta_at_ones", "theta_invariance", "triangle_neighbors",
+    "ThetaValue", "UnsupportedQuiver", "apply_generator_word", "cc_map",
+    "chebyshev_S", "chebyshev_T", "count_points", "defect", "delta",
+    "direct_sum", "double_arrow_seed", "euler_characteristic", "euler_form",
+    "generate", "grassmannian_table", "growth", "growth_from_affine_quiver",
+    "growth_via_homogeneous", "has_double_arrow", "measured_growth",
+    "modular_generator", "mutation_class_search", "quiddity_from_tube",
+    "subrep_dimvectors", "theta", "theta_at_ones", "theta_invariance",
+    "triangle_neighbors",
 ]

@@ -91,10 +91,6 @@ def e8_affine() -> Quiver:
     return _quiver_from_arrows(labels, arrows)
 
 
-def e_affine(n: int) -> Quiver:
-    return {6: e6_affine, 7: e7_affine, 8: e8_affine}[n]()
-
-
 # -- double-arrow base quivers ------------------------------------------------
 
 def d4_double_arrow() -> Quiver:

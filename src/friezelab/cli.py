@@ -12,6 +12,7 @@ status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ from .errors import FriezelabError
 from .frieze import FriezePattern, Quiddity, generate, growth
 from .modular import apply_generator_word, check_relations, GENERATORS
 from .quivers import Quiver, has_double_arrow, mutation_class_search
-from .rep import (DEFAULT_PRIMES, QuiverRep, count_points,
-                  euler_characteristic, grassmannian_table)
+from .rep import (DEFAULT_PRIMES, QuiverRep, _certified_chi, count_points,
+                  grassmannian_table)
 from .reproduce import run_checks
 from .seeds import Seed
 from .theta import theta, theta_at_ones, theta_invariance
@@ -46,9 +47,11 @@ def _quiddity(text: str) -> Quiddity:
 
 def _primes(text: str) -> tuple[int, ...]:
     values = tuple(int(x) for x in text.split(","))
-    for p in values:
+    for i, p in enumerate(values):
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise argparse.ArgumentTypeError("%d is not prime" % p)
+        if p in values[:i]:
+            raise argparse.ArgumentTypeError("prime %d is repeated" % p)
     return values
 
 
@@ -56,17 +59,24 @@ def _dimvec(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _load_json_file(path: str):
+def _load(path: str, parse):
+    """The object parse builds from the JSON in path.  JSON of the wrong
+    shape, which parse meets as a TypeError, AttributeError or OverflowError
+    (Infinity where an integer belongs), raises a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    try:
+        return parse(data)
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError("%s is malformed: %s" % (path, exc)) from exc
 
 
 def _load_quiver(path: str) -> Quiver:
-    return Quiver.from_json(_load_json_file(path))
+    return _load(path, Quiver.from_json)
 
 
 def _load_rep(path: str) -> QuiverRep:
-    return QuiverRep.from_json(_load_json_file(path))
+    return _load(path, QuiverRep.from_json)
 
 
 def _emit(payload: dict) -> None:
@@ -245,9 +255,9 @@ def cmd_grassmannian(args) -> int:
     rep = _load_rep(args.rep)
     primes = args.primes or DEFAULT_PRIMES
     if args.dimvec is not None:
-        chi = euler_characteristic(rep, args.dimvec, primes)
-        counts = {str(p): str(count_points(rep, args.dimvec, p))
-                  for p in primes if rep.admissible(p)}
+        count = functools.cache(functools.partial(count_points, rep, args.dimvec))
+        chi = _certified_chi(rep, args.dimvec, primes, count)
+        counts = {str(p): str(count(p)) for p in primes if rep.admissible(p)}
         payload = {"e": list(args.dimvec), "chi": str(chi), "counts": counts}
         if args.json:
             _emit(payload)
@@ -281,7 +291,7 @@ def cmd_cc(args) -> int:
 
 def cmd_tube_frieze(args) -> int:
     quiver = _load_quiver(args.quiver)
-    tube = [QuiverRep.from_json(entry) for entry in _load_json_file(args.tube)["reps"]]
+    tube = _load(args.tube, lambda data: [QuiverRep.from_json(r) for r in data["reps"]])
     quiddity = quiddity_from_tube(quiver, tube)
     depth = args.depth if args.depth is not None else 3 * len(quiddity) + 1
     pattern = generate(quiddity, depth)

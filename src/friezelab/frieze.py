@@ -11,7 +11,6 @@ row of 1's is row 0, the quiddity row is row 1.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .chebyshev import chebyshev_T
@@ -150,21 +149,3 @@ def measured_growth(pattern: FriezePattern, k: int) -> int:
     if len(diffs) != 1:
         raise InvalidFrieze("growth difference depends on the diagonal: %s" % sorted(diffs))
     return diffs.pop()
-
-
-class GrowthClass(Enum):
-    AFFINE_FAST = "affine-fast"
-    ARITHMETIC_LIKE = "arithmetic-like"
-
-
-def classify_growth_value(s1: int) -> GrowthClass:
-    if s1 == 2:
-        return GrowthClass.ARITHMETIC_LIKE
-    if s1 > 2:
-        return GrowthClass.AFFINE_FAST
-    raise InvalidFrieze("s_1 = %d < 2: not an infinite frieze" % s1)
-
-
-def classify_growth(pattern: FriezePattern) -> GrowthClass:
-    """Arithmetic-like growth (s_1 = 2) versus fast affine growth (s_1 > 2)."""
-    return classify_growth_value(growth(pattern, 1))

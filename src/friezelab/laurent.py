@@ -25,8 +25,6 @@ JSON forms byte-stable.
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, sub
 from typing import Iterable, Mapping
@@ -243,30 +241,6 @@ class LaurentPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def specialize(self, values: Mapping[str, int]) -> Fraction:
-        """Exact rational value of the polynomial at an integer point."""
-        missing = [v for v in self.vars if v not in values]
-        if missing:
-            raise ValueError("no value assigned to %s" % ", ".join(missing))
-        point = [int(values[v]) for v in self.vars]
-        total = Fraction(0)
-        for exp, coef in self.terms.items():
-            term = Fraction(coef)
-            for base, e in zip(point, exp):
-                if e == 0:
-                    continue
-                if base == 0 and e < 0:
-                    raise ZeroDivisionError("zero raised to a negative power")
-                term *= Fraction(base) ** e
-            total += term
-        return total
-
-    def specialize_int(self, values: Mapping[str, int]) -> int:
-        val = self.specialize(values)
-        if val.denominator != 1:
-            raise ValueError("value %s is not an integer" % val)
-        return val.numerator
-
     def at_ones(self) -> int:
         """Value at the all-ones point: the sum of the coefficients."""
         return sum(self.terms.values())
@@ -317,63 +291,3 @@ class LaurentPoly:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
-
-
-def parse_laurent(text: str, variables: Iterable[str]) -> LaurentPoly:
-    """Parse the textual form produced by str(), e.g. 'x0^-1*x1 + 2*x_a'."""
-    vs = tuple(variables)
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError("cannot tokenize %r" % text[pos:])
-            break
-        tokens.append(m.group().strip())
-        pos = m.end()
-
-    result = LaurentPoly.zero(vs)
-    i = 0
-    sign = 1
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
-            sign = 1
-            i += 1
-            continue
-        if tok == "-":
-            sign = -1
-            i += 1
-            continue
-        coef = sign
-        exp = [0] * len(vs)
-        while True:
-            tok = tokens[i]
-            if tok.isdigit():
-                coef *= int(tok)
-                i += 1
-            else:
-                if tok not in vs:
-                    raise ValueError("unknown variable %r" % tok)
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == "^":
-                    i += 1
-                    neg = 1
-                    if tokens[i] == "-":
-                        neg = -1
-                        i += 1
-                    power = neg * int(tokens[i])
-                    i += 1
-                exp[vs.index(tok)] += power
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-                continue
-            break
-        result = result + LaurentPoly.monomial(vs, exp, coef)
-        sign = 1
-    return result

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .catalog import e_double_arrow
 from .errors import AmbiguousPermutation, NoRestoringPermutation, UnsupportedQuiver
-from .quivers import MutationWord, Quiver
+from .quivers import Quiver
 from .seeds import Seed
 
 GENERATORS = ("ta", "tb", "tc", "gamma")
@@ -81,18 +81,6 @@ def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], list[tuple[int, .
     result = (word, fixing if len(fixing) == 1 else isos)
     _CACHE[(n, generator)] = result
     return result
-
-
-def generator_word(n: int, generator: str) -> MutationWord:
-    """The generator as a mutation word with its restoring permutation."""
-    if generator == "gamma":
-        return MutationWord([], gamma_permutation(n))
-    word, candidates = _resolve(n, generator)
-    if len(candidates) != 1:
-        raise AmbiguousPermutation(
-            "generator %s on the E%d base quiver admits %d restoring permutations"
-            % (generator, n, len(candidates)))
-    return MutationWord(word, candidates[0])
 
 
 def modular_generator(seed: Seed, generator: str) -> Seed:

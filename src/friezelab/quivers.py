@@ -122,9 +122,6 @@ class Quiver:
                         queue.append(j)
         return order
 
-    def is_acyclic(self) -> bool:
-        return len(self.topological_order()) == self.m
-
     # -- mutation --------------------------------------------------------------
 
     def mutate(self, k: int) -> "Quiver":

@@ -357,6 +357,9 @@ def euler_characteristic(rep: QuiverRep, e: Sequence[int],
 def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -> int:
     """Interpolate count(p) at the first bound + 1 admissible primes and
     evaluate at 1; the next admissible prime is held out and must agree."""
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise ValueError("prime %d is repeated" % p)
     bound = counting_degree_bound(rep, e)
     admissible = [p for p in primes if rep.admissible(p)]
     if len(admissible) < bound + 2:

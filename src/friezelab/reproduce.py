@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import catalog, fixtures
-from .cc import cc_map, frieze_from_tube, growth_via_homogeneous, quiddity_from_tube
+from .cc import cc_map, growth_via_homogeneous, quiddity_from_tube
 from .chebyshev import chebyshev_S, chebyshev_T
 from .frieze import Quiddity, generate, growth, measured_growth
 from .laurent import LaurentPoly
@@ -93,10 +93,10 @@ def check_d4_degenerate_identity() -> None:
 
 def check_d4_tube_friezes() -> None:
     q = catalog.d4_star()
-    f1 = frieze_from_tube(q, catalog.d4_tubes()[0], depth=6)
+    f1 = generate(quiddity_from_tube(q, catalog.d4_tubes()[0]), depth=6)
     _expect(f1.row(2) == [15, 15] and f1.row(3) == [28, 112] and f1.row(4) == [209, 209],
             "tube-1 pattern is wrong")
-    f2 = frieze_from_tube(q, catalog.d4_tubes()[1], depth=4)
+    f2 = generate(quiddity_from_tube(q, catalog.d4_tubes()[1]), depth=4)
     _expect(f2.row(3) == [56, 56], "tube-2 pattern is wrong")
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cc import growth_via_homogeneous
 from .errors import CrossCheckFailed, MissingDoubleArrow
 from .laurent import LaurentPoly
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
@@ -119,11 +118,3 @@ def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = 50_000) -> int:
     at all ones on integers."""
     _, word = mutation_class_search(quiver, has_double_arrow, max_nodes)
     return theta_at_ones(quiver, word.sequence)
-
-
-def bracelet_value(theta_int: int, k: int) -> int:
-    """Value of the k-th bracelet: the first-kind Chebyshev transform of
-    the growth element's integer value."""
-    if theta_int < 2:
-        raise ValueError("growth value must be at least 2")
-    return growth_via_homogeneous(theta_int, k)

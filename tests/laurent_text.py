@@ -1,0 +1,66 @@
+"""A parser for the textual form of LaurentPoly, which the tests use to
+write expected values, e.g. parse_laurent('x0^-1*x1 + 2*x_a', names)."""
+
+import re
+from typing import Iterable
+
+from friezelab.laurent import LaurentPoly
+
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
+
+
+def parse_laurent(text: str, variables: Iterable[str]) -> LaurentPoly:
+    """Parse the textual form produced by str(), e.g. 'x0^-1*x1 + 2*x_a'."""
+    vs = tuple(variables)
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError("cannot tokenize %r" % text[pos:])
+            break
+        tokens.append(m.group().strip())
+        pos = m.end()
+
+    result = LaurentPoly.zero(vs)
+    i = 0
+    sign = 1
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok == "+":
+            sign = 1
+            i += 1
+            continue
+        if tok == "-":
+            sign = -1
+            i += 1
+            continue
+        coef = sign
+        exp = [0] * len(vs)
+        while True:
+            tok = tokens[i]
+            if tok.isdigit():
+                coef *= int(tok)
+                i += 1
+            else:
+                if tok not in vs:
+                    raise ValueError("unknown variable %r" % tok)
+                power = 1
+                i += 1
+                if i < len(tokens) and tokens[i] == "^":
+                    i += 1
+                    neg = 1
+                    if tokens[i] == "-":
+                        neg = -1
+                        i += 1
+                    power = neg * int(tokens[i])
+                    i += 1
+                exp[vs.index(tok)] += power
+            if i < len(tokens) and tokens[i] == "*":
+                i += 1
+                continue
+            break
+        result = result + LaurentPoly.monomial(vs, exp, coef)
+        sign = 1
+    return result

@@ -3,14 +3,15 @@ import itertools
 import pytest
 
 from friezelab import catalog
-from friezelab.cc import (cc_map, frieze_from_tube, growth_via_homogeneous,
-                          quiddity_from_tube)
+from friezelab.cc import cc_map, growth_via_homogeneous, quiddity_from_tube
 from friezelab.chebyshev import chebyshev_S, chebyshev_T, second_kind
 from friezelab.frieze import Quiddity, generate, growth
-from friezelab.laurent import parse_laurent
+from friezelab.laurent import LaurentPoly
 from friezelab.rep import QuiverRep, direct_sum, grassmannian_table
 from friezelab.reproduce import check_d4_degenerate_identity
 from friezelab.theta import growth_from_affine_quiver
+
+from laurent_text import parse_laurent
 
 D4_VARS = ("x1", "x2", "x3", "x4", "x5")
 
@@ -70,6 +71,17 @@ def test_quiddity_from_tubes():
     assert quiddity_from_tube(q, tubes[2]) == Quiddity([4, 4])
 
 
+def test_quiddity_from_tubes_needs_no_laurent_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Laurent arithmetic in quiddity_from_tube")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__add__", refuse)
+    q = catalog.d4_star()
+    assert [quiddity_from_tube(q, tube) for tube in catalog.d4_tubes()] == [
+        Quiddity([8, 2]), Quiddity([4, 4]), Quiddity([4, 4])]
+
+
 def test_quiddity_from_kronecker_tube():
     q = catalog.kronecker()
     quiddity = quiddity_from_tube(q, [catalog.kronecker_regular()])
@@ -86,14 +98,14 @@ def test_quiddity_rejects_foreign_rep():
 def test_friezes_from_tubes():
     q = catalog.d4_star()
     tubes = catalog.d4_tubes()
-    f1 = frieze_from_tube(q, tubes[0], depth=7)
+    f1 = generate(quiddity_from_tube(q, tubes[0]), depth=7)
     assert f1.row(1) == [8, 2]
     assert f1.row(2) == [15, 15]
     assert f1.row(3) == [28, 112]
     assert f1.row(4) == [209, 209]
     assert f1.row(5) == [1560, 390]
     assert f1.row(6) == [2911, 2911]
-    f2 = frieze_from_tube(q, tubes[1], depth=4)
+    f2 = generate(quiddity_from_tube(q, tubes[1]), depth=4)
     assert f2.row(2) == [15, 15]
     assert f2.row(3) == [56, 56]
     assert f2.row(4) == [209, 209]
@@ -134,7 +146,7 @@ def test_growth_identity_against_frieze_and_chebyshev():
 def test_tube_growth_equals_homogeneous_growth():
     q = catalog.d4_star()
     for tube in catalog.d4_tubes():
-        f = frieze_from_tube(q, tube, depth=7)
+        f = generate(quiddity_from_tube(q, tube), depth=7)
         for k in (1, 2, 3):
             assert growth(f, k) == growth_via_homogeneous(14, k)
 
@@ -145,8 +157,7 @@ def test_degenerate_cc_identity():
 
 
 def test_growth_via_homogeneous_equals_bracelet_value():
-    from friezelab.theta import bracelet_value
-
+    # the k-th bracelet at ones is T_k of the first one's value
     for x1 in (3, 14, 322):
         for k in range(1, 7):
-            assert growth_via_homogeneous(x1, k) == bracelet_value(x1, k)
+            assert growth_via_homogeneous(x1, k) == chebyshev_T(k, x1)

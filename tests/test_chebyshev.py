@@ -3,13 +3,12 @@ from typing import Iterator
 import pytest
 
 import friezelab.cc as cc_module
-from friezelab import catalog
-from friezelab.cc import cc_map, growth_via_homogeneous
+from friezelab.cc import growth_via_homogeneous
 from friezelab.chebyshev import chebyshev_S, chebyshev_T
 from friezelab.errors import CrossCheckFailed
-from friezelab.laurent import LaurentPoly, parse_laurent
-from friezelab.rep import GrassmannianTable
-from friezelab.theta import bracelet_value
+from friezelab.laurent import LaurentPoly
+
+from laurent_text import parse_laurent
 
 
 def test_T_base_cases():
@@ -72,9 +71,6 @@ def off_by_one(fn):
 # error, not assert, so that it still runs under python -O.
 @pytest.mark.parametrize("module, name, call", [
     (cc_module, "first_kind", lambda: growth_via_homogeneous(14, 3)),
-    pytest.param(cc_module, "first_kind", lambda: bracelet_value(14, 3),
-                 id="friezelab.theta-bracelet_value"),
-    (GrassmannianTable, "chi_sum", lambda: cc_map(catalog.d4_m_lambda(2))),
 ])
 def test_cross_checks_raise_on_mismatch(monkeypatch, module, name, call):
     monkeypatch.setattr(module, name, off_by_one(getattr(module, name)))

@@ -72,6 +72,8 @@ def test_frieze_usage_error_on_nonpositive_quiddity(capsys):
 @pytest.mark.parametrize("argv, mentions", [
     (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--dimvec", "1,x,1"], "--dimvec"),
     (["nosuch"], "nosuch"),
+    (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--primes", "3,3,5,7,11"],
+     "prime 3 is repeated"),
 ])
 def test_parser_usage_errors_are_json(capsys, argv, mentions):
     assert mentions in usage_error(capsys, *argv)["message"]
@@ -181,6 +183,24 @@ def test_grassmannian_table_at_given_primes_only(capsys, tmp_path):
     assert code == 0
     assert payload == run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
                                "--table")[1]
+
+
+def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
+    import friezelab.rep as rep_module
+
+    traversed = []
+    real = rep_module._count_by_dimvector
+    monkeypatch.setattr(rep_module, "_count_by_dimvector",
+                        lambda rep, allowed, p: traversed.append(p) or real(rep, allowed, p))
+    code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
+                             "--dimvec", "1,1,1,0,0")
+    assert code == 0 and payload["chi"] == "2"
+    assert sorted(traversed) == [3, 5, 7, 11, 13, 17, 19]
+    # the prime supply is checked before any count
+    code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
+                             "--dimvec", "1,1", "--primes", "3")
+    assert code == 1
+    assert payload["error"]["message"] == "need at least 2 admissible primes, got 1"
 
 
 def test_cc_at_ones(capsys):
@@ -302,6 +322,43 @@ def test_module_error_is_machine_readable(capsys, tmp_path):
     code, out = run(capsys, "theta", "--quiver", str(bad))
     assert code == 1
     assert json.loads(out)["error"]["type"] == "JSONDecodeError"
+
+
+def _with(relative, **fields):
+    data = json.loads(Path(fixture(relative)).read_text())
+    data.update(fields)
+    return data
+
+
+def _with_first_map(**fields):
+    data = _with("d4/m_lambda.json")
+    data["maps"][0].update(fields)
+    return data
+
+
+@pytest.mark.parametrize("option, payload", [
+    ("--quiver", []),
+    ("--quiver", {"labels": 5, "b": []}),
+    ("--quiver", {"labels": ["0"], "b": [[None]]}),
+    ("--quiver", {"labels": ["0"], "b": [[float("inf")]]}),
+    ("--quiver", _with("d4/quiver.json", frozen=5)),
+    ("--rep", _with("d4/m_lambda.json", maps=[5])),
+    ("--rep", _with_first_map(matrix=5)),
+    ("--rep", _with("d4/m_lambda.json", params=[1])),
+    ("--tube", {"reps": 5}),
+])
+def test_malformed_input_file_is_a_json_error(capsys, tmp_path, option, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = {"--quiver": ["search", "--quiver", str(bad)],
+            "--rep": ["cc", "--rep", str(bad)],
+            "--tube": ["tube-frieze", "--quiver", fixture("d4/quiver.json"),
+                       "--tube", str(bad)]}[option]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError" and str(bad) in error["message"]
 
 
 def test_search_budget_error(capsys):

@@ -1,33 +1,36 @@
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 from friezelab import catalog
 from friezelab.cc import cc_map
-from friezelab.fixtures import (fixture_root, list_fixtures, load_json,
-                                load_quiver, load_rep, load_tube)
+from friezelab.fixtures import fixture_root, load_json
 from friezelab.laurent import LaurentPoly
+from friezelab.quivers import Quiver
+from friezelab.rep import QuiverRep
 
 
 def test_listing_contains_expected_groups():
-    names = list_fixtures()
-    assert "d4/quiver.json" in names
-    assert "d4/m_lambda.json" in names
-    assert "e6/double_arrow.json" in names
-    assert "kronecker/regular.json" in names
+    for name in ("d4/quiver.json", "d4/m_lambda.json", "e6/double_arrow.json",
+                 "kronecker/regular.json"):
+        assert (fixture_root() / name).is_file()
 
 
 def test_fixture_files_match_catalog():
-    assert load_quiver("d4/quiver.json") == catalog.d4_star()
-    assert load_quiver("e6/quiver.json") == catalog.e6_affine()
-    assert load_quiver("e6/double_arrow.json") == catalog.e_double_arrow(6)
-    assert load_quiver("e7/double_arrow.json") == catalog.e_double_arrow(7)
-    assert load_quiver("e8/double_arrow.json") == catalog.e_double_arrow(8)
-    assert load_rep("d4/m_lambda.json") == catalog.d4_m_lambda(2)
-    assert load_rep("d4/m_lambda0.json") == catalog.d4_m_lambda(0)
-    assert load_rep("kronecker/regular.json") == catalog.kronecker_regular()
+    assert Quiver.from_json(load_json("d4/quiver.json")) == catalog.d4_star()
+    assert Quiver.from_json(load_json("e6/quiver.json")) == catalog.e6_affine()
+    assert Quiver.from_json(load_json("e6/double_arrow.json")) == catalog.e_double_arrow(6)
+    assert Quiver.from_json(load_json("e7/double_arrow.json")) == catalog.e_double_arrow(7)
+    assert Quiver.from_json(load_json("e8/double_arrow.json")) == catalog.e_double_arrow(8)
+    assert QuiverRep.from_json(load_json("d4/m_lambda.json")) == catalog.d4_m_lambda(2)
+    assert QuiverRep.from_json(load_json("d4/m_lambda0.json")) == catalog.d4_m_lambda(0)
+    assert (QuiverRep.from_json(load_json("kronecker/regular.json"))
+            == catalog.kronecker_regular())
     for i, tube in enumerate(catalog.d4_tubes(), 1):
-        assert load_tube("d4/tube%d.json" % i) == list(tube)
+        reps = load_json("d4/tube%d.json" % i)["reps"]
+        assert [QuiverRep.from_json(entry) for entry in reps] == list(tube)
 
 
 def test_golden_character_matches_computation():
@@ -46,6 +49,21 @@ def test_fixture_bytes_are_stable():
     path = fixture_root() / "d4" / "goldens.json"
     data = json.loads(path.read_text())
     assert json.dumps(data, indent=2, sort_keys=True) + "\n" == path.read_text()
+
+
+def test_make_fixtures_regenerates_the_shipped_files(tmp_path, monkeypatch):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", tool)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ on import
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "ROOT", tmp_path)
+    make_fixtures.main()
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.json"))
+    shipped = Path(str(fixture_root()))
+    assert written == sorted(p.relative_to(shipped) for p in shipped.rglob("*.json"))
+    for relative in written:
+        assert (tmp_path / relative).read_bytes() == (shipped / relative).read_bytes(), relative
 
 
 def test_readme_fixture_paths_resolve_from_repository_root():

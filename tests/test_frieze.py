@@ -4,9 +4,7 @@ import pytest
 
 from friezelab.chebyshev import chebyshev_T
 from friezelab.errors import InvalidFrieze, NonPositiveEntry
-from friezelab.frieze import (GrowthClass, Quiddity, classify_growth,
-                              classify_growth_value, generate, growth,
-                              measured_growth)
+from friezelab.frieze import Quiddity, generate, growth, measured_growth
 
 
 def test_quiddity_validation():
@@ -99,11 +97,10 @@ def test_growth_needs_depth():
 
 
 def test_classify_growth():
-    assert classify_growth(generate([8, 2], depth=4)) == GrowthClass.AFFINE_FAST
+    # s_1 > 2 is fast affine growth, s_1 == 2 arithmetic-like growth
+    assert growth(generate([8, 2], depth=4), 1) == 14
     # punctured-disc style quiddity: all growth coefficients equal 2
-    assert classify_growth(generate([2, 2], depth=6)) == GrowthClass.ARITHMETIC_LIKE
-    with pytest.raises(InvalidFrieze):
-        classify_growth_value(1)
+    assert growth(generate([2, 2], depth=6), 1) == 2
 
 
 def test_all_twos_guiddity_is_arithmetic():

@@ -2,9 +2,8 @@ import pytest
 
 from friezelab import catalog
 from friezelab.errors import NoRestoringPermutation, UnsupportedQuiver
-from friezelab.modular import (apply_generator_word, gamma_permutation,
-                               generator_labels, generator_word,
-                               modular_generator)
+from friezelab.modular import (_resolve, apply_generator_word, gamma_permutation,
+                               generator_labels, modular_generator)
 from friezelab.seeds import Seed
 
 
@@ -23,8 +22,8 @@ def test_generator_words_restore_base_quiver():
     for n in (6, 7, 8):
         base = catalog.e_double_arrow(n)
         for g in ("ta", "tb", "tc"):
-            word = generator_word(n, g)
-            moved = base.mutate_word(word.sequence).permuted(word.permutation)
+            word, (perm,) = _resolve(n, g)
+            moved = base.mutate_word(word).permuted(perm)
             assert moved.b == base.b
 
 

@@ -397,6 +397,14 @@ def test_degree_bound_requires_enough_primes():
         euler_characteristic(M, (1, 1, 1, 0, 0), primes=(3, 5))
 
 
+def test_repeated_primes_are_rejected():
+    M = catalog.d4_m_lambda(2)
+    with pytest.raises(ValueError, match="prime 3 is repeated"):
+        grassmannian_table(M, (3, 3, 5, 7, 11))
+    with pytest.raises(ValueError, match="prime 5 is repeated"):
+        euler_characteristic(M, (1, 1, 1, 0, 0), (3, 5, 7, 5))
+
+
 def test_direct_sum_dims_and_maps():
     (r1, r2), _, _ = catalog.d4_tubes()
     s = direct_sum(r1, r2)

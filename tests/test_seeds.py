@@ -3,9 +3,11 @@ import random
 import pytest
 
 from friezelab import catalog
-from friezelab.laurent import LaurentPoly, parse_laurent
+from friezelab.laurent import LaurentPoly
 from friezelab.quivers import MutationWord, Quiver
 from friezelab.seeds import Seed, variable_name
+
+from laurent_text import parse_laurent
 
 
 def test_variable_names():

@@ -4,16 +4,18 @@ import itertools
 import pytest
 
 from friezelab import catalog
-from friezelab.cc import cc_map
+from friezelab.cc import cc_map, growth_via_homogeneous
 from friezelab.chebyshev import chebyshev_T
 from friezelab.errors import CrossCheckFailed, MissingDoubleArrow
-from friezelab.laurent import LaurentPoly, parse_laurent
-from friezelab.modular import generator_word
-from friezelab.quivers import Quiver, has_double_arrow, mutation_class_search
+from friezelab.laurent import LaurentPoly
+from friezelab.modular import _resolve, gamma_permutation
+from friezelab.quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from friezelab.seeds import Seed
-from friezelab.theta import (bracelet_value, double_arrow_seed,
+from friezelab.theta import (double_arrow_seed,
                              growth_from_affine_quiver, theta, theta_at_ones,
                              theta_invariance, triangle_neighbors)
+
+from laurent_text import parse_laurent
 
 theta_module = importlib.import_module("friezelab.theta")
 
@@ -128,7 +130,10 @@ def test_theta_matches_cc_character_in_initial_variables():
 
 def test_theta_invariance_under_modular_generators():
     seed = Seed.initial(catalog.e_double_arrow(6))
-    words = [generator_word(6, g) for g in ("ta", "tb", "tc", "gamma")]
+    words = [MutationWord([], gamma_permutation(6))]
+    for g in ("ta", "tb", "tc"):
+        word, (perm,) = _resolve(6, g)
+        words.append(MutationWord(word, perm))
     assert theta_invariance(seed, words)
 
 
@@ -161,18 +166,17 @@ def test_theta_invariance_rejects_bad_word():
 
 
 def test_bracelet_values():
-    assert bracelet_value(14, 1) == 14
-    assert bracelet_value(14, 2) == 194
-    assert bracelet_value(322, 3) == 322 ** 3 - 3 * 322 == 33385282
+    # the k-th bracelet at ones is s_k of the growth element's integer value
+    assert growth_via_homogeneous(14, 1) == 14
+    assert growth_via_homogeneous(14, 2) == 194
+    assert growth_via_homogeneous(322, 3) == 322 ** 3 - 3 * 322 == 33385282
     with pytest.raises(ValueError):
-        bracelet_value(1, 2)
-    with pytest.raises(ValueError):
-        bracelet_value(14, 0)
+        growth_via_homogeneous(14, 0)
 
 
 def test_bracelet_satisfies_growth_recurrence():
     for theta_int in (3, 14, 322):
         prev, cur = 2, theta_int
         for k in range(1, 8):
-            assert bracelet_value(theta_int, k) == cur
+            assert growth_via_homogeneous(theta_int, k) == cur
             prev, cur = cur, theta_int * cur - prev
