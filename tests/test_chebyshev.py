@@ -3,10 +3,12 @@ from typing import Iterator
 import pytest
 
 import friezelab.cc as cc_module
+from friezelab import catalog
 from friezelab.cc import growth_via_homogeneous
 from friezelab.chebyshev import chebyshev_S, chebyshev_T
 from friezelab.errors import CrossCheckFailed
 from friezelab.laurent import LaurentPoly
+from friezelab.theta import growth_from_affine_quiver
 
 from laurent_text import parse_laurent
 
@@ -71,6 +73,10 @@ def off_by_one(fn):
 # error, not assert, so that it still runs under python -O.
 @pytest.mark.parametrize("module, name, call", [
     (cc_module, "first_kind", lambda: growth_via_homogeneous(14, 3)),
+    # the third bracelet of the D4 growth element, read at all ones
+    pytest.param(cc_module, "first_kind",
+                 lambda: growth_via_homogeneous(growth_from_affine_quiver(catalog.d4_star()), 3),
+                 id="friezelab.theta-bracelet_value"),
 ])
 def test_cross_checks_raise_on_mismatch(monkeypatch, module, name, call):
     monkeypatch.setattr(module, name, off_by_one(getattr(module, name)))
