@@ -3,8 +3,8 @@ mutation, quiver Grassmannian counting, and cluster characters."""
 
 from .cc import CCValue, cc_map, growth_via_homogeneous, quiddity_from_tube
 from .chebyshev import chebyshev_S, chebyshev_T
-from .errors import (AmbiguousPermutation, CrossCheckFailed, FriezelabError,
-                     InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
+from .errors import (AmbiguousPermutation, CrossCheckFailed, ExponentOutOfRange,
+                     FriezelabError, InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
                      NoRestoringPermutation, NonPolynomialCount, NotAffine,
                      NotDivisible, NonPositiveEntry, SearchNotFound,
                      UnsupportedQuiver)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousPermutation", "CCValue", "CrossCheckFailed", "DEFAULT_PRIMES",
-    "FriezePattern", "FriezelabError", "GrassmannianTable",
+    "ExponentOutOfRange", "FriezePattern", "FriezelabError", "GrassmannianTable",
     "InadmissiblePrime", "InvalidFrieze", "LaurentPoly",
     "MissingDoubleArrow", "MutationWord", "NoRestoringPermutation",
     "NonPolynomialCount", "NonPositiveEntry", "NotAffine", "NotDivisible",

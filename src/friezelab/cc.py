@@ -44,15 +44,15 @@ def cc_map(rep: QuiverRep, primes: Sequence[int] = DEFAULT_PRIMES) -> CCValue:
     names = tuple(variable_name(l) for l in quiver.labels)
     table = grassmannian_table(rep, primes)
     arrows = quiver.arrows()
-    total = LaurentPoly.zero(names)
+    terms: dict[tuple[int, ...], int] = {}
     for e, chi in table:
-        exps = [0] * quiver.m
+        exps = [-d for d in rep.dims]
         for t, h in arrows:
             exps[h] += e[t]
             exps[t] += rep.dims[h] - e[h]
-        total = total + LaurentPoly.monomial(names, exps, chi)
-    shift = LaurentPoly.monomial(names, tuple(-d for d in rep.dims))
-    laurent = shift * total
+        exp = tuple(exps)
+        terms[exp] = terms.get(exp, 0) + chi
+    laurent = LaurentPoly(names, terms)
     return CCValue(laurent, laurent.at_ones())
 
 

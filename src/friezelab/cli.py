@@ -61,13 +61,16 @@ def _dimvec(text: str) -> tuple[int, ...]:
 
 def _load(path: str, parse):
     """The object parse builds from the JSON in path.  JSON of the wrong
-    shape, which parse meets as a TypeError, AttributeError or OverflowError
-    (Infinity where an integer belongs), raises a ValueError naming the file."""
+    shape, which parse meets as a TypeError, AttributeError or ValueError
+    (a number that is not an integer, a matrix that is not skew-symmetric),
+    or without a key that parse reads, raises a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     try:
         return parse(data)
-    except (TypeError, AttributeError, OverflowError) as exc:
+    except KeyError as exc:
+        raise ValueError("%s is malformed: missing key %s" % (path, exc)) from exc
+    except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError("%s is malformed: %s" % (path, exc)) from exc
 
 

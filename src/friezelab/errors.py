@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by all friezelab modules."""
+"""Exception hierarchy shared by all friezelab modules, and the integrality
+check of their constructors."""
+
+import operator
+
+
+def integer(value) -> int:
+    """value as an int, or a ValueError naming it when it is not an integer:
+    a float such as 2.9, a string or None is not truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%r is not an integer" % (value,)) from None
 
 
 class FriezelabError(Exception):
@@ -7,6 +19,10 @@ class FriezelabError(Exception):
 
 class NotDivisible(FriezelabError):
     """Exact Laurent division failed: the divisor is not a factor."""
+
+
+class ExponentOutOfRange(FriezelabError):
+    """A Laurent exponent left the range of its packed field."""
 
 
 class NonPositiveEntry(FriezelabError):

@@ -6,66 +6,118 @@ zero coefficients are dropped on construction, so two values are equal iff
 their term maps are equal.  All operations return new objects; instances are
 treated as immutable and are safe to share.
 
+Each monomial is stored as one packed int: a 16-bit field per variable
+holds its exponent plus 2^15, variable 0 most significant, and the total
+degree sits above them, unbounded.  A product of monomials is one integer
+addition minus the packed zero vector, and integer order is the
+graded-lexicographic order (total degree, then the exponent tuple) in which
+`str`, `to_json` and exact division read the terms.  The tuple-keyed
+`terms` map is decoded on first access and cached.
+
+Stored exponents lie in [-2^14, 2^14), half a field, so the difference of
+two monomials still fits.  Each value knows its Newton box, the
+per-variable least and greatest exponents, computed once from the terms or
+inherited exactly: a product's box is the sum of the factors' boxes, an
+exact quotient's is their difference.  A product or a constructed value
+whose box leaves the range raises ExponentOutOfRange, so no exponent ever
+carries into the next field.
+
 The public constructor validates its input.  Ring operations whose result
 is canonical by construction (sums, negation, products, exact quotients)
 return through the internal `_raw` constructor, which does not re-check.
 
 Exact division is sparse division with a heap (Monagan & Pearce, Sparse
-polynomial division using a heap, J. Symb. Comput. 46, 2011): the
-remainder lives in one mutable dict, a heap of graded-lexicographic keys
-with lazy deletion yields its leading term, and each quotient term
-subtracts its product with the divisor's non-leading terms in place.  It
-certifies exactness: it raises NotDivisible unless the remainder empties.
-
-Serialization order is graded-lexicographic on exponent vectors (total
-degree descending, then lexicographic descending), which makes printed and
-JSON forms byte-stable.
+polynomial division using a heap, J. Symb. Comput. 46, 2011) on one
+mutable remainder dict.  It certifies exactness: it raises NotDivisible
+unless the remainder empties.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
-from .errors import NotDivisible
+from .errors import ExponentOutOfRange, NotDivisible, integer
 
 Exponent = tuple[int, ...]
 
+_BITS = 16  # width of one exponent field; the struct code "h" matches it
+_LIMIT = 1 << (_BITS - 2)  # stored exponents lie in [-_LIMIT, _LIMIT)
 
-def _grlex_key(exp: Exponent) -> tuple:
-    return (sum(exp), exp)
+
+@lru_cache(maxsize=None)
+def _layout(n: int):
+    """(packed zero vector, pack, unpack) for n variables.  A field holds the
+    exponent plus 2^15: its two's complement with the sign bit flipped."""
+    bits = _BITS * n
+    low = (1 << bits) - 1
+    zero = low // ((1 << _BITS) - 1) << (_BITS - 1)
+    fields = struct.Struct(">%dh" % n)
+
+    def pack(exp: Exponent) -> int:
+        return (sum(exp) << bits) + (int.from_bytes(fields.pack(*exp), "big") ^ zero)
+
+    def unpack(key: int) -> Exponent:
+        return fields.unpack(((key ^ zero) & low).to_bytes(fields.size, "big"))
+    return zero, pack, unpack
+
+
+def _checked_box(lo: Exponent, hi: Exponent) -> tuple[Exponent, Exponent]:
+    if lo and (min(lo) < -_LIMIT or max(hi) >= _LIMIT):
+        raise ExponentOutOfRange("exponents %s..%s leave [%d, %d)" % (lo, hi, -_LIMIT, _LIMIT))
+    return lo, hi
 
 
 class LaurentPoly:
     """A Laurent polynomial in a fixed ordered list of variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_keys", "_terms", "_box")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, int] | None = None):
         vs = tuple(variables)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable names")
-        object.__setattr__(self, "vars", vs)
         clean: dict[Exponent, int] = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(exp)
+            exp = tuple(map(integer, exp))
             if len(exp) != len(vs):
                 raise ValueError("exponent vector length does not match variable count")
-            coef = int(coef)
+            coef = integer(coef)
             if coef:
                 clean[exp] = coef
-        object.__setattr__(self, "terms", clean)
+        self.vars, self._terms, self._box = vs, clean, None
+        if clean:
+            _checked_box(*self._newton_box())
+        pack = _layout(len(vs))[1]
+        self._keys = {pack(exp): coef for exp, coef in clean.items()}
 
     @classmethod
-    def _raw(cls, variables: tuple[str, ...], terms: dict[Exponent, int]) -> "LaurentPoly":
-        # internal fast path: trusts the caller to pass distinct names and a
-        # dict of exponent tuples of matching length to nonzero ints
+    def _raw(cls, variables: tuple[str, ...], keys: dict[int, int],
+             box: tuple[Exponent, Exponent] | None = None) -> "LaurentPoly":
+        # internal fast path: trusts the caller to pass distinct names, packed
+        # in-range keys of nonzero ints, and their exact Newton box or None
         poly = object.__new__(cls)
-        object.__setattr__(poly, "vars", variables)
-        object.__setattr__(poly, "terms", terms)
+        poly.vars, poly._keys, poly._terms, poly._box = variables, keys, None, box
         return poly
+
+    @property
+    def terms(self) -> dict[Exponent, int]:
+        """The term map, exponent tuple -> coefficient."""
+        if self._terms is None:
+            unpack = _layout(len(self.vars))[2]
+            self._terms = {unpack(key): coef for key, coef in self._keys.items()}
+        return self._terms
+
+    def _newton_box(self) -> tuple[Exponent, Exponent]:
+        """Per-variable minimum and maximum exponents of a nonzero value."""
+        if self._box is None:
+            columns = list(zip(*self.terms))
+            self._box = (tuple(map(min, columns)), tuple(map(max, columns)))
+        return self._box
 
     # -- constructors ------------------------------------------------------
 
@@ -76,7 +128,7 @@ class LaurentPoly:
     @classmethod
     def constant(cls, variables: Iterable[str], value: int) -> "LaurentPoly":
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): int(value)})
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def one(cls, variables: Iterable[str]) -> "LaurentPoly":
@@ -96,20 +148,20 @@ class LaurentPoly:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._keys)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.constant(self.vars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._keys == other._keys
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self._keys.items())))
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -124,19 +176,19 @@ class LaurentPoly:
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for exp, coef in other.terms.items():
-            new = terms.get(exp, 0) + coef
+        keys = dict(self._keys)
+        for key, coef in other._keys.items():
+            new = keys.get(key, 0) + coef
             if new:
-                terms[exp] = new
+                keys[key] = new
             else:
-                del terms[exp]
-        return LaurentPoly._raw(self.vars, terms)
+                del keys[key]
+        return LaurentPoly._raw(self.vars, keys)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.vars, {k: -c for k, c in self._keys.items()}, self._box)
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -146,14 +198,20 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        out: dict[Exponent, int] = {}
+        if not self._keys or not other._keys:
+            return LaurentPoly._raw(self.vars, {})
+        (lo1, hi1), (lo2, hi2) = self._newton_box(), other._newton_box()
+        box = _checked_box(tuple(map(add, lo1, lo2)), tuple(map(add, hi1, hi2)))
+        zero = _layout(len(self.vars))[0]
+        out: dict[int, int] = {}
         get = out.get
-        right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                exp = tuple(map(add, e1, e2))
-                out[exp] = get(exp, 0) + c1 * c2
-        return LaurentPoly._raw(self.vars, {e: c for e, c in out.items() if c})
+        right = [(k - zero, c) for k, c in other._keys.items()]
+        for k1, c1 in self._keys.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        # a product of nonzero values is nonzero, with the summed Newton box
+        return LaurentPoly._raw(self.vars, {k: c for k, c in out.items() if c}, box)
 
     __rmul__ = __mul__
 
@@ -171,84 +229,71 @@ class LaurentPoly:
 
     # -- division ----------------------------------------------------------
 
-    def _min_exponents(self) -> Exponent:
-        # Per-variable minimum over the support; the Newton-polytope identity
-        # min(p*q) = min(p) + min(q) makes this the right shift for division.
-        mins = [min(e[i] for e in self.terms) for i in range(len(self.vars))]
-        return tuple(mins)
-
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Return r with r * divisor == self, or raise NotDivisible.
 
-        Both operands are shifted by their per-variable minimum exponents,
-        which turns them into polynomials, and their exponents are negated,
-        so that the smallest heap key (sum, exponent) is the
-        graded-lexicographically largest term.  The remainder is one dict;
-        the heap holds the key of every term it has gained, and a popped key
-        whose term has since cancelled is skipped.  Every product pushed lies
-        strictly below the term just popped in this monomial order, which
-        over polynomials has finitely many monomials below any given one,
-        so the loop ends.  A leading term that the divisor's leading term
-        does not divide, in exponent or coefficient, raises NotDivisible;
-        the quotient is returned only once the remainder is empty.  Its
-        coefficients are nonzero quotients, so it is built with `_raw`.
+        The heap holds the remainder's negated keys, so it yields its
+        grlex-largest term (skipping cancelled keys); grlex order is
+        translation invariant, so every product pushed lies below the term
+        just popped.  A quotient exponent outside the Newton box
+        lo(self) - lo(divisor) <= e <= hi(self) - hi(divisor), or a
+        coefficient that does not divide, raises NotDivisible at once.  The
+        finite box ends the loop and keeps every remainder exponent inside
+        self's box, hence inside its fields.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly._raw(self.vars, {})
-        low_p = self._min_exponents()
-        low_q = divisor._min_exponents()
-        rem = {tuple(map(sub, low_p, e)): c for e, c in self.terms.items()}
-        keyed = []
-        for e, c in divisor.terms.items():
-            n = tuple(map(sub, low_q, e))
-            keyed.append((sum(n), n, c))
-        keyed.sort()
-        lead_deg, lead, lead_coef = keyed[0]
-        rest = keyed[1:]
-        heap = [(sum(n), n) for n in rem]
+        (lo_p, hi_p), (lo_q, hi_q) = self._newton_box(), divisor._newton_box()
+        lo, hi = tuple(map(sub, lo_p, lo_q)), tuple(map(sub, hi_p, hi_q))
+        zero, _, unpack = _layout(len(self.vars))
+        lead = max(divisor._keys)
+        lead_coef = divisor._keys[lead]
+        rest = [(k - lead, c) for k, c in divisor._keys.items() if k != lead]
+        rem = dict(self._keys)
+        heap = [-k for k in rem]
         heapify(heap)
-        quotient: dict[Exponent, int] = {}
+        quotient: dict[int, int] = {}
         get = rem.get
         while heap:
-            deg, top = heappop(heap)
+            top = -heappop(heap)
             coef = rem.pop(top, 0)
             if not coef:
                 continue
-            qexp = tuple(map(sub, top, lead))
-            if max(qexp, default=0) > 0 or coef % lead_coef:
+            qkey = top - lead + zero
+            qexp = unpack(qkey)
+            if coef % lead_coef or not (all(map(le, lo, qexp)) and all(map(le, qexp, hi))):
                 raise NotDivisible("no exact Laurent quotient exists")
             qcoef = coef // lead_coef
-            quotient[qexp] = qcoef
-            qdeg = deg - lead_deg
-            for d, n, c in rest:
-                exp = tuple(map(add, qexp, n))
-                old = get(exp)
+            quotient[qkey] = qcoef
+            for d, c in rest:
+                key = top + d
+                old = get(key)
                 if old is None:
-                    rem[exp] = -qcoef * c
-                    heappush(heap, (qdeg + d, exp))
+                    rem[key] = -qcoef * c
+                    heappush(heap, -key)
                 else:
                     new = old - qcoef * c
                     if new:
-                        rem[exp] = new
+                        rem[key] = new
                     else:
-                        del rem[exp]
-        back = tuple(map(sub, low_p, low_q))
-        return LaurentPoly._raw(self.vars, {tuple(map(sub, back, e)): c
-                                            for e, c in quotient.items()})
+                        del rem[key]
+        return LaurentPoly._raw(self.vars, quotient, (lo, hi))
 
     # -- evaluation --------------------------------------------------------
 
     def at_ones(self) -> int:
         """Value at the all-ones point: the sum of the coefficients."""
-        return sum(self.terms.values())
+        return sum(self._keys.values())
 
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
+        """The terms in graded-lexicographic order, largest first."""
+        unpack = _layout(len(self.vars))[2]
+        return [(unpack(k), c) for k, c in sorted(self._keys.items(), reverse=True)]
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -286,7 +331,9 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LaurentPoly":
-        terms = {tuple(int(x) for x in t["exp"]): int(t["coef"]) for t in data["terms"]}
+        # coefficients are written as decimal strings
+        terms = {tuple(t["exp"]): int(c) if isinstance(c := t["coef"], str) else c
+                 for t in data["terms"]}
         return cls(tuple(data["vars"]), terms)
 
     def dumps(self) -> str:

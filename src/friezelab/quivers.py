@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from .errors import SearchNotFound
+from .errors import SearchNotFound, integer
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -45,7 +45,7 @@ class Quiver:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
         m = len(labels)
-        rows = tuple(tuple(int(x) for x in row) for row in b)
+        rows = tuple(tuple(map(integer, row)) for row in b)
         if len(rows) != m or any(len(r) != m for r in rows):
             raise ValueError("B must be a %d x %d matrix" % (m, m))
         for i in range(m):
@@ -283,9 +283,7 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data) -> "Quiver":
-        return cls(data["labels"],
-                   [[int(x) for x in row] for row in data["b"]],
-                   data.get("frozen", []))
+        return cls(data["labels"], data["b"], data.get("frozen", []))
 
 
 def _adjacency(b: Matrix) -> list[list[tuple[int, int]]]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InadmissiblePrime, NonPolynomialCount, NotAffine
+from .errors import InadmissiblePrime, NonPolynomialCount, NotAffine, integer
 from .quivers import Quiver
 
 DimVector = tuple[int, ...]
@@ -44,7 +44,7 @@ class QuiverRep:
     def __init__(self, quiver: Quiver, dims: Iterable[int],
                  maps: Sequence[Sequence[Sequence[int]]],
                  params: Mapping[str, int] | None = None):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(map(integer, dims))
         if len(dims) != quiver.m:
             raise ValueError("need one dimension per vertex")
         if any(d < 0 for d in dims):
@@ -55,7 +55,7 @@ class QuiverRep:
                              % (len(arrows), len(maps)))
         clean: list[Matrix] = []
         for (t, h), mat in zip(arrows, maps):
-            rows = tuple(tuple(int(x) for x in row) for row in mat)
+            rows = tuple(tuple(map(integer, row)) for row in mat)
             if len(rows) != dims[h] or any(len(r) != dims[t] for r in rows):
                 raise ValueError("matrix for arrow %s->%s must be %d x %d"
                                  % (quiver.labels[t], quiver.labels[h], dims[h], dims[t]))
@@ -63,7 +63,7 @@ class QuiverRep:
         self.quiver = quiver
         self.dims = dims
         self.maps = tuple(clean)
-        self.params = dict(params or {})
+        self.params = {k: integer(v) for k, v in (params or {}).items()}
         self._prepared: dict = {}  # prime -> _prepare(self, prime)
 
     def admissible(self, p: int) -> bool:
@@ -91,8 +91,7 @@ class QuiverRep:
         remaining = {(t, h): [e["matrix"] for e in data["maps"] if tuple(e["arrow"]) == (t, h)]
                      for (t, h) in set(declared)}
         maps = [remaining[a].pop(0) for a in arrows]
-        return cls(quiver, data["dims"], maps,
-                   {k: int(v) for k, v in data.get("params", {}).items()})
+        return cls(quiver, data["dims"], maps, data.get("params", {}))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuiverRep):

@@ -1,5 +1,7 @@
 """A parser for the textual form of LaurentPoly, which the tests use to
-write expected values, e.g. parse_laurent('x0^-1*x1 + 2*x_a', names)."""
+write expected values, e.g. parse_laurent('x0^-1*x1 + 2*x_a', names), and a
+tuple-keyed reference for the packed arithmetic: the schoolbook product of
+term maps and the graded-lexicographic order written out."""
 
 import re
 from typing import Iterable
@@ -64,3 +66,19 @@ def parse_laurent(text: str, variables: Iterable[str]) -> LaurentPoly:
         result = result + LaurentPoly.monomial(vs, exp, coef)
         sign = 1
     return result
+
+
+def reference_product(left: dict, right: dict) -> dict:
+    """The product of two term maps (exponent tuple -> coefficient),
+    multiplying every pair of terms, without zero coefficients."""
+    out: dict = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {exp: coef for exp, coef in out.items() if coef}
+
+
+def grlex_sorted(terms: dict) -> list:
+    """The terms by total degree, then the exponent tuple, largest first."""
+    return sorted(terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)

@@ -361,6 +361,39 @@ def test_malformed_input_file_is_a_json_error(capsys, tmp_path, option, payload)
     assert error["type"] == "ValueError" and str(bad) in error["message"]
 
 
+def _without(relative, key):
+    data = _with(relative)
+    del data[key]
+    return data
+
+
+@pytest.mark.parametrize("option, payload, culprit", [
+    ("--quiver", {"labels": ["0"]}, "'b'"),
+    ("--quiver", {"labels": ["0", "1"], "b": [[0, 2.9], [-2.9, 0]]}, "2.9"),
+    ("--rep", _without("d4/m_lambda.json", "dims"), "'dims'"),
+    ("--rep", _with("d4/m_lambda.json", dims=[1, 1, 1.5, 1, 1]), "1.5"),
+    ("--rep", _with("d4/m_lambda.json", params={"lambda": 2.5}), "2.5"),
+    ("--tube", {}, "'reps'"),
+    ("--tube", {"reps": [_without("d4/m_lambda.json", "maps")]}, "'maps'"),
+])
+def test_input_file_error_names_the_file_and_the_culprit(capsys, tmp_path, option, payload,
+                                                          culprit):
+    # a missing key, or a number that is not an integer, which int() would
+    # have truncated
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = {"--quiver": ["search", "--quiver", str(bad)],
+            "--rep": ["cc", "--rep", str(bad)],
+            "--tube": ["tube-frieze", "--quiver", fixture("d4/quiver.json"),
+                       "--tube", str(bad)]}[option]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError"
+    assert str(bad) in error["message"] and culprit in error["message"]
+
+
 def test_search_budget_error(capsys):
     code, out = run(capsys, "search", "--quiver", fixture("e6/quiver.json"),
                     "--max-nodes", "2")

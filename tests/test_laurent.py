@@ -4,12 +4,12 @@ import random
 import pytest
 
 from friezelab import catalog
-from friezelab.errors import NotDivisible
+from friezelab.errors import ExponentOutOfRange, NotDivisible
 from friezelab.laurent import LaurentPoly
 from friezelab.seeds import Seed
 from friezelab.theta import double_arrow_seed, theta
 
-from laurent_text import parse_laurent
+from laurent_text import grlex_sorted, parse_laurent, reference_product
 
 V2 = ("x0", "x1")
 
@@ -80,10 +80,10 @@ def test_specialize_all_ones():
     assert p.at_ones() == 3
 
 
-def _random_poly(rng, variables, max_terms=4):
+def _random_poly(rng, variables, max_terms=4, reach=3):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        exp = tuple(rng.randint(-3, 3) for _ in variables)
+        exp = tuple(rng.randint(-reach, reach) for _ in variables)
         terms[exp] = rng.randint(-5, 5)
     return LaurentPoly(variables, terms)
 
@@ -232,6 +232,74 @@ def test_div_exact_roundtrip_hypothesis():
         assert (p * q).div_exact(q) == p
 
     check()
+
+
+# stored exponents lie in [-2^14, 2^14), as the laurent module documents
+LIMIT = 1 << 14
+
+
+def test_packed_arithmetic_matches_tuple_reference():
+    rng = random.Random(41)
+    for n in range(1, 10):
+        variables = tuple("y%d" % i for i in range(n))
+        for _ in range(25):
+            p = _random_poly(rng, variables, max_terms=8, reach=5)
+            q = _random_poly(rng, variables, max_terms=6, reach=5)
+            product = p * q
+            assert product.terms == reference_product(p.terms, q.terms)
+            assert hash(product) == hash(q * p)
+            assert product.sorted_terms() == grlex_sorted(product.terms)
+            assert [(tuple(t["exp"]), int(t["coef"])) for t in product.to_json()["terms"]] \
+                == grlex_sorted(product.terms)
+            if not q.is_zero():
+                assert product.div_exact(q) == p
+
+
+def test_div_exact_rejects_quotients_outside_the_newton_box():
+    # x0^3 / x0 = x0^2 lies in the box 0 <= e0 <= 2, e1 = 0, but the next
+    # quotient term -x0*x1 leaves it
+    with pytest.raises(NotDivisible):
+        lp("x0^3 + x1").div_exact(lp("x0 + x1"))
+    # the divisor's box is wider than the dividend's: the box is empty
+    with pytest.raises(NotDivisible):
+        lp("x0").div_exact(lp("x0^2 + 1"))
+    with pytest.raises(NotDivisible):
+        (lp("x0^2 - x1^2") + lp("x0^-5")).div_exact(lp("x0 + x1"))
+
+
+def test_exponents_past_the_field_range_raise():
+    x0 = LaurentPoly.variable(V2, "x0")
+    assert (x0 ** (LIMIT - 1)).terms == {(LIMIT - 1, 0): 1}
+    with pytest.raises(ExponentOutOfRange):
+        x0 ** LIMIT
+    inverse = LaurentPoly.monomial(V2, (-1, 0))
+    assert (inverse ** LIMIT).terms == {(-LIMIT, 0): 1}
+    with pytest.raises(ExponentOutOfRange):
+        inverse ** (LIMIT + 1)
+    with pytest.raises(ExponentOutOfRange):
+        LaurentPoly.monomial(V2, (0, LIMIT))
+    half = LaurentPoly.monomial(V2, (LIMIT // 2, 0))
+    with pytest.raises(ExponentOutOfRange):
+        half * half
+
+
+def test_repeated_square_and_divide_keeps_its_range():
+    # the box of p*p / p is p's box again, not the sum of the boxes
+    half = LIMIT // 2 - 1
+    p = LaurentPoly(V2, {(half, 0): 1, (0, -half): 2, (1, 1): -3})
+    start = p
+    for _ in range(40):
+        p = (p * p).div_exact(p)
+    assert p == start
+
+
+def test_constructor_rejects_non_integers():
+    with pytest.raises(ValueError, match="1.5"):
+        LaurentPoly(V2, {(1.5, 0): 2})
+    with pytest.raises(ValueError, match="2.7"):
+        LaurentPoly(V2, {(1, 0): 2.7})
+    with pytest.raises(ValueError, match="2.7"):
+        LaurentPoly.from_json({"vars": list(V2), "terms": [{"exp": [1, 0], "coef": 2.7}]})
 
 
 def _sha256(poly):

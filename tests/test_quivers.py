@@ -17,6 +17,8 @@ def test_validation():
         Quiver(["0", "1"], [[1, 0], [0, 0]])  # diagonal
     with pytest.raises(ValueError):
         Quiver(["0", "0"], [[0, 0], [0, 0]])  # duplicate labels
+    with pytest.raises(ValueError, match="2.9"):
+        Quiver(["0", "1"], [[0, 2.9], [-2.9, 0]])  # not an integer
 
 
 def test_kronecker_mutation_flips_double_arrow():

@@ -426,6 +426,13 @@ def test_rep_validation():
         QuiverRep(q, (1, 1), [[[1]]])
     with pytest.raises(ValueError):
         QuiverRep(q, (1, 1), [[[1, 0]], [[1]]])
+    # numbers that are not integers are rejected, not truncated
+    with pytest.raises(ValueError, match="1.5"):
+        QuiverRep(q, (1.5, 1), [[[1]], [[1]]])
+    with pytest.raises(ValueError, match="0.5"):
+        QuiverRep(q, (1, 1), [[[1]], [[0.5]]])
+    with pytest.raises(ValueError, match="2.5"):
+        QuiverRep(q, (1, 1), [[[1]], [[1]]], {"lambda": 2.5})
 
 
 def test_default_primes_are_prime():
