@@ -13,8 +13,7 @@ from .laurent import LaurentPoly
 from .modular import apply_generator_word, modular_generator
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .rep import (DEFAULT_PRIMES, GrassmannianTable, QuiverRep, count_points,
-                  defect, delta, direct_sum, euler_characteristic, euler_form,
-                  grassmannian_table, subrep_dimvectors)
+                  defect, delta, euler_form, grassmannian_table)
 from .seeds import Seed
 from .theta import (ThetaValue, double_arrow_seed,
                     growth_from_affine_quiver, theta, theta_at_ones,
@@ -31,10 +30,9 @@ __all__ = [
     "Quiddity", "Quiver", "QuiverRep", "SearchNotFound", "Seed",
     "ThetaValue", "UnsupportedQuiver", "apply_generator_word", "cc_map",
     "chebyshev_S", "chebyshev_T", "count_points", "defect", "delta",
-    "direct_sum", "double_arrow_seed", "euler_characteristic", "euler_form",
-    "generate", "grassmannian_table", "growth", "growth_from_affine_quiver",
-    "growth_via_homogeneous", "has_double_arrow", "measured_growth",
-    "modular_generator", "mutation_class_search", "quiddity_from_tube",
-    "subrep_dimvectors", "theta", "theta_at_ones", "theta_invariance",
-    "triangle_neighbors",
+    "double_arrow_seed", "euler_form", "generate", "grassmannian_table",
+    "growth", "growth_from_affine_quiver", "growth_via_homogeneous",
+    "has_double_arrow", "measured_growth", "modular_generator",
+    "mutation_class_search", "quiddity_from_tube", "theta", "theta_at_ones",
+    "theta_invariance", "triangle_neighbors",
 ]

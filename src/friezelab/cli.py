@@ -27,7 +27,7 @@ from .rep import (DEFAULT_PRIMES, QuiverRep, _certified_chi, count_points,
                   grassmannian_table)
 from .reproduce import run_checks
 from .seeds import Seed
-from .theta import theta, theta_at_ones, theta_invariance
+from .theta import double_arrow_seed, growth_from_affine_quiver, theta, theta_invariance
 
 
 def _positive_int(text: str) -> int:
@@ -134,14 +134,13 @@ def render_frieze(pattern: FriezePattern, periods: int | None = None) -> str:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def cmd_frieze(args) -> int:
-    quiddity = args.quiddity
+def _frieze_report(args, quiddity: Quiddity, header: bool) -> int:
+    """The frieze of a quiddity row down to --depth (default 3n+1) and its
+    growth coefficients s_1..s_K for K = --growth; the text report starts
+    with the quiddity row when header is set."""
     depth = args.depth if args.depth is not None else 3 * len(quiddity) + 1
     pattern = generate(quiddity, depth)
-    growth_report = {}
-    if args.growth:
-        for k in range(1, args.growth + 1):
-            growth_report[str(k)] = str(growth(pattern, k))
+    growth_report = {str(k): str(growth(pattern, k)) for k in range(1, args.growth + 1)}
     if args.json:
         payload = {"quiddity": [str(a) for a in quiddity],
                    "rows": [[str(x) for x in pattern.row(r)] for r in range(1, depth + 1)]}
@@ -149,10 +148,16 @@ def cmd_frieze(args) -> int:
             payload["growth"] = growth_report
         _emit(payload)
     else:
+        if header:
+            print("quiddity:", ",".join(str(a) for a in quiddity))
         print(render_frieze(pattern))
         for k, value in growth_report.items():
             print("s_%s = %s" % (k, value))
     return 0
+
+
+def cmd_frieze(args) -> int:
+    return _frieze_report(args, args.quiddity, header=False)
 
 
 def cmd_mutate(args) -> int:
@@ -221,11 +226,10 @@ def cmd_modular(args) -> int:
 
 def cmd_theta(args) -> int:
     quiver = _load_quiver(args.quiver)
-    _, found = mutation_class_search(quiver, has_double_arrow, args.max_nodes)
     if args.at_ones and not args.json and not args.invariance_words:
-        print(theta_at_ones(quiver, found.sequence))
+        print(growth_from_affine_quiver(quiver, args.max_nodes))
         return 0
-    seed = Seed.initial(quiver).mutate_word(found)
+    seed, found = double_arrow_seed(quiver, args.max_nodes)
     word = [quiver.labels[k] for k in found.sequence]
     value = theta(seed)
     invariance = None
@@ -295,23 +299,7 @@ def cmd_cc(args) -> int:
 def cmd_tube_frieze(args) -> int:
     quiver = _load_quiver(args.quiver)
     tube = _load(args.tube, lambda data: [QuiverRep.from_json(r) for r in data["reps"]])
-    quiddity = quiddity_from_tube(quiver, tube)
-    depth = args.depth if args.depth is not None else 3 * len(quiddity) + 1
-    pattern = generate(quiddity, depth)
-    growth_report = {str(k): str(growth(pattern, k))
-                     for k in range(1, (args.growth or 0) + 1)}
-    if args.json:
-        payload = {"quiddity": [str(a) for a in quiddity],
-                   "rows": [[str(x) for x in pattern.row(r)] for r in range(1, depth + 1)]}
-        if growth_report:
-            payload["growth"] = growth_report
-        _emit(payload)
-    else:
-        print("quiddity:", ",".join(str(a) for a in quiddity))
-        print(render_frieze(pattern))
-        for k, v in growth_report.items():
-            print("s_%s = %s" % (k, v))
-    return 0
+    return _frieze_report(args, quiddity_from_tube(quiver, tube), header=True)
 
 
 def cmd_growth_identity(args) -> int:

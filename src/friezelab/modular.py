@@ -18,15 +18,14 @@ candidates must agree on the variables or AmbiguousPermutation is raised.
 
 from __future__ import annotations
 
+import functools
+
 from .catalog import e_double_arrow
 from .errors import AmbiguousPermutation, NoRestoringPermutation, UnsupportedQuiver
 from .quivers import Quiver
 from .seeds import Seed
 
 GENERATORS = ("ta", "tb", "tc", "gamma")
-
-# (n, generator) -> (mutation sequence, candidate restoring perms)
-_CACHE: dict[tuple[int, str], tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
 
 
 def rank_of(quiver: Quiver) -> int:
@@ -62,12 +61,10 @@ def gamma_permutation(n: int = 6) -> tuple[int, ...]:
     raise NoRestoringPermutation("base quiver unexpectedly has no symmetry")
 
 
-def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+@functools.cache
+def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Determine the mutation sequence and the restoring permutations of a
     generator, on the quiver level only."""
-    cached = _CACHE.get((n, generator))
-    if cached is not None:
-        return cached
     base = e_double_arrow(n)
     labels = generator_labels(n, generator)
     word = tuple(base.index(l) for l in labels)
@@ -78,9 +75,7 @@ def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], list[tuple[int, .
     touched = set(word)
     fixing = [s for s in isos
               if all(s[i] == i for i in range(base.m) if i not in touched)]
-    result = (word, fixing if len(fixing) == 1 else isos)
-    _CACHE[(n, generator)] = result
-    return result
+    return word, tuple(fixing if len(fixing) == 1 else isos)
 
 
 def modular_generator(seed: Seed, generator: str) -> Seed:
@@ -107,14 +102,11 @@ def modular_generator(seed: Seed, generator: str) -> Seed:
     else:
         word, candidates = _resolve(n, generator)
         mutated = based.mutate_word(word)
-        if len(candidates) == 1:
-            result = mutated.restored(candidates[0], base)
-        else:
-            restored = [mutated.restored(perm, base) for perm in candidates]
-            if any(s != restored[0] for s in restored[1:]):
-                raise AmbiguousPermutation(
-                    "restoring permutations for %s disagree on the variables" % generator)
-            result = restored[0]
+        restored = [mutated.restored(perm, base) for perm in candidates]
+        if any(s != restored[0] for s in restored[1:]):
+            raise AmbiguousPermutation(
+                "restoring permutations for %s disagree on the variables" % generator)
+        result = restored[0]
 
     if transport is None:
         return result

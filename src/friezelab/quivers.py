@@ -37,7 +37,7 @@ Matrix = tuple[tuple[int, ...], ...]
 class Quiver:
     """A finite quiver without loops or 2-cycles, encoded by its B-matrix."""
 
-    __slots__ = ("labels", "b", "frozen", "_key")
+    __slots__ = ("labels", "b", "frozen")
 
     def __init__(self, labels: Iterable[str], b: Sequence[Sequence[int]],
                  frozen: Iterable[str] = ()):
@@ -57,7 +57,6 @@ class Quiver:
         self.labels = labels
         self.b = rows
         self.frozen = frozenset(str(x) for x in frozen)
-        self._key = None
         if not self.frozen <= set(labels):
             raise ValueError("frozen vertices must be existing labels")
 
@@ -68,7 +67,6 @@ class Quiver:
         quiver.labels = labels
         quiver.b = b
         quiver.frozen = frozen
-        quiver._key = None
         return quiver
 
     # -- basics --------------------------------------------------------------
@@ -233,12 +231,10 @@ class Quiver:
         consists of twins is a leaf.  A leaf's cell order is the vertex
         order its matrix is read in.
         """
-        if self._key is None:
-            self._key = self._canonical_form()[0]
-        return self._key
+        return self._canonical_form()[0]
 
     def _canonical_form(self) -> tuple[tuple, tuple[int, ...]]:
-        """Uncached (key, order) with key[i * m + j] == B[order[i]][order[j]]."""
+        """(key, order) with key[i * m + j] == B[order[i]][order[j]]."""
         b = self.b
         m = self.m
         adj = _adjacency(b)
@@ -312,26 +308,20 @@ def _refine(adj: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
 
 
 class MutationWord:
-    """A mutation sequence (vertex indices, applied left factor first) with
-    an optional vertex permutation applied after the mutations."""
+    """A mutation sequence: vertex indices, applied left factor first."""
 
-    __slots__ = ("sequence", "permutation")
+    __slots__ = ("sequence",)
 
-    def __init__(self, sequence: Iterable[int], permutation: Sequence[int] | None = None):
+    def __init__(self, sequence: Iterable[int]):
         self.sequence = tuple(int(k) for k in sequence)
-        self.permutation = tuple(permutation) if permutation is not None else None
-        if self.permutation is not None and sorted(self.permutation) != list(range(len(self.permutation))):
-            raise ValueError("permutation must be a bijection on vertex slots")
 
     def __repr__(self) -> str:
-        if self.permutation is None:
-            return "MutationWord(%s)" % (list(self.sequence),)
-        return "MutationWord(%s, perm=%s)" % (list(self.sequence), list(self.permutation))
+        return "MutationWord(%s)" % (list(self.sequence),)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MutationWord):
             return NotImplemented
-        return self.sequence == other.sequence and self.permutation == other.permutation
+        return self.sequence == other.sequence
 
 
 def mutation_class_search(start: Quiver,

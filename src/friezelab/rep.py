@@ -103,16 +103,6 @@ class QuiverRep:
         return "QuiverRep(dims=%s)" % (self.dims,)
 
 
-def direct_sum(m1: QuiverRep, m2: QuiverRep) -> QuiverRep:
-    """Block-diagonal sum of two representations of the same quiver."""
-    if m1.quiver != m2.quiver:
-        raise ValueError("summands must share the quiver")
-    dims = tuple(a + b for a, b in zip(m1.dims, m2.dims))
-    maps = [[row + (0,) * m2.dims[t] for row in a] + [(0,) * m1.dims[t] + row for row in b]
-            for (t, h), a, b in zip(m1.quiver.arrows(), m1.maps, m2.maps)]
-    return QuiverRep(m1.quiver, dims, maps, {**m1.params, **m2.params})
-
-
 # -- Euler form, radical vector, defect -------------------------------------
 
 def euler_form(quiver: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -305,13 +295,6 @@ def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
     return _count_by_dimvector(rep, [(x,) for x in e], p).get(e, 0)
 
 
-def subrep_dimvectors(rep: QuiverRep, prime: int | None = None) -> list[DimVector]:
-    """All e <= dims whose Grassmannian is nonempty over a test prime."""
-    prime = _first_admissible(rep, DEFAULT_PRIMES) if prime is None else prime
-    every = [tuple(range(d + 1)) for d in rep.dims]
-    return sorted(_count_by_dimvector(rep, every, prime), key=lambda e: (sum(e), e))
-
-
 def _first_admissible(rep: QuiverRep, primes: Sequence[int]) -> int:
     for p in primes:
         if rep.admissible(p):
@@ -344,13 +327,6 @@ def _interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
 
 def counting_degree_bound(rep: QuiverRep, e: Sequence[int]) -> int:
     return sum(x * (d - x) for x, d in zip(e, rep.dims))
-
-
-def euler_characteristic(rep: QuiverRep, e: Sequence[int],
-                         primes: Sequence[int] = DEFAULT_PRIMES) -> int:
-    """Counting polynomial evaluated at 1, certified by a held-out prime."""
-    e = tuple(int(x) for x in e)
-    return _certified_chi(rep, e, primes, lambda p: count_points(rep, e, p))
 
 
 def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -> int:

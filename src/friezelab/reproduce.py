@@ -78,8 +78,8 @@ def check_d4_tube_quiddities() -> None:
 def check_d4_theta_pipeline() -> None:
     _expect(growth_from_affine_quiver(catalog.d4_star(), 1000) == 14,
             "growth element specializes wrong")
-    seed, (u, v), _ = double_arrow_seed(catalog.d4_star(), 1000)
-    _expect(theta(seed, u, v).laurent == cc_map(catalog.d4_m_lambda(2)).laurent,
+    seed, _ = double_arrow_seed(catalog.d4_star(), 1000)
+    _expect(theta(seed).laurent == cc_map(catalog.d4_m_lambda(2)).laurent,
             "growth element differs from the homogeneous character")
 
 

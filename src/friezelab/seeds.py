@@ -65,15 +65,8 @@ class Seed:
         return Seed(self.quiver.mutate(k), variables)
 
     def mutate_word(self, word: Sequence[int] | MutationWord) -> "Seed":
-        if isinstance(word, MutationWord):
-            seed = self
-            for k in word.sequence:
-                seed = seed.mutate(k)
-            if word.permutation is not None:
-                seed = seed.permuted(word.permutation)
-            return seed
         seed = self
-        for k in word:
+        for k in word.sequence if isinstance(word, MutationWord) else word:
             seed = seed.mutate(k)
         return seed
 

@@ -23,6 +23,7 @@ from typing import Sequence
 from .errors import CrossCheckFailed, MissingDoubleArrow
 from .laurent import LaurentPoly
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
+from .rep import delta
 from .seeds import Seed, exchange
 
 
@@ -41,23 +42,22 @@ def triangle_neighbors(quiver: Quiver, u: int, v: int) -> list[int]:
             if quiver.b[v][w] > 0 and quiver.b[w][u] > 0]
 
 
-def theta(seed: Seed, u: int | None = None, v: int | None = None) -> ThetaValue:
-    """The growth element at a double-arrow seed, in the initial variables."""
+def theta(seed: Seed) -> ThetaValue:
+    """The growth element at the seed's first double arrow, in the initial
+    variables."""
     one = LaurentPoly.one(seed.vars[0].vars)
-    laurent = _growth_element(seed.quiver, seed.vars, one, LaurentPoly.div_exact, u, v)
+    laurent = _growth_element(seed.quiver, seed.vars, one, LaurentPoly.div_exact)
     return ThetaValue(laurent, laurent.at_ones())
 
 
-def _growth_element(quiver: Quiver, values: Sequence, one, divide,
-                    u: int | None = None, v: int | None = None):
+def _growth_element(quiver: Quiver, values: Sequence, one, divide):
     """(x_u^2 + x_v^2 + prod of the triangle variables) / (x_u * x_v) at the
-    double arrow u => v, the first one by default.  The values are Laurent
-    polynomials or integers, with unit `one` and exact division `divide`."""
-    if u is None or v is None:
-        doubles = quiver.double_arrows()
-        if not doubles:
-            raise MissingDoubleArrow("seed quiver has no double arrow")
-        u, v = doubles[0]
+    first double arrow u => v.  The values are Laurent polynomials or
+    integers, with unit `one` and exact division `divide`."""
+    doubles = quiver.double_arrows()
+    if not doubles:
+        raise MissingDoubleArrow("seed quiver has no double arrow")
+    u, v = doubles[0]
     product = one
     for w in triangle_neighbors(quiver, u, v):
         product = product * values[w]
@@ -77,15 +77,18 @@ def theta_invariance(seed: Seed, words: Sequence[MutationWord | Sequence[int]]) 
     return True
 
 
-def double_arrow_seed(quiver: Quiver, max_nodes: int = 50_000) -> tuple[Seed, tuple[int, int], MutationWord]:
-    """Mutate the initial seed of the quiver to a double-arrow seed.
+def _double_arrow_word(quiver: Quiver, max_nodes: int) -> MutationWord:
+    """The search's word to a double-arrow quiver.  An acyclic quiver without
+    frozen vertices must be affine: delta raises NotAffine otherwise."""
+    if not quiver.frozen and len(quiver.topological_order()) == quiver.m:
+        delta(quiver)
+    return mutation_class_search(quiver, has_double_arrow, max_nodes)[1]
 
-    Returns the seed, the double-arrow pair, and the word used.
-    """
-    _, word = mutation_class_search(quiver, has_double_arrow, max_nodes)
-    seed = Seed.initial(quiver).mutate_word(word)
-    u, v = seed.quiver.double_arrows()[0]
-    return seed, (u, v), word
+
+def double_arrow_seed(quiver: Quiver, max_nodes: int = 50_000) -> tuple[Seed, MutationWord]:
+    """The initial seed mutated to a double-arrow seed, and the word used."""
+    word = _double_arrow_word(quiver, max_nodes)
+    return Seed.initial(quiver).mutate_word(word), word
 
 
 def theta_at_ones(quiver: Quiver, word: Sequence[int]) -> int:
@@ -116,5 +119,4 @@ def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = 50_000) -> int:
     """Principal growth coefficient of every tube frieze of an acyclic
     affine quiver: search for a double arrow and read the growth element
     at all ones on integers."""
-    _, word = mutation_class_search(quiver, has_double_arrow, max_nodes)
-    return theta_at_ones(quiver, word.sequence)
+    return theta_at_ones(quiver, _double_arrow_word(quiver, max_nodes).sequence)

@@ -21,7 +21,7 @@ from friezelab import catalog
 from friezelab.errors import NonPositiveEntry
 from friezelab.frieze import generate
 from friezelab.quivers import has_double_arrow, mutation_class_search
-from friezelab.rep import euler_characteristic, subrep_dimvectors
+from friezelab.rep import grassmannian_table
 from friezelab.reproduce import ALL_CHECKS
 from friezelab.seeds import Seed
 
@@ -104,8 +104,7 @@ def test_criterion_11_property_suites():
         for pair in catalog.d4_tubes():
             fixtures.extend(pair)
         for M in fixtures:
-            for e in subrep_dimvectors(M):
-                euler_characteristic(M, e)
+            grassmannian_table(M)
 
 
 def test_bfs_budget_for_affine_starts():

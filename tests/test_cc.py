@@ -7,11 +7,12 @@ from friezelab.cc import cc_map, growth_via_homogeneous, quiddity_from_tube
 from friezelab.chebyshev import chebyshev_S, chebyshev_T, second_kind
 from friezelab.frieze import Quiddity, generate, growth
 from friezelab.laurent import LaurentPoly
-from friezelab.rep import QuiverRep, direct_sum, grassmannian_table
+from friezelab.rep import QuiverRep, grassmannian_table
 from friezelab.reproduce import check_d4_degenerate_identity
 from friezelab.theta import growth_from_affine_quiver
 
 from laurent_text import parse_laurent
+from rep_helpers import direct_sum
 
 D4_VARS = ("x1", "x2", "x3", "x4", "x5")
 

@@ -115,6 +115,20 @@ def test_theta_at_ones_prints_the_laurent_value(capsys, quiver):
     assert LaurentPoly.from_json(payload["laurent"]).at_ones() == int(payload["at_ones"])
 
 
+@pytest.mark.parametrize("mode", [["--at-ones"], ["--json"], ["--at-ones", "--json"]])
+@pytest.mark.parametrize("name", ["star5", "a4"])
+def test_theta_refuses_non_affine_acyclic_quivers(capsys, tmp_path, name, mode):
+    # a wild star with five leaves printed 23, and A4 exhausted its class
+    quiver = {"star5": catalog._quiver_from_arrows("012345", [(l, "0") for l in "12345"]),
+              "a4": catalog._quiver_from_arrows("0123", ["01", "12", "23"])}[name]
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver.to_json()))
+    code, out = run(capsys, "theta", "--quiver", str(path), *mode)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "NotAffine",
+                                         "message": "radical has dimension 0, expected 1"}}
+
+
 def test_theta_json(capsys):
     code, payload = run_json(capsys, "theta", "--quiver", fixture("e6/quiver.json"))
     assert code == 0

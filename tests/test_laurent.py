@@ -318,8 +318,8 @@ def test_dumps_bytes_pinned():
     assert _sha256(variable) == \
         "f8d082ae1251728a36f85a6edc050e48f372f26b5e018731814b16e8ff791495"
 
-    arrived, (u, v), _ = double_arrow_seed(catalog.e7_affine())
-    value = theta(arrived, u, v)
+    arrived, _ = double_arrow_seed(catalog.e7_affine())
+    value = theta(arrived)
     assert value.integer == 702
     assert _sha256(value.laurent) == \
         "86d9d593f48021b40d50f112b3d476cd2e053d407f4d264a6ae71ae25bd36d69"

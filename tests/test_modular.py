@@ -81,6 +81,6 @@ def test_ambiguous_permutation_contract(monkeypatch):
     mutated = base.mutate_word(word)
     all_isos = mutated.isomorphisms_to(base)
     assert len(all_isos) == 2 and len(candidates) == 1
-    monkeypatch.setitem(mod._CACHE, (6, "ta"), (word, all_isos))
+    monkeypatch.setattr(mod, "_resolve", lambda n, generator: (word, all_isos))
     with pytest.raises(AmbiguousPermutation):
         modular_generator(base_seed(6), "ta")

@@ -10,10 +10,11 @@ import friezelab.rep as rep_module
 from friezelab import catalog
 from friezelab.errors import InadmissiblePrime, NotAffine
 from friezelab.quivers import Quiver
-from friezelab.rep import (DEFAULT_PRIMES, QuiverRep, count_points,
-                           counting_degree_bound, delta, defect, direct_sum,
-                           euler_characteristic, euler_form, grassmannian_table,
-                           rref_subspaces, subrep_dimvectors)
+from friezelab.rep import (DEFAULT_PRIMES, QuiverRep, _certified_chi, count_points,
+                           counting_degree_bound, delta, defect, euler_form,
+                           grassmannian_table, rref_subspaces)
+
+from rep_helpers import direct_sum
 
 TABLE_ROWS = {
     (0, 0, 0, 0, 0): 1,
@@ -278,7 +279,7 @@ def test_oriented_cycle_counts_image_inclusion():
     M = QuiverRep(q, (2, 2, 2), [identity] * len(q.arrows()))
     assert count_points(M, (1, 1, 1), 3) == 4
     assert count_points(M, (1, 0, 0), 3) == 0
-    assert subrep_dimvectors(M) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+    assert grassmannian_table(M).as_dict() == {(0, 0, 0): 1, (1, 1, 1): 2, (2, 2, 2): 1}
 
 
 def test_count_points_trivial_ends():
@@ -308,23 +309,24 @@ def test_inadmissible_prime():
     assert not M.admissible(2)
 
 
-def test_subrep_dimvectors_m_lambda():
-    assert set(subrep_dimvectors(catalog.d4_m_lambda(2))) == set(TABLE_ROWS)
+def _chi(M, e, primes=DEFAULT_PRIMES, count=count_points):
+    """The certified Euler characteristic of Gr_e(M), counting with count."""
+    return _certified_chi(M, e, primes, lambda p: count(M, e, p))
 
 
-def test_subrep_dimvectors_zero_and_simple():
+def test_grassmannian_table_zero_and_simple():
     q = catalog.d4_star()
     zero = QuiverRep(q, (0,) * q.m, [[] for _ in q.arrows()])
-    assert subrep_dimvectors(zero) == [(0, 0, 0, 0, 0)]
+    assert grassmannian_table(zero).as_dict() == {(0, 0, 0, 0, 0): 1}
     # the simple at the center "3"; its four arrows have zero-size matrices
     simple = QuiverRep(catalog.d4_star(), (0, 0, 1, 0, 0), [[], [], [[]], [[]]])
-    assert subrep_dimvectors(simple) == [(0, 0, 0, 0, 0), (0, 0, 1, 0, 0)]
+    assert grassmannian_table(simple).as_dict() == {(0, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0): 1}
 
 
 def test_euler_characteristic_table_rows():
     M = catalog.d4_m_lambda(2)
-    assert euler_characteristic(M, (1, 1, 1, 0, 0)) == 2
-    assert euler_characteristic(M, (1, 1, 2, 1, 0)) == 1
+    assert _chi(M, (1, 1, 1, 0, 0)) == 2
+    assert _chi(M, (1, 1, 2, 1, 0)) == 1
 
 
 def test_grassmannian_table_matches_reference():
@@ -340,8 +342,6 @@ def test_table_reads_dimension_vectors_at_the_first_given_prime(monkeypatch):
     N = QuiverRep(M.quiver, M.dims, M.maps, {"lambda": 4849845})
     with pytest.raises(InadmissiblePrime):
         grassmannian_table(N)
-    with pytest.raises(InadmissiblePrime):
-        subrep_dimvectors(N)
     assert grassmannian_table(N, (23, 29, 31, 37, 41, 43, 47)).as_dict() == TABLE_ROWS
     traversed = []
     real = rep_module._count_by_dimvector
@@ -366,35 +366,29 @@ def test_interpolation_held_out_on_all_fixtures():
     for pair in catalog.d4_tubes():
         fixtures.extend(pair)
     for M in fixtures:
-        for e in subrep_dimvectors(M):
-            # euler_characteristic raises NonPolynomialCount on any held-out
-            # disagreement; a clean return certifies the interpolation
-            assert euler_characteristic(M, e) >= 0
+        # the table certifies every row with a held-out prime and raises
+        # NonPolynomialCount on any disagreement
+        assert all(chi >= 0 for _, chi in grassmannian_table(M))
 
 
-def test_non_polynomial_count_detected(monkeypatch):
-    import friezelab.rep as rep_module
+def test_non_polynomial_count_detected():
     from friezelab.errors import NonPolynomialCount
 
     M = catalog.d4_m_lambda(2)
-    real = rep_module.count_points
 
     def tampered(rep, e, p):
-        value = real(rep, e, p)
-        return value + (1 if p == 13 else 0)  # held-out prime disagrees
+        return count_points(rep, e, p) + (1 if p == 13 else 0)  # held-out prime disagrees
 
-    monkeypatch.setattr(rep_module, "count_points", tampered)
     with pytest.raises(NonPolynomialCount):
-        # degree bound 1: interpolate at 3, 5; hold out 7... use a pool whose
-        # held-out entry is the tampered prime
-        rep_module.euler_characteristic(M, (1, 1, 1, 0, 0), primes=(3, 5, 13))
+        # degree bound 1: interpolate at 3 and 5, hold out the tampered 13
+        _chi(M, (1, 1, 1, 0, 0), (3, 5, 13), tampered)
 
 
 def test_degree_bound_requires_enough_primes():
     M = catalog.d4_m_lambda(2)
     assert counting_degree_bound(M, (1, 1, 1, 0, 0)) == 1
     with pytest.raises(ValueError):
-        euler_characteristic(M, (1, 1, 1, 0, 0), primes=(3, 5))
+        _chi(M, (1, 1, 1, 0, 0), (3, 5))
 
 
 def test_repeated_primes_are_rejected():
@@ -402,7 +396,7 @@ def test_repeated_primes_are_rejected():
     with pytest.raises(ValueError, match="prime 3 is repeated"):
         grassmannian_table(M, (3, 3, 5, 7, 11))
     with pytest.raises(ValueError, match="prime 5 is repeated"):
-        euler_characteristic(M, (1, 1, 1, 0, 0), (3, 5, 7, 5))
+        _chi(M, (1, 1, 1, 0, 0), (3, 5, 7, 5))
 
 
 def test_direct_sum_dims_and_maps():

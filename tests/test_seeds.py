@@ -4,7 +4,7 @@ import pytest
 
 from friezelab import catalog
 from friezelab.laurent import LaurentPoly
-from friezelab.quivers import MutationWord, Quiver
+from friezelab.quivers import Quiver
 from friezelab.seeds import Seed, variable_name
 
 from laurent_text import parse_laurent
@@ -83,13 +83,6 @@ def test_frozen_vertex_never_mutates():
     assert seed.vars[2] == 1
     with pytest.raises(ValueError):
         seed.mutate(2)
-
-
-def test_mutation_word_with_permutation():
-    seed = Seed.initial(catalog.kronecker())
-    word = MutationWord([0], (1, 0))
-    moved = seed.mutate_word(word)
-    assert moved.quiver.labels == ("1", "0")
 
 
 def test_restored_requires_matching_quiver():

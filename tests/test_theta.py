@@ -6,9 +6,9 @@ import pytest
 from friezelab import catalog
 from friezelab.cc import cc_map, growth_via_homogeneous
 from friezelab.chebyshev import chebyshev_T
-from friezelab.errors import CrossCheckFailed, MissingDoubleArrow
+from friezelab.errors import CrossCheckFailed, MissingDoubleArrow, NotAffine, SearchNotFound
 from friezelab.laurent import LaurentPoly
-from friezelab.modular import _resolve, gamma_permutation
+from friezelab.modular import GENERATORS, modular_generator
 from friezelab.quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from friezelab.seeds import Seed
 from friezelab.theta import (double_arrow_seed,
@@ -18,6 +18,11 @@ from friezelab.theta import (double_arrow_seed,
 from laurent_text import parse_laurent
 
 theta_module = importlib.import_module("friezelab.theta")
+
+
+# a wild star with five leaves, and the Dynkin quiver A4
+NOT_AFFINE = {"star5": catalog._quiver_from_arrows("012345", [(l, "0") for l in "12345"]),
+              "a4": catalog._quiver_from_arrows("0123", ["01", "12", "23"])}
 
 
 def test_triangle_neighbors_shapes():
@@ -92,6 +97,26 @@ def test_growth_from_affine_quiver_values():
     assert growth_from_affine_quiver(catalog.e6_affine()) == 322
 
 
+@pytest.mark.parametrize("name", sorted(NOT_AFFINE))
+def test_growth_route_refuses_non_affine_acyclic_quivers(name):
+    # before the guard the star got 23 on integers and A4 exhausted its class
+    with pytest.raises(NotAffine, match="radical has dimension 0"):
+        growth_from_affine_quiver(NOT_AFFINE[name])
+    with pytest.raises(NotAffine, match="radical has dimension 0"):
+        double_arrow_seed(NOT_AFFINE[name])
+
+
+def test_growth_route_searches_cyclic_and_frozen_quivers_unguarded():
+    fan = catalog.d4_double_arrow()
+    seed, word = double_arrow_seed(fan)
+    assert word == MutationWord([]) and seed == Seed.initial(fan)
+    # A4 with a frozen end is not affine, but only unfrozen acyclic quivers are checked
+    a4 = NOT_AFFINE["a4"]
+    frozen = Quiver(a4.labels, a4.b, frozen=["3"])
+    with pytest.raises(SearchNotFound):
+        double_arrow_seed(frozen)
+
+
 @pytest.mark.parametrize("name", ["d4_star", "e6_affine", "e7_affine", "kronecker"])
 def test_integer_path_matches_laurent_theta(name):
     quiver = getattr(catalog, name)()
@@ -124,17 +149,14 @@ def test_integer_path_certifies_its_divisions(monkeypatch):
 
 
 def test_theta_matches_cc_character_in_initial_variables():
-    seed, (u, v), _ = double_arrow_seed(catalog.d4_star(), 1000)
-    assert theta(seed, u, v).laurent == cc_map(catalog.d4_m_lambda(2)).laurent
+    seed, _ = double_arrow_seed(catalog.d4_star(), 1000)
+    assert theta(seed).laurent == cc_map(catalog.d4_m_lambda(2)).laurent
 
 
 def test_theta_invariance_under_modular_generators():
     seed = Seed.initial(catalog.e_double_arrow(6))
-    words = [MutationWord([], gamma_permutation(6))]
-    for g in ("ta", "tb", "tc"):
-        word, (perm,) = _resolve(6, g)
-        words.append(MutationWord(word, perm))
-    assert theta_invariance(seed, words)
+    for g in GENERATORS:
+        assert theta(modular_generator(seed, g)) == theta(seed)
 
 
 def test_theta_invariance_empty_words():

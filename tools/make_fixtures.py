@@ -36,7 +36,7 @@ def goldens():
     f = generate([8, 2], depth=6)
     table = grassmannian_table(catalog.d4_m_lambda(2))
     character = cc_map(catalog.d4_m_lambda(2))
-    seed, (u, v), _ = double_arrow_seed(catalog.d4_star(), 1000)
+    seed, _ = double_arrow_seed(catalog.d4_star(), 1000)
     return {
         "frieze_8_2": {
             "quiddity": ["8", "2"],
@@ -46,7 +46,7 @@ def goldens():
         "grassmannian_table": table.to_json(),
         "cc_m_lambda": character.laurent.to_json(),
         "cc_m_lambda_at_ones": str(character.at_ones),
-        "theta_at_ones": str(theta(seed, u, v).integer),
+        "theta_at_ones": str(theta(seed).integer),
     }
 
 
