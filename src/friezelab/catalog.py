@@ -96,10 +96,7 @@ def e8_affine() -> Quiver:
 def d4_double_arrow() -> Quiver:
     """The unique double-arrow quiver in the affine D4 class:
     0 => 1 with three directed triangles 1 -> w -> 0."""
-    return _quiver_from_arrows(
-        ["0", "1", "a", "b", "c"],
-        [("0", "1"), ("0", "1"), ("1", "a"), ("a", "0"),
-         ("1", "b"), ("b", "0"), ("1", "c"), ("c", "0")])
+    return d_double_arrow(4)
 
 
 def d_double_arrow(rank: int) -> Quiver:
@@ -188,3 +185,28 @@ E6_TUBE_DIMENSION_VECTORS = (
     ((1, 1, 1, 0, 0, 1, 0), (1, 0, 0, 1, 0, 1, 1), (1, 1, 0, 1, 1, 0, 0)),
     ((1, 1, 0, 0, 0, 1, 1), (1, 1, 1, 1, 0, 0, 0), (1, 0, 0, 1, 1, 1, 0)),
 )
+
+
+def fixture_payloads() -> dict:
+    """{path under friezelab/fixtures: JSON payload} for every shipped fixture
+    file except d4/goldens.json, whose values are computed rather than stated."""
+    tubes = {"d4/tube%d.json" % i: {"reps": [rep.to_json() for rep in tube]}
+             for i, tube in enumerate(d4_tubes(), 1)}
+    return {
+        "d4/quiver.json": d4_star().to_json(),
+        "d4/m_lambda.json": d4_m_lambda(2).to_json(),
+        "d4/m_lambda0.json": d4_m_lambda(0).to_json(),
+        **tubes,
+        "d4/double_arrow.json": d4_double_arrow().to_json(),
+        "e6/quiver.json": e6_affine().to_json(),
+        "e6/double_arrow.json": e_double_arrow(6).to_json(),
+        "e6/quiddities.json": {"tubes": [[str(a) for a in q] for q in E6_TUBE_QUIDDITIES]},
+        "e6/tube_dimension_vectors.json":
+            {"tubes": [[list(v) for v in tube] for tube in E6_TUBE_DIMENSION_VECTORS]},
+        "e7/quiver.json": e7_affine().to_json(),
+        "e7/double_arrow.json": e_double_arrow(7).to_json(),
+        "e8/quiver.json": e8_affine().to_json(),
+        "e8/double_arrow.json": e_double_arrow(8).to_json(),
+        "kronecker/quiver.json": kronecker().to_json(),
+        "kronecker/regular.json": kronecker_regular().to_json(),
+    }

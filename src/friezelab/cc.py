@@ -56,14 +56,13 @@ def cc_map(rep: QuiverRep, primes: Sequence[int] = DEFAULT_PRIMES) -> CCValue:
     return CCValue(laurent, laurent.at_ones())
 
 
-def quiddity_from_tube(quiver, tube: Sequence[QuiverRep],
-                       primes: Sequence[int] = DEFAULT_PRIMES) -> Quiddity:
+def quiddity_from_tube(quiver, tube: Sequence[QuiverRep]) -> Quiddity:
     """Quiddity row of a tube: the all-ones characters of its quasi-simples,
     each the sum of the Euler characteristics of its quiver Grassmannians."""
     for rep in tube:
         if rep.quiver != quiver:
             raise ValueError("tube representations must live on the given quiver")
-    return Quiddity([grassmannian_table(rep, primes).chi_sum() for rep in tube])
+    return Quiddity([grassmannian_table(rep).chi_sum() for rep in tube])
 
 
 def homogeneous_growth(x1: int) -> Iterator[tuple[int, int]]:

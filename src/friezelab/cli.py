@@ -115,11 +115,9 @@ def describe_quiver(quiver: Quiver) -> str:
     return " ".join(parts)
 
 
-def render_frieze(pattern: FriezePattern, periods: int | None = None) -> str:
+def render_frieze(pattern: FriezePattern) -> str:
     """The staggered layout: 0's, 1's, then the computed rows."""
-    n = pattern.period
-    if periods is None:
-        periods = max(2, 6 // n + 1)
+    periods = max(2, 6 // pattern.period + 1)
     rows = {r: pattern.row(r) * periods for r in range(-1, pattern.depth + 1)}
     width = max(len(str(v)) for vals in rows.values() for v in vals) + 2
     if width % 2:
@@ -183,8 +181,6 @@ def cmd_mutate(args) -> int:
 
 def cmd_search(args) -> int:
     quiver = _load_quiver(args.quiver)
-    if args.find != "double-arrow":
-        raise argparse.ArgumentTypeError("unknown search target %r" % args.find)
     found, word = mutation_class_search(quiver, has_double_arrow, args.max_nodes)
     payload = {"quiver": found.to_json(),
                "word": [quiver.labels[k] for k in word.sequence]}
@@ -198,29 +194,29 @@ def cmd_search(args) -> int:
 
 
 def cmd_modular(args) -> int:
+    if not (args.word or args.check_relations):
+        raise argparse.ArgumentTypeError("give --word, --check-relations or both")
     seed = Seed.initial(_load_quiver(args.quiver))
     relations = check_relations(seed) if args.check_relations else None
-    lines = []
+    payload, lines = {}, []
     if args.word:
         names = [w.strip() for w in args.word.split(",") if w.strip()]
         for name in names:
             if name not in GENERATORS:
                 raise argparse.ArgumentTypeError("unknown generator %r" % name)
         moved = apply_generator_word(seed, names)
-        if args.json and relations is None:
-            _emit(_seed_json(moved))
-        elif not args.json:
-            lines.append("applied %s" % ",".join(names))
-            for label, var in zip(moved.quiver.labels, moved.vars):
-                lines.append("x[%s] = %s" % (label, var))
-    if relations is not None:
         if args.json:
-            _emit({"relations": relations})
+            payload = _seed_json(moved)
         else:
-            for k, v in relations.items():
-                lines.append("%s: %s" % (k, "ok" if v else "FAIL"))
-    for line in lines:
-        print(line)
+            lines.append("applied %s" % ",".join(names))
+            lines += ["x[%s] = %s" % pair for pair in zip(moved.quiver.labels, moved.vars)]
+    if relations is not None:
+        payload["relations"] = relations
+        lines += ["%s: %s" % (k, "ok" if v else "FAIL") for k, v in relations.items()]
+    if args.json:
+        _emit(payload)
+    else:
+        print("\n".join(lines))
     return 0 if relations is None or all(relations.values()) else 1
 
 
@@ -389,10 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grassmannian", help="subrepresentation counts and characteristics")
     p.add_argument("--rep", required=True)
-    p.add_argument("--dimvec", type=_dimvec, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--dimvec", type=_dimvec, default=None)
+    mode.add_argument("--table", action="store_true",
+                      help="tabulate all nonempty subrepresentation dimension vectors")
     p.add_argument("--primes", type=_primes, default=None)
-    p.add_argument("--table", action="store_true",
-                   help="tabulate all nonempty subrepresentation dimension vectors")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grassmannian)
 

@@ -66,4 +66,5 @@ class InadmissiblePrime(FriezelabError):
 
 
 class NonPolynomialCount(FriezelabError):
-    """Held-out prime disagrees with the interpolated counting polynomial."""
+    """No integer polynomial in the field size fits the point counts: a Newton
+    divided difference is not an integer, or the held-out prime disagrees."""

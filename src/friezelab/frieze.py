@@ -81,9 +81,6 @@ class FriezePattern:
         start = -2 - (r // 2) if r >= 0 else -2
         return [self.entry(start + t, start + t + r + 1) for t in range(self.period)]
 
-    def rows(self) -> list[list[int]]:
-        return [self.row(r) for r in range(1, self.depth + 1)]
-
     def __repr__(self) -> str:
         return "FriezePattern(quiddity=%s, depth=%d)" % (self.quiddity.entries, self.depth)
 

@@ -12,9 +12,13 @@ enumerated but counted by the Gaussian binomial [d_v - w, e_v - w]_p.  Given a
 set of allowed dimensions per vertex, the routine counts every allowed e at
 once, so one traversal per prime fills a whole table.  Vertex order, arrow
 tables mod p and subspace lists are kept on the QuiverRep per prime while it
-lives, so a QuiverRep is treated as immutable.  Euler characteristics are
-extracted by interpolating the count as a polynomial in the field size and
-evaluating at 1, with one held-out prime double-checking every interpolation.
+lives, so a QuiverRep is treated as immutable.  chi(Gr_e) is P(1) for the
+point-counting polynomial P in the field size, held in an integer Newton
+divided-difference table over the first sum_v e_v(d_v - e_v) + 1 admissible
+primes.  Newton basis polynomials are monic with integer coefficients, so P
+is integral exactly when every division in the table is exact.  A remainder
+raises NonPolynomialCount, and so does a count at the next admissible prime,
+held out, that differs from P there.
 """
 
 from __future__ import annotations
@@ -302,36 +306,12 @@ def _first_admissible(rep: QuiverRep, primes: Sequence[int]) -> int:
     raise InadmissiblePrime("no prime of %s is admissible for the fixture" % (tuple(primes),))
 
 
-def _interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """Lagrange interpolation; coefficients of the polynomial, low degree first."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            # multiply basis by (x - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] -= c * xj
-                nxt[d + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    return coeffs
-
-
 def counting_degree_bound(rep: QuiverRep, e: Sequence[int]) -> int:
     return sum(x * (d - x) for x, d in zip(e, rep.dims))
 
 
 def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -> int:
-    """Interpolate count(p) at the first bound + 1 admissible primes and
-    evaluate at 1; the next admissible prime is held out and must agree."""
+    """chi(Gr_e) from count(p), its number of points over F_p (module docstring)."""
     for i, p in enumerate(primes):
         if p in primes[:i]:
             raise ValueError("prime %d is repeated" % p)
@@ -340,19 +320,23 @@ def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -
     if len(admissible) < bound + 2:
         raise ValueError("need at least %d admissible primes, got %d"
                          % (bound + 2, len(admissible)))
-    sample = admissible[:bound + 1]
-    held_out = admissible[bound + 1]
-    points = [(p, count(p)) for p in sample]
-    coeffs = _interpolate(points)
-    if any(c.denominator != 1 for c in coeffs):
-        raise NonPolynomialCount("interpolated counting polynomial for e=%s is not integral" % (e,))
-    predicted = sum(int(c) * held_out ** d for d, c in enumerate(coeffs))
-    actual = count(held_out)
-    if predicted != actual:
+    sample, held_out = admissible[:bound + 1], admissible[bound + 1]
+    table = [count(p) for p in sample]  # becomes the divided differences in place
+    for k in range(1, len(sample)):
+        for i in range(len(sample) - 1, k - 1, -1):
+            table[i], rest = divmod(table[i] - table[i - 1], sample[i] - sample[i - k])
+            if rest:
+                raise NonPolynomialCount(
+                    "interpolated counting polynomial for e=%s is not integral" % (e,))
+    predicted = chi = 0  # Horner on the Newton form, at the held-out prime and at 1
+    for c, node in zip(reversed(table), reversed(sample)):
+        predicted = predicted * (held_out - node) + c
+        chi = chi * (1 - node) + c
+    if predicted != (actual := count(held_out)):
         raise NonPolynomialCount(
             "held-out prime %d disagrees for e=%s: predicted %d, counted %d"
             % (held_out, e, predicted, actual))
-    return sum(int(c) for c in coeffs)
+    return chi
 
 
 @dataclass(frozen=True)

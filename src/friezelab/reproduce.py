@@ -165,30 +165,9 @@ def check_chebyshev_identity() -> None:
 
 
 def check_fixtures_integrity() -> None:
-    pairs = [
-        ("d4/quiver.json", catalog.d4_star().to_json()),
-        ("d4/m_lambda.json", catalog.d4_m_lambda(2).to_json()),
-        ("d4/m_lambda0.json", catalog.d4_m_lambda(0).to_json()),
-        ("d4/double_arrow.json", catalog.d4_double_arrow().to_json()),
-        ("e6/quiver.json", catalog.e6_affine().to_json()),
-        ("e6/double_arrow.json", catalog.e_double_arrow(6).to_json()),
-        ("e7/quiver.json", catalog.e7_affine().to_json()),
-        ("e7/double_arrow.json", catalog.e_double_arrow(7).to_json()),
-        ("e8/quiver.json", catalog.e8_affine().to_json()),
-        ("e8/double_arrow.json", catalog.e_double_arrow(8).to_json()),
-        ("kronecker/quiver.json", catalog.kronecker().to_json()),
-        ("kronecker/regular.json", catalog.kronecker_regular().to_json()),
-    ]
-    for i, tube in enumerate(catalog.d4_tubes(), 1):
-        pairs.append(("d4/tube%d.json" % i, {"reps": [r.to_json() for r in tube]}))
-    pairs.append(("e6/quiddities.json",
-                  {"tubes": [[str(a) for a in q] for q in catalog.E6_TUBE_QUIDDITIES]}))
-    pairs.append(("e6/tube_dimension_vectors.json",
-                  {"tubes": [[list(v) for v in tube]
-                             for tube in catalog.E6_TUBE_DIMENSION_VECTORS]}))
-    for relative, expected in pairs:
-        found = fixtures.load_json(relative)
-        _expect(found == expected, "fixture %s differs from the catalog" % relative)
+    for relative, expected in catalog.fixture_payloads().items():
+        _expect(fixtures.load_json(relative) == expected,
+                "fixture %s differs from the catalog" % relative)
     golden = fixtures.load_json("d4/goldens.json")
     _expect(golden["theta_at_ones"] == "14", "golden theta value corrupted")
     f = generate([8, 2], depth=6)

@@ -217,6 +217,22 @@ def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
     assert payload["error"]["message"] == "need at least 2 admissible primes, got 1"
 
 
+def test_grassmannian_dimvec_at_unsorted_primes(capsys):
+    code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
+                             "--dimvec", "1,1,1,0,0", "--primes", "7,3,11,5")
+    assert code == 0 and payload["chi"] == "2"
+    assert payload["counts"] == {str(p): str(p + 1) for p in (7, 3, 11, 5)}  # points of P^1
+
+
+@pytest.mark.parametrize("mode, message", [
+    ([], "one of the arguments --dimvec --table is required"),
+    (["--table", "--dimvec", "1,1,1,0,0"], "not allowed with argument"),
+])
+def test_grassmannian_takes_exactly_one_mode(capsys, mode, message):
+    error = usage_error(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"), *mode)
+    assert message in error["message"]
+
+
 def test_cc_at_ones(capsys):
     code, out = run(capsys, "cc", "--rep", fixture("d4/m_lambda.json"), "--at-ones")
     assert code == 0 and out.strip() == "14"
@@ -275,6 +291,24 @@ def test_modular_check_relations(capsys):
                              "--check-relations")
     assert code == 0
     assert all(payload["relations"].values())
+
+
+def test_modular_json_is_one_object_with_seed_and_relations(capsys):
+    quiver = fixture("e6/double_arrow.json")
+    code, both = run_json(capsys, "modular", "--quiver", quiver, "--word", "ta",
+                          "--check-relations")
+    assert code == 0
+    _, moved = run_json(capsys, "modular", "--quiver", quiver, "--word", "ta")
+    _, checked = run_json(capsys, "modular", "--quiver", quiver, "--check-relations")
+    assert both == {**moved, **checked} and set(both) == {"quiver", "vars", "relations"}
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_modular_needs_word_or_relations(capsys, mode):
+    code, out = run(capsys, "modular", "--quiver", fixture("e6/double_arrow.json"), *mode)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {"type": "UsageError", "message": "give --word, --check-relations or both"}
 
 
 def test_modular_unknown_generator_is_usage_error(capsys):

@@ -384,6 +384,30 @@ def test_non_polynomial_count_detected():
         _chi(M, (1, 1, 1, 0, 0), (3, 5, 13), tampered)
 
 
+def test_non_integral_count_detected():
+    from friezelab.errors import NonPolynomialCount
+
+    M = catalog.d4_m_lambda(2)
+    counts = {3: 0, 5: 1, 7: 2}  # the line through (3, 0) and (5, 1) has slope 1/2
+    with pytest.raises(NonPolynomialCount, match="not integral"):
+        _certified_chi(M, (1, 1, 1, 0, 0), (3, 5, 7), counts.__getitem__)
+
+
+def test_certified_chi_of_integer_polynomials_at_shuffled_primes():
+    # only the dimensions enter: e = (1, 2) has degree bound 2 + 4 = 6
+    M = QuiverRep(catalog.kronecker(), (3, 4), [[[0] * 3] * 4] * 2)
+    rng = random.Random(21)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    for _ in range(200):
+        e = (rng.randint(0, 3), rng.randint(0, 4))
+        degree = rng.randint(0, counting_degree_bound(M, e))
+        coeffs = [rng.randint(-100, 100) for _ in range(degree + 1)]
+        rng.shuffle(primes)
+        chi = _certified_chi(M, e, primes,
+                             lambda p: sum(c * p ** d for d, c in enumerate(coeffs)))
+        assert chi == sum(coeffs)
+
+
 def test_degree_bound_requires_enough_primes():
     M = catalog.d4_m_lambda(2)
     assert counting_degree_bound(M, (1, 1, 1, 0, 0)) == 1

@@ -28,10 +28,6 @@ def dump(relative: str, payload) -> None:
     print("wrote", path.relative_to(ROOT.parent.parent.parent))
 
 
-def tube_json(tube):
-    return {"reps": [rep.to_json() for rep in tube]}
-
-
 def goldens():
     f = generate([8, 2], depth=6)
     table = grassmannian_table(catalog.d4_m_lambda(2))
@@ -51,28 +47,9 @@ def goldens():
 
 
 def main() -> None:
-    dump("d4/quiver.json", catalog.d4_star().to_json())
-    dump("d4/m_lambda.json", catalog.d4_m_lambda(2).to_json())
-    dump("d4/m_lambda0.json", catalog.d4_m_lambda(0).to_json())
-    for i, tube in enumerate(catalog.d4_tubes(), 1):
-        dump("d4/tube%d.json" % i, tube_json(tube))
+    for relative, payload in catalog.fixture_payloads().items():
+        dump(relative, payload)
     dump("d4/goldens.json", goldens())
-    dump("d4/double_arrow.json", catalog.d4_double_arrow().to_json())
-
-    dump("e6/quiver.json", catalog.e6_affine().to_json())
-    dump("e6/double_arrow.json", catalog.e_double_arrow(6).to_json())
-    dump("e6/quiddities.json",
-         {"tubes": [[str(a) for a in q] for q in catalog.E6_TUBE_QUIDDITIES]})
-    dump("e6/tube_dimension_vectors.json",
-         {"tubes": [[list(v) for v in tube]
-                    for tube in catalog.E6_TUBE_DIMENSION_VECTORS]})
-    dump("e7/quiver.json", catalog.e7_affine().to_json())
-    dump("e7/double_arrow.json", catalog.e_double_arrow(7).to_json())
-    dump("e8/quiver.json", catalog.e8_affine().to_json())
-    dump("e8/double_arrow.json", catalog.e_double_arrow(8).to_json())
-
-    dump("kronecker/quiver.json", catalog.kronecker().to_json())
-    dump("kronecker/regular.json", catalog.kronecker_regular().to_json())
 
 
 if __name__ == "__main__":
