@@ -19,9 +19,16 @@ leaf's vertex order is the canonical order.  Two vertices with equal rows
 are twins: swapping them is an automorphism that fixes the rest of the
 search node, so only the first of them is individualized.  The work is
 exponential only in the symmetry that refinement cannot break and that
-twins do not cover.  The mutation-class search keys each edge of the class
-graph once: every class keeps its representative's canonical order and the
-vertices whose mutation leads back to a visited class.
+twins do not cover.
+
+The mutation-class search computes a canonical form for a child only when
+no known relation places it.  Every class keeps its representative's
+canonical order, the vertices whose mutation leads back to a visited class,
+and for each child it reached the child's class and an isomorphism onto
+that class's representative.  Mutations at vertices with no arrow between
+them commute, so a child of a child can often be read off two such records
+(a commuting square).  A record only ever names a visited class, so a
+shortcut never hides a new class, and a missing record costs one form.
 """
 
 from __future__ import annotations
@@ -334,46 +341,91 @@ def mutation_class_search(start: Quiver,
     canonical quivers have been visited.  Frozen vertices are never mutated,
     and the canonical form never maps one to a mutable vertex.
 
-    Each edge of the class graph costs at most one canonical form.  A child
-    mu_k(Q) in a visited class R adds to R's skip set the vertex r that the
-    two canonical orders match with k, since mu_r(R) is isomorphic to Q; a
-    new child's skip set is {k}.  Of mutable vertices with equal rows
-    (twins, whose children are isomorphic) only the first is mutated.  Only
-    children that would be found visited are skipped, so words, arrived
-    quivers and visited counts are those of keying every child.
+    A child mu_k(Q) in a visited class R adds to R's skip set the vertex r
+    that an isomorphism from the child to R's representative sends k to,
+    since mu_r(R) is isomorphic to Q; a new child's skip set is {k}.  Of
+    mutable vertices with equal rows (twins, whose children are isomorphic)
+    only the first is mutated.
+
+    Each class records, for every child it reaches, the child's class and
+    an isomorphism psi from the child to that class's representative.  When
+    Q' = mu_l(Q) is expanded at k with B[k][l] == 0, mutations at k and l
+    commute: mu_k(Q') is mu_l(mu_k(Q)).  If Q's record for k is (N, psi) and
+    N's record for psi(l) is (R, chi), then chi o psi maps mu_k(Q') onto R's
+    representative, and no canonical form is computed.  A missing record
+    only costs the form.  Classes with records all lie in the visited set,
+    so every shortcut and skip drops only children that would be found
+    visited: words, arrived quivers and visited counts are those of keying
+    every child.  BFS levels are distances in the class graph, so N lies at
+    most two levels above Q'; records further up are dropped.
     """
     if predicate(start):
         return start, MutationWord([])
+    m = start.m
+    # isomorphisms are vertex maps, packed as bytes while vertex indices fit
+    pack = bytes if m <= 256 else tuple
+    identity = pack(range(m))
     key, order = start._canonical_form()
-    # canonical key -> [canonical order of its representative, skip bitmask]
-    visited = {key: [order, 0]}
-    queue = deque([(start, (), visited[key])])
+    # a class is an id into these lists: its representative's canonical
+    # order, its skip bitmask, and per vertex (child class, isomorphism)
+    visited = {key: 0}
+    orders = [order]
+    skips = [0]
+    records: list[list | None] = [[None] * m]
+    level_starts = [0]  # first class id of each BFS level
+    dropped = 0
+    queue = deque([(start, (), 0, None, None)])
     while queue:
-        quiver, word, entry = queue.popleft()
+        quiver, word, c, parent, l = queue.popleft()
+        level = len(word)
+        while level > 2 and dropped < level_starts[level - 2]:
+            records[dropped] = None
+            dropped += 1
+        record = records[c]
+        above = records[parent] if parent is not None else None
         rows = set()
-        for k in range(quiver.m):
+        for k in range(m):
             row = quiver.b[k]
             if quiver.labels[k] in quiver.frozen or row in rows:
                 continue
             rows.add(row)
-            if entry[1] >> k & 1:
+            if skips[c] >> k & 1:
                 continue
+            if above is not None and not row[l] and above[k] is not None:
+                n, psi = above[k]
+                square = records[n][psi[l]]
+                if square is not None:
+                    r, chi = square
+                    iso = pack(map(chi.__getitem__, psi))
+                    skips[r] |= 1 << iso[k]
+                    record[k] = (r, iso)
+                    continue
             nxt = quiver.mutate(k)
             key, order = nxt._canonical_form()
             seen = visited.get(key)
             if seen is not None:
-                seen[1] |= 1 << seen[0][order.index(k)]
+                # vertex order[i] of the child is vertex orders[seen][i] there
+                iso = pack(v for _, v in sorted(zip(order, orders[seen])))
+                skips[seen] |= 1 << iso[k]
+                record[k] = (seen, iso)
                 continue
             if predicate(nxt):
                 return nxt, MutationWord(word + (k,))
-            visited[key] = [order, 1 << k]
+            new = len(orders)
+            visited[key] = new
             if len(visited) >= max_nodes:
                 raise SearchNotFound("no quiver matching the predicate within %d canonical quivers"
                                      % max_nodes)
-            queue.append((nxt, word + (k,), visited[key]))
+            orders.append(order)
+            skips.append(1 << k)
+            records.append([None] * m)
+            record[k] = (new, identity)
+            if len(level_starts) == level + 1:
+                level_starts.append(new)
+            queue.append((nxt, word + (k,), new, c, k))
     raise SearchNotFound("mutation class exhausted (%d canonical quivers) without a match"
                          % len(visited))
 
 
 def has_double_arrow(q: Quiver) -> bool:
-    return bool(q.double_arrows())
+    return any(2 in row for row in q.b)

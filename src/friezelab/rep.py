@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import le, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InadmissiblePrime, NonPolynomialCount, NotAffine, integer
@@ -292,11 +292,15 @@ def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
 def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
     """Number of subrepresentations of dimension vector e over F_p."""
     e = tuple(int(x) for x in e)
-    if len(e) != rep.quiver.m:
-        raise ValueError("dimension vector length mismatch")
-    if any(x < 0 or x > d for x, d in zip(e, rep.dims)):
-        raise ValueError("dimension vector %s exceeds dims %s" % (e, rep.dims))
+    _check_dimvector(rep, e)
     return _count_by_dimvector(rep, [(x,) for x in e], p).get(e, 0)
+
+
+def _check_dimvector(rep: QuiverRep, e: DimVector) -> None:
+    if len(e) != len(rep.dims):
+        raise ValueError("dimension vector length mismatch")
+    if min(e, default=0) < 0 or not all(map(le, e, rep.dims)):
+        raise ValueError("dimension vector %s exceeds dims %s" % (e, rep.dims))
 
 
 def _first_admissible(rep: QuiverRep, primes: Sequence[int]) -> int:
@@ -312,6 +316,7 @@ def counting_degree_bound(rep: QuiverRep, e: Sequence[int]) -> int:
 
 def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -> int:
     """chi(Gr_e) from count(p), its number of points over F_p (module docstring)."""
+    _check_dimvector(rep, e)
     for i, p in enumerate(primes):
         if p in primes[:i]:
             raise ValueError("prime %d is repeated" % p)

@@ -211,10 +211,24 @@ def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
     assert code == 0 and payload["chi"] == "2"
     assert sorted(traversed) == [3, 5, 7, 11, 13, 17, 19]
     # the prime supply is checked before any count
+    traversed.clear()
     code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
-                             "--dimvec", "1,1", "--primes", "3")
+                             "--dimvec", "1,1,1,0,0", "--primes", "3")
+    assert code == 1 and not traversed
+    assert payload["error"]["message"] == "need at least 3 admissible primes, got 1"
+
+
+@pytest.mark.parametrize("dimvec, message", [
+    ("1,1,3,0,0", "dimension vector (1, 1, 3, 0, 0) exceeds dims (1, 1, 2, 1, 1)"),
+    ("1,1", "dimension vector length mismatch"),
+])
+def test_grassmannian_dimvec_is_checked_before_the_primes(capsys, dimvec, message):
+    # a bad e would otherwise give a degree bound that depends on --primes:
+    # a negative one, or one that asks for too few primes
+    code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
+                             "--dimvec", dimvec, "--primes", "3")
     assert code == 1
-    assert payload["error"]["message"] == "need at least 2 admissible primes, got 1"
+    assert payload["error"] == {"type": "ValueError", "message": message}
 
 
 def test_grassmannian_dimvec_at_unsorted_primes(capsys):
