@@ -3,8 +3,8 @@ mutation, quiver Grassmannian counting, and cluster characters."""
 
 from .cc import CCValue, cc_map, growth_via_homogeneous, quiddity_from_tube
 from .chebyshev import chebyshev_S, chebyshev_T
-from .errors import (AmbiguousPermutation, CrossCheckFailed, ExponentOutOfRange,
-                     FriezelabError, InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
+from .errors import (CrossCheckFailed, ExponentOutOfRange, FriezelabError,
+                     InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
                      NoRestoringPermutation, NonPolynomialCount, NotAffine,
                      NotDivisible, NonPositiveEntry, SearchNotFound,
                      UnsupportedQuiver)
@@ -22,7 +22,7 @@ from .theta import (ThetaValue, double_arrow_seed,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousPermutation", "CCValue", "CrossCheckFailed", "DEFAULT_PRIMES",
+    "CCValue", "CrossCheckFailed", "DEFAULT_PRIMES",
     "ExponentOutOfRange", "FriezePattern", "FriezelabError", "GrassmannianTable",
     "InadmissiblePrime", "InvalidFrieze", "LaurentPoly",
     "MissingDoubleArrow", "MutationWord", "NoRestoringPermutation",

@@ -82,10 +82,6 @@ def _load_rep(path: str) -> QuiverRep:
     return _load(path, QuiverRep.from_json)
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
 def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": {"type": kind, "message": message}}))
 
@@ -131,11 +127,26 @@ def render_frieze(pattern: FriezePattern) -> str:
 
 # -- subcommand handlers -------------------------------------------------------
 
+# A handler returns its exit status, its --json payload and its text lines;
+# main prints the payload under --json and the lines otherwise.
+Report = tuple[int, dict | None, list[str] | None]
 
-def _frieze_report(args, quiddity: Quiddity, header: bool) -> int:
+
+def _vertices(quiver: Quiver, text: str) -> list[int]:
+    """The vertex indices of comma-separated labels; an unknown label is a
+    usage error that names it."""
+    labels = [label for label in text.split(",") if label != ""]
+    for label in labels:
+        if label not in quiver.labels:
+            raise argparse.ArgumentTypeError("unknown vertex label %r" % label)
+    return [quiver.index(label) for label in labels]
+
+
+def _frieze_report(args, quiddity: Quiddity, header: bool) -> Report:
     """The frieze of a quiddity row down to --depth (default 3n+1) and its
     growth coefficients s_1..s_K for K = --growth; the text report starts
-    with the quiddity row when header is set."""
+    with the quiddity row when header is set.  Only the output of the
+    requested mode is built, since a deep frieze is large in either."""
     depth = args.depth if args.depth is not None else 3 * len(quiddity) + 1
     pattern = generate(quiddity, depth)
     growth_report = {str(k): str(growth(pattern, k)) for k in range(1, args.growth + 1)}
@@ -144,56 +155,41 @@ def _frieze_report(args, quiddity: Quiddity, header: bool) -> int:
                    "rows": [[str(x) for x in pattern.row(r)] for r in range(1, depth + 1)]}
         if growth_report:
             payload["growth"] = growth_report
-        _emit(payload)
-    else:
-        if header:
-            print("quiddity:", ",".join(str(a) for a in quiddity))
-        print(render_frieze(pattern))
-        for k, value in growth_report.items():
-            print("s_%s = %s" % (k, value))
-    return 0
+        return 0, payload, None
+    lines = ["quiddity: " + ",".join(str(a) for a in quiddity)] if header else []
+    lines.append(render_frieze(pattern))
+    lines += ["s_%s = %s" % item for item in growth_report.items()]
+    return 0, None, lines
 
 
-def cmd_frieze(args) -> int:
+def cmd_frieze(args) -> Report:
     return _frieze_report(args, args.quiddity, header=False)
 
 
-def cmd_mutate(args) -> int:
+def cmd_mutate(args) -> Report:
     quiver = _load_quiver(args.quiver)
-    word = [quiver.index(l) for l in args.word.split(",") if l != ""]
+    word = _vertices(quiver, args.word)
     if args.seed:
         seed = Seed.initial(quiver).mutate_word(word)
-        if args.json:
-            _emit(_seed_json(seed))
-        else:
-            print("quiver:", describe_quiver(seed.quiver))
-            for label, var in zip(seed.quiver.labels, seed.vars):
-                print("x[%s] = %s" % (label, var))
-    else:
-        mutated = quiver.mutate_word(word)
-        if args.json:
-            _emit(mutated.to_json())
-        else:
-            print("quiver:", describe_quiver(mutated))
-            print(json.dumps(mutated.to_json(), sort_keys=True))
-    return 0
+        lines = ["x[%s] = %s" % pair for pair in zip(seed.quiver.labels, seed.vars)]
+        return 0, _seed_json(seed), ["quiver: " + describe_quiver(seed.quiver)] + lines
+    mutated = quiver.mutate_word(word)
+    payload = mutated.to_json()
+    return 0, payload, ["quiver: " + describe_quiver(mutated),
+                        json.dumps(payload, sort_keys=True)]
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> Report:
     quiver = _load_quiver(args.quiver)
     found, word = mutation_class_search(quiver, has_double_arrow, args.max_nodes)
     payload = {"quiver": found.to_json(),
                "word": [quiver.labels[k] for k in word.sequence]}
-    if args.json:
-        _emit(payload)
-    else:
-        print("word:", ",".join(payload["word"]) or "(empty)")
-        print("quiver:", describe_quiver(found))
-        print(json.dumps(found.to_json(), sort_keys=True))
-    return 0
+    return 0, payload, ["word: " + (",".join(payload["word"]) or "(empty)"),
+                        "quiver: " + describe_quiver(found),
+                        json.dumps(payload["quiver"], sort_keys=True)]
 
 
-def cmd_modular(args) -> int:
+def cmd_modular(args) -> Report:
     if not (args.word or args.check_relations):
         raise argparse.ArgumentTypeError("give --word, --check-relations or both")
     seed = Seed.initial(_load_quiver(args.quiver))
@@ -205,56 +201,41 @@ def cmd_modular(args) -> int:
             if name not in GENERATORS:
                 raise argparse.ArgumentTypeError("unknown generator %r" % name)
         moved = apply_generator_word(seed, names)
-        if args.json:
-            payload = _seed_json(moved)
-        else:
-            lines.append("applied %s" % ",".join(names))
-            lines += ["x[%s] = %s" % pair for pair in zip(moved.quiver.labels, moved.vars)]
-    if relations is not None:
-        payload["relations"] = relations
-        lines += ["%s: %s" % (k, "ok" if v else "FAIL") for k, v in relations.items()]
-    if args.json:
-        _emit(payload)
-    else:
-        print("\n".join(lines))
-    return 0 if relations is None or all(relations.values()) else 1
+        payload = _seed_json(moved)
+        lines.append("applied %s" % ",".join(names))
+        lines += ["x[%s] = %s" % pair for pair in zip(moved.quiver.labels, moved.vars)]
+    if relations is None:
+        return 0, payload, lines
+    payload["relations"] = relations
+    lines += ["%s: %s" % (k, "ok" if v else "FAIL") for k, v in relations.items()]
+    return 0 if all(relations.values()) else 1, payload, lines
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args) -> Report:
     quiver = _load_quiver(args.quiver)
     if args.at_ones and not args.json and not args.invariance_words:
-        print(growth_from_affine_quiver(quiver, args.max_nodes))
-        return 0
+        return 0, None, [str(growth_from_affine_quiver(quiver, args.max_nodes))]
+    words = [_vertices(quiver, chunk.strip())
+             for chunk in args.invariance_words.split(";") if chunk.strip()]
     seed, found = double_arrow_seed(quiver, args.max_nodes)
     word = [quiver.labels[k] for k in found.sequence]
     value = theta(seed)
-    invariance = None
-    if args.invariance_words:
-        words = []
-        for chunk in args.invariance_words.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                words.append([seed.quiver.index(l) for l in chunk.split(",")])
-        invariance = theta_invariance(seed, words)
-    if args.at_ones and not args.json:
-        print(value.integer)
-    elif args.json:
-        payload = {"laurent": value.laurent.to_json(), "at_ones": str(value.integer),
-                   "word": word}
-        if invariance is not None:
-            payload["invariant"] = invariance
-        _emit(payload)
+    payload = {"laurent": value.laurent.to_json(), "at_ones": str(value.integer), "word": word}
+    if args.at_ones:
+        lines = [str(value.integer)]
     else:
-        print("theta =", value.laurent)
-        print("theta(1,...,1) =", value.integer)
+        lines = ["theta = %s" % value.laurent, "theta(1,...,1) = %s" % value.integer]
         if word:
-            print("via word:", ",".join(word))
-    if invariance is not None and not args.json and not args.at_ones:
-        print("invariant under given words:", invariance)
-    return 0 if invariance in (None, True) else 1
+            lines.append("via word: " + ",".join(word))
+    if not args.invariance_words:
+        return 0, payload, lines
+    payload["invariant"] = invariant = theta_invariance(seed, words)
+    if not args.at_ones:
+        lines.append("invariant under given words: %s" % invariant)
+    return 0 if invariant else 1, payload, lines
 
 
-def cmd_grassmannian(args) -> int:
+def cmd_grassmannian(args) -> Report:
     rep = _load_rep(args.rep)
     primes = args.primes or DEFAULT_PRIMES
     if args.dimvec is not None:
@@ -262,77 +243,53 @@ def cmd_grassmannian(args) -> int:
         chi = _certified_chi(rep, args.dimvec, primes, count)
         counts = {str(p): str(count(p)) for p in primes if rep.admissible(p)}
         payload = {"e": list(args.dimvec), "chi": str(chi), "counts": counts}
-        if args.json:
-            _emit(payload)
-        else:
-            print("chi(Gr_e) =", chi)
-            for p, c in counts.items():
-                print("  points over F_%s: %s" % (p, c))
-        return 0
+        return 0, payload, (["chi(Gr_e) = %s" % chi]
+                            + ["  points over F_%s: %s" % item for item in counts.items()])
     table = grassmannian_table(rep, primes)
-    if args.json:
-        _emit({"table": table.to_json(), "sum": str(table.chi_sum())})
-    else:
-        for e, chi in table:
-            print("%s  chi=%d" % (e, chi))
-        print("sum of chi:", table.chi_sum())
-    return 0
+    total = table.chi_sum()
+    return 0, {"table": table.to_json(), "sum": str(total)}, (
+        ["%s  chi=%d" % row for row in table] + ["sum of chi: %s" % total])
 
 
-def cmd_cc(args) -> int:
-    rep = _load_rep(args.rep)
-    value = cc_map(rep, args.primes or DEFAULT_PRIMES)
-    if args.at_ones and not args.json:
-        print(value.at_ones)
-    elif args.json:
-        _emit({"laurent": value.laurent.to_json(), "at_ones": str(value.at_ones)})
-    else:
-        print("X =", value.laurent)
-        print("X(1,...,1) =", value.at_ones)
-    return 0
+def cmd_cc(args) -> Report:
+    value = cc_map(_load_rep(args.rep), args.primes or DEFAULT_PRIMES)
+    payload = {"laurent": value.laurent.to_json(), "at_ones": str(value.at_ones)}
+    if args.at_ones:
+        return 0, payload, [str(value.at_ones)]
+    return 0, payload, ["X = %s" % value.laurent, "X(1,...,1) = %s" % value.at_ones]
 
 
-def cmd_tube_frieze(args) -> int:
+def cmd_tube_frieze(args) -> Report:
     quiver = _load_quiver(args.quiver)
     tube = _load(args.tube, lambda data: [QuiverRep.from_json(r) for r in data["reps"]])
     return _frieze_report(args, quiddity_from_tube(quiver, tube), header=True)
 
 
-def cmd_growth_identity(args) -> int:
+def cmd_growth_identity(args) -> Report:
     rows = list(islice(homogeneous_growth(args.x1), args.k + 1))
     report = {
         "x1": str(args.x1),
         "u": [str(u) for u, _ in rows],
         "s": {str(k): str(s) for k, (_, s) in enumerate(rows) if k},
     }
-    if args.json:
-        _emit(report)
-    else:
-        print("u_0..u_%d:" % args.k, ", ".join(report["u"]))
-        for k, v in report["s"].items():
-            print("s_%s = %s" % (k, v))
-    return 0
+    return 0, report, (["u_0..u_%d: %s" % (args.k, ", ".join(report["u"]))]
+                       + ["s_%s = %s" % item for item in report["s"].items()])
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> Report:
     results = run_checks(args.only)
     if not results:
         raise FriezelabError("no checks match prefix %r" % args.only)
     failed = [r for r in results if not r.ok]
-    if args.json:
-        _emit({"checks": [{"name": r.name, "ok": r.ok, "message": r.message}
+    payload = {"checks": [{"name": r.name, "ok": r.ok, "message": r.message}
                           for r in results],
                "passed": len(results) - len(failed),
-               "failed": len(failed)})
-    else:
-        width = max(len(r.name) for r in results)
-        for r in results:
-            line = "%-*s  %s" % (width, r.name, "ok" if r.ok else "FAIL")
-            if not r.ok:
-                line += "  (%s)" % r.message
-            print(line)
-        print("%d passed, %d failed" % (len(results) - len(failed), len(failed)))
-    return 1 if failed else 0
+               "failed": len(failed)}
+    width = max(len(r.name) for r in results)
+    lines = ["%-*s  %s" % (width, r.name, "ok" if r.ok else "FAIL  (%s)" % r.message)
+             for r in results]
+    lines.append("%d passed, %d failed" % (payload["passed"], payload["failed"]))
+    return 1 if failed else 0, payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,21 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows below the row of 1's (default 3n+1)")
     p.add_argument("--growth", type=_positive_int, default=0,
                    help="also report growth coefficients s_1..s_K")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_frieze)
 
     p = sub.add_parser("mutate", help="mutate a quiver (or seed) along a word")
     p.add_argument("--quiver", required=True)
     p.add_argument("--word", required=True, help="comma-separated vertex labels")
     p.add_argument("--seed", action="store_true", help="track cluster variables")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("search", help="breadth-first search of the mutation class")
     p.add_argument("--quiver", required=True)
-    p.add_argument("--find", default="double-arrow", choices=["double-arrow"])
     p.add_argument("--max-nodes", type=_positive_int, default=50_000)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("modular", help="apply cluster modular group generators")
@@ -371,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a double-arrow base quiver of affine type E")
     p.add_argument("--word", default="", help="comma-separated generators, e.g. ta,ta")
     p.add_argument("--check-relations", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_modular)
 
     p = sub.add_parser("theta", help="growth element of an affine quiver")
@@ -380,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariance-words", default="",
                    help="semicolon-separated label words to test invariance against")
     p.add_argument("--max-nodes", type=_positive_int, default=50_000)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("grassmannian", help="subrepresentation counts and characteristics")
@@ -390,14 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--table", action="store_true",
                       help="tabulate all nonempty subrepresentation dimension vectors")
     p.add_argument("--primes", type=_primes, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grassmannian)
 
     p = sub.add_parser("cc", help="cluster character of a representation")
     p.add_argument("--rep", required=True)
     p.add_argument("--primes", type=_primes, default=None)
     p.add_argument("--at-ones", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cc)
 
     p = sub.add_parser("tube-frieze", help="frieze pattern of a tube of quasi-simples")
@@ -405,21 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tube", required=True, help="JSON file with a reps list")
     p.add_argument("--depth", type=_positive_int, default=None)
     p.add_argument("--growth", type=_positive_int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tube_frieze)
 
     p = sub.add_parser("growth-identity", help="growth coefficients from homogeneous data")
     p.add_argument("--x1", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_growth_identity)
 
     p = sub.add_parser("reproduce-paper",
                        help="re-run the built-in verification suite of worked examples")
     p.add_argument("--only", default=None, help="run only checks with this name prefix")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reproduce)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -431,7 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        status = args.func(args)
+        status, payload, lines = args.func(args)
+        print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
         sys.stdout.flush()  # a reader that closed early shows up here, not at exit
         return status
     except BrokenPipeError:

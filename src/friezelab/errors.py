@@ -30,7 +30,8 @@ class NonPositiveEntry(FriezelabError):
 
 
 class InvalidFrieze(FriezelabError):
-    """Growth-coefficient structure violated (i-dependence or s1 < 2)."""
+    """A computed pattern is not a frieze: a diamond bc - ad = 1 fails, or
+    the growth difference depends on the diagonal."""
 
 
 class CrossCheckFailed(FriezelabError):
@@ -50,11 +51,8 @@ class SearchNotFound(FriezelabError):
 
 
 class NoRestoringPermutation(FriezelabError):
-    """No vertex permutation returns a mutated quiver to its base labeling."""
-
-
-class AmbiguousPermutation(FriezelabError):
-    """Several restoring permutations exist and disagree on the variables."""
+    """No single vertex permutation returns a mutated quiver to its base
+    labeling."""
 
 
 class NotAffine(FriezelabError):

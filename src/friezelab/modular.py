@@ -11,9 +11,9 @@ returns the quiver to its base labeling:
 
 The word is applied leftmost factor first: under that convention every
 generator of E6, E7 and E8 returns the base quiver to a relabeling of
-itself.  When several restoring permutations exist, the one fixing every
-vertex outside the word is preferred; if that does not single one out, the
-candidates must agree on the variables or AmbiguousPermutation is raised.
+itself.  The restoring permutation is the one that fixes every vertex
+outside the word; for each generator of E6, E7 and E8 exactly one does, and
+NoRestoringPermutation is raised if none or several do.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 
 from .catalog import e_double_arrow
-from .errors import AmbiguousPermutation, NoRestoringPermutation, UnsupportedQuiver
+from .errors import NoRestoringPermutation, UnsupportedQuiver
 from .quivers import Quiver
 from .seeds import Seed
 
@@ -62,20 +62,20 @@ def gamma_permutation(n: int = 6) -> tuple[int, ...]:
 
 
 @functools.cache
-def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Determine the mutation sequence and the restoring permutations of a
-    generator, on the quiver level only."""
+def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The mutation sequence of a generator and its restoring permutation,
+    found on the quiver level only."""
     base = e_double_arrow(n)
     labels = generator_labels(n, generator)
     word = tuple(base.index(l) for l in labels)
-    isos = base.mutate_word(word).isomorphisms_to(base)
-    if not isos:
-        raise NoRestoringPermutation(
-            "word %s returns to no relabeling of the base quiver" % labels)
     touched = set(word)
-    fixing = [s for s in isos
+    fixing = [s for s in base.mutate_word(word).isomorphisms_to(base)
               if all(s[i] == i for i in range(base.m) if i not in touched)]
-    return word, tuple(fixing if len(fixing) == 1 else isos)
+    if len(fixing) != 1:
+        raise NoRestoringPermutation(
+            "word %s returns to %d relabelings of the base quiver that fix the "
+            "vertices outside it, expected 1" % (labels, len(fixing)))
+    return word, fixing[0]
 
 
 def modular_generator(seed: Seed, generator: str) -> Seed:
@@ -100,13 +100,8 @@ def modular_generator(seed: Seed, generator: str) -> Seed:
     if generator == "gamma":
         result = based.restored(gamma_permutation(n), base)
     else:
-        word, candidates = _resolve(n, generator)
-        mutated = based.mutate_word(word)
-        restored = [mutated.restored(perm, base) for perm in candidates]
-        if any(s != restored[0] for s in restored[1:]):
-            raise AmbiguousPermutation(
-                "restoring permutations for %s disagree on the variables" % generator)
-        result = restored[0]
+        word, perm = _resolve(n, generator)
+        result = based.mutate_word(word).restored(perm, base)
 
     if transport is None:
         return result

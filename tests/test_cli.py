@@ -94,6 +94,17 @@ def test_frieze_human_layout(capsys):
     assert "15" in out and "112" in out
 
 
+def test_frieze_json_does_not_render_the_text_layout(capsys, monkeypatch):
+    import friezelab.cli as cli_module
+
+    def refuse(pattern):
+        raise AssertionError("render_frieze called under --json")
+
+    monkeypatch.setattr(cli_module, "render_frieze", refuse)
+    code, payload = run_json(capsys, "frieze", "--quiddity", "8,2", "--depth", "3")
+    assert code == 0 and payload["rows"] == [["8", "2"], ["15", "15"], ["28", "112"]]
+
+
 def test_render_offsets_alternate():
     text = render_frieze(generate([4, 4], 2))
     lines = text.splitlines()
@@ -145,8 +156,7 @@ def test_theta_invariance_words(capsys):
 
 
 def test_search_json(capsys):
-    code, payload = run_json(capsys, "search", "--quiver", fixture("d4/quiver.json"),
-                             "--find", "double-arrow")
+    code, payload = run_json(capsys, "search", "--quiver", fixture("d4/quiver.json"))
     assert code == 0
     found = Quiver.from_json(payload["quiver"])
     assert found.double_arrows()
@@ -168,6 +178,20 @@ def test_mutate_involution(capsys):
                              "--word", "3,3")
     assert code == 0
     assert Quiver.from_json(payload) == catalog.d4_star()
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["mutate", "--quiver", fixture("d4/quiver.json"), "--word", "3,x"], "x"),
+    (["mutate", "--quiver", fixture("d4/quiver.json"), "--word", "3,x", "--seed"], "x"),
+    (["theta", "--quiver", fixture("d4/double_arrow.json"), "--invariance-words", "0;zz"], "zz"),
+    (["theta", "--quiver", fixture("d4/double_arrow.json"), "--invariance-words", "0;0,zz",
+      "--at-ones"], "zz"),
+])
+def test_unknown_vertex_label_is_usage_error(capsys, argv, label):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "UsageError",
+                                         "message": "unknown vertex label %r" % label}}
 
 
 def test_grassmannian_table_json(capsys):

@@ -22,7 +22,7 @@ def test_generator_words_restore_base_quiver():
     for n in (6, 7, 8):
         base = catalog.e_double_arrow(n)
         for g in ("ta", "tb", "tc"):
-            word, (perm,) = _resolve(n, g)
+            word, perm = _resolve(n, g)
             moved = base.mutate_word(word).permuted(perm)
             assert moved.b == base.b
 
@@ -69,18 +69,19 @@ def test_unknown_generator_rejected():
         modular_generator(base_seed(6), "tz")
 
 
-def test_ambiguous_permutation_contract(monkeypatch):
-    # if the untouched-vertex rule is disabled, the two gamma-related
-    # restoring permutations of the 7-vertex base quiver survive and their
-    # variable assignments differ
+def test_two_restoring_candidates_raise_no_restoring_permutation(monkeypatch):
+    # mutating every other vertex twice leaves the quiver of ta unchanged but
+    # touches every vertex, so both gamma-related restoring permutations of
+    # the 7-vertex base quiver fix the vertices outside the word
     import friezelab.modular as mod
-    from friezelab.errors import AmbiguousPermutation
 
     base = catalog.e_double_arrow(6)
-    word, candidates = mod._resolve(6, "ta")
-    mutated = base.mutate_word(word)
-    all_isos = mutated.isomorphisms_to(base)
-    assert len(all_isos) == 2 and len(candidates) == 1
-    monkeypatch.setattr(mod, "_resolve", lambda n, generator: (word, all_isos))
-    with pytest.raises(AmbiguousPermutation):
-        modular_generator(base_seed(6), "ta")
+    word = generator_labels(6, "ta")
+    padded = word + [l for l in base.labels if l not in word for _ in range(2)]
+    monkeypatch.setattr(mod, "generator_labels", lambda n, generator: padded)
+    _resolve.cache_clear()
+    try:
+        with pytest.raises(NoRestoringPermutation, match="returns to 2 relabelings"):
+            modular_generator(base_seed(6), "ta")
+    finally:
+        _resolve.cache_clear()

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Record the CLI transcript that tests/test_cli_transcript.py replays.
+
+Each command of the README's "Command line" block, and a few more cases,
+runs in process from the repository root, once in text mode and once with
+--json.  The argument list, exit status and stdout of every run are written
+to tests/cli_transcript.json.  Run from the repository root after an
+intended change of the CLI's output:
+
+    python3 tools/cli_transcript.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import shlex
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from friezelab import cli
+
+GOLDEN = REPO / "tests" / "cli_transcript.json"
+
+# runs that the README block does not show: a quiver without --seed, the
+# full character, and invariance words at a double-arrow seed
+EXTRA = [
+    ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
+    ["cc", "--rep", "fixtures/d4/m_lambda.json"],
+    ["theta", "--quiver", "fixtures/d4/double_arrow.json", "--invariance-words", "0;1;0,1"],
+]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the friezelab commands in the README's
+    "Command line" code block."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            if words[0] != "friezelab":
+                raise ValueError("README command does not start with friezelab: %r" % line)
+            commands.append(words[1:])
+    return commands
+
+
+def invocations() -> list[list[str]]:
+    """Every README command and extra case, in text and in --json mode."""
+    runs = []
+    for argv in readme_commands() + EXTRA:
+        text = [word for word in argv if word != "--json"]
+        for mode in (text, text + ["--json"]):
+            if mode not in runs:
+                runs.append(mode)
+    return runs
+
+
+def run(argv: list[str]) -> dict:
+    """The exit status and stdout of one in-process run from the
+    repository root."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(REPO)
+    try:
+        with contextlib.redirect_stdout(out):
+            status = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"argv": argv, "status": status, "stdout": out.getvalue()}
+
+
+def main() -> None:
+    transcript = [run(argv) for argv in invocations()]
+    GOLDEN.write_text(json.dumps(transcript, indent=1) + "\n", encoding="utf-8")
+    print("wrote %s (%d runs)" % (GOLDEN.relative_to(REPO), len(transcript)))
+
+
+if __name__ == "__main__":
+    main()
