@@ -168,10 +168,9 @@ def d4_tubes() -> list[tuple[QuiverRep, QuiverRep]]:
     return [(r1_tube1, r2_tube1), (r1_tube2, r2_tube2), (r1_tube3, r2_tube3)]
 
 
-def kronecker_regular(nu: int = 2) -> QuiverRep:
-    """A regular quasi-simple of the Kronecker quiver: maps (1) and (nu)."""
-    params = {"nu": nu} if nu not in (0, 1) else {}
-    return QuiverRep(kronecker(), (1, 1), [[[1]], [[nu]]], params)
+def kronecker_regular() -> QuiverRep:
+    """A regular quasi-simple of the Kronecker quiver: maps (1) and (2)."""
+    return QuiverRep(kronecker(), (1, 1), [[[1]], [[2]]], {"nu": 2})
 
 
 E6_TUBE_QUIDDITIES = ((9, 36), (7, 7, 7), (7, 7, 7))

@@ -1,8 +1,8 @@
 """Generators of the cluster modular group on the affine E double-arrow
 base quivers.
 
-A generator is a mutation word followed by the vertex permutation that
-returns the quiver to its base labeling:
+A generator is a mutation word on the base quiver followed by the vertex
+permutation that returns the quiver to its base labeling:
 
     ta = mu_a mu_0 mu_1
     tb = mu_b1 mu_b mu_0 mu_1
@@ -14,6 +14,11 @@ generator of E6, E7 and E8 returns the base quiver to a relabeling of
 itself.  The restoring permutation is the one that fixes every vertex
 outside the word; for each generator of E6, E7 and E8 exactly one does, and
 NoRestoringPermutation is raised if none or several do.
+
+A seed on any relabeling of the base quiver gets the generator carried onto
+its own labels by the least isomorphism sigma from its quiver to the base:
+the seed mutates along sigma^-1(word) and is restored by
+sigma^-1 . permutation . sigma.
 """
 
 from __future__ import annotations
@@ -50,22 +55,17 @@ def generator_labels(n: int, generator: str) -> list[str]:
     raise ValueError("unknown generator %r" % generator)
 
 
-def gamma_permutation(n: int = 6) -> tuple[int, ...]:
-    """The unique nontrivial symmetry of the E6 base quiver."""
-    if n != 6:
-        raise ValueError("the symmetry gamma exists only for n = 6")
-    base = e_double_arrow(6)
-    for perm in base.automorphisms():
-        if perm != tuple(range(base.m)):
-            return perm
-    raise NoRestoringPermutation("base quiver unexpectedly has no symmetry")
-
-
 @functools.cache
 def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The mutation sequence of a generator and its restoring permutation,
     found on the quiver level only."""
     base = e_double_arrow(n)
+    if generator == "gamma":
+        if n != 6:
+            raise ValueError("the symmetry gamma exists only for n = 6")
+        # exactly two automorphisms, the identity first in lexicographic order
+        identity, gamma = base.automorphisms()
+        return (), gamma
     labels = generator_labels(n, generator)
     word = tuple(base.index(l) for l in labels)
     touched = set(word)
@@ -85,30 +85,15 @@ def modular_generator(seed: Seed, generator: str) -> Seed:
     if generator not in GENERATORS:
         raise ValueError("generator must be one of %s" % (GENERATORS,))
     n = rank_of(seed.quiver)
-    base = e_double_arrow(n)
-    if seed.quiver == base:
-        transport = None
-        based = seed
-    else:
-        isos = seed.quiver.isomorphisms_to(base)
-        if not isos:
-            raise UnsupportedQuiver("seed quiver is not isomorphic to the E%d double-arrow shape"
-                                    % n)
-        transport = min(isos)
-        based = seed.restored(transport, base)
-
-    if generator == "gamma":
-        result = based.restored(gamma_permutation(n), base)
-    else:
-        word, perm = _resolve(n, generator)
-        result = based.mutate_word(word).restored(perm, base)
-
-    if transport is None:
-        return result
-    inverse = [0] * len(transport)
-    for i, p in enumerate(transport):
-        inverse[p] = i
-    return result.restored(tuple(inverse), seed.quiver)
+    isos = seed.quiver.isomorphisms_to(e_double_arrow(n))
+    if not isos:
+        raise UnsupportedQuiver("seed quiver is not isomorphic to the E%d double-arrow shape" % n)
+    sigma = min(isos)
+    word, perm = _resolve(n, generator)
+    # the generator conjugated by sigma: word sigma^-1(word), permutation
+    # sigma^-1 . perm . sigma
+    return seed.mutate_word([sigma.index(k) for k in word]).restored(
+        [sigma.index(perm[s]) for s in sigma], seed.quiver)
 
 
 def apply_generator_word(seed: Seed, generators: list[str]) -> Seed:

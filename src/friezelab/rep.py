@@ -133,8 +133,6 @@ def delta(quiver: Quiver) -> DimVector:
     if len(kernel) != 1:
         raise NotAffine("radical has dimension %d, expected 1" % len(kernel))
     vec = kernel[0]
-    if all(x <= 0 for x in vec):
-        vec = tuple(-x for x in vec)
     if any(x <= 0 for x in vec):
         raise NotAffine("radical generator %s is not positive" % (vec,))
     return vec

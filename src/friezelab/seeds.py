@@ -70,21 +70,18 @@ class Seed:
             seed = seed.mutate(k)
         return seed
 
-    def permuted(self, perm: Sequence[int]) -> "Seed":
-        """Move vertex i (with its variable) to slot perm[i]."""
-        return Seed(self.quiver.permuted(perm),
-                    _permute_tuple(self.vars, perm))
-
     def restored(self, perm: Sequence[int], base: Quiver) -> "Seed":
         """Permute the variables by perm and reattach them to the base quiver.
 
         perm must identify this seed's quiver with base, i.e. be an element
         of self.quiver.isomorphisms_to(base).
         """
-        moved = self.quiver.permuted(perm)
-        if moved.b != base.b:
+        if self.quiver.permuted(perm).b != base.b:
             raise ValueError("permutation does not carry this quiver to the base quiver")
-        return Seed(base, _permute_tuple(self.vars, perm))
+        variables = [None] * len(perm)
+        for i, p in enumerate(perm):
+            variables[p] = self.vars[i]
+        return Seed(base, variables)
 
 
 def exchange(quiver: Quiver, values: Sequence, k: int, one, divide):
@@ -106,9 +103,3 @@ def exchange(quiver: Quiver, values: Sequence, k: int, one, divide):
             out = out * values[j] ** b[k][j]
     return divide(inc + out, values[k])
 
-
-def _permute_tuple(values: Sequence, perm: Sequence[int]) -> tuple:
-    out = [None] * len(values)
-    for i, p in enumerate(perm):
-        out[p] = values[i]
-    return tuple(out)

@@ -74,6 +74,7 @@ def test_frieze_usage_error_on_nonpositive_quiddity(capsys):
     (["nosuch"], "nosuch"),
     (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--primes", "3,3,5,7,11"],
      "prime 3 is repeated"),
+    (["frieze", "--quiddity", "8,2", "--depth", "0"], "--depth"),
 ])
 def test_parser_usage_errors_are_json(capsys, argv, mentions):
     assert mentions in usage_error(capsys, *argv)["message"]
@@ -127,17 +128,22 @@ def test_theta_at_ones_prints_the_laurent_value(capsys, quiver):
 
 
 @pytest.mark.parametrize("mode", [["--at-ones"], ["--json"], ["--at-ones", "--json"]])
-@pytest.mark.parametrize("name", ["star5", "a4"])
-def test_theta_refuses_non_affine_acyclic_quivers(capsys, tmp_path, name, mode):
-    # a wild star with five leaves printed 23, and A4 exhausted its class
+@pytest.mark.parametrize("name, message", [
+    ("star5", "radical has dimension 0, expected 1"),
+    ("a4", "radical has dimension 0, expected 1"),
+    ("kronecker+point", "radical generator (1, 1, 0) is not positive"),
+], ids=["star5", "a4", "kronecker+point"])
+def test_theta_refuses_non_affine_acyclic_quivers(capsys, tmp_path, name, message, mode):
+    # a wild star with five leaves printed 23, and A4 exhausted its class;
+    # Kronecker with an isolated point has a radical that is not positive
     quiver = {"star5": catalog._quiver_from_arrows("012345", [(l, "0") for l in "12345"]),
-              "a4": catalog._quiver_from_arrows("0123", ["01", "12", "23"])}[name]
+              "a4": catalog._quiver_from_arrows("0123", ["01", "12", "23"]),
+              "kronecker+point": catalog._quiver_from_arrows("012", ["01", "01"])}[name]
     path = tmp_path / "quiver.json"
     path.write_text(json.dumps(quiver.to_json()))
     code, out = run(capsys, "theta", "--quiver", str(path), *mode)
     assert code == 1
-    assert json.loads(out) == {"error": {"type": "NotAffine",
-                                         "message": "radical has dimension 0, expected 1"}}
+    assert json.loads(out) == {"error": {"type": "NotAffine", "message": message}}
 
 
 def test_theta_json(capsys):

@@ -1,9 +1,10 @@
+import random
+
 import pytest
 
 from friezelab import catalog
 from friezelab.errors import NoRestoringPermutation, UnsupportedQuiver
-from friezelab.modular import (_resolve, apply_generator_word, gamma_permutation,
-                               generator_labels, modular_generator)
+from friezelab.modular import _resolve, apply_generator_word, generator_labels, modular_generator
 from friezelab.seeds import Seed
 
 
@@ -21,10 +22,13 @@ def test_generator_labels():
 def test_generator_words_restore_base_quiver():
     for n in (6, 7, 8):
         base = catalog.e_double_arrow(n)
-        for g in ("ta", "tb", "tc"):
+        for g in ("ta", "tb", "tc") + (("gamma",) if n == 6 else ()):
             word, perm = _resolve(n, g)
             moved = base.mutate_word(word).permuted(perm)
             assert moved.b == base.b
+    # gamma is the base quiver's nontrivial symmetry, with an empty word
+    word, gamma = _resolve(6, "gamma")
+    assert word == () and gamma != tuple(range(7))
 
 
 def test_gamma_relations_e6():
@@ -39,21 +43,27 @@ def test_gamma_relations_e6():
 
 def test_gamma_only_for_e6():
     with pytest.raises(ValueError):
-        gamma_permutation(7)
-    with pytest.raises(ValueError):
         modular_generator(base_seed(7), "gamma")
 
 
-def test_generator_on_relabeled_seed():
-    # a seed given on any relabeling of the base quiver is transported,
-    # mutated, and transported back
-    base = catalog.e_double_arrow(6)
-    perm = (3, 4, 0, 1, 2, 6, 5)
-    seed = Seed.initial(base).permuted(perm)
-    moved = modular_generator(seed, "ta")
+@pytest.mark.parametrize("shuffle", [0, 1])
+@pytest.mark.parametrize("n, generator", [(6, "ta"), (6, "tb"), (6, "tc"), (6, "gamma"),
+                                          (7, "ta"), (7, "tb"), (7, "tc"),
+                                          (8, "ta"), (8, "tb"), (8, "tc")])
+def test_generator_on_relabeled_seed(n, generator, shuffle):
+    # oracle: restore the seed to the base quiver by the least isomorphism,
+    # apply the generator's word and permutation there, and restore back
+    base = catalog.e_double_arrow(n)
+    shuffled = list(range(base.m))
+    random.Random(shuffle).shuffle(shuffled)
+    seed = Seed.initial(base.permuted(shuffled))
+    sigma = min(seed.quiver.isomorphisms_to(base))
+    inverse = sorted(range(base.m), key=sigma.__getitem__)
+    word, perm = _resolve(n, generator)
+    based = seed.restored(sigma, base).mutate_word(word).restored(perm, base)
+    moved = modular_generator(seed, generator)
     assert moved.quiver == seed.quiver
-    reference = modular_generator(Seed.initial(base), "ta").permuted(perm)
-    assert moved == reference
+    assert moved == based.restored(inverse, seed.quiver)
 
 
 def test_non_base_quiver_rejected():

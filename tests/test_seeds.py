@@ -102,4 +102,6 @@ def test_permuted_roundtrip():
     inverse = [0] * len(perm)
     for i, p in enumerate(perm):
         inverse[p] = i
-    assert seed.permuted(perm).permuted(tuple(inverse)) == seed
+    moved = seed.restored(perm, seed.quiver.permuted(perm))
+    assert moved.vars[perm[0]] == seed.vars[0]
+    assert moved.restored(inverse, seed.quiver) == seed
