@@ -18,7 +18,7 @@ NoRestoringPermutation is raised if none or several do.
 A seed on any relabeling of the base quiver gets the generator carried onto
 its own labels by the least isomorphism sigma from its quiver to the base:
 the seed mutates along sigma^-1(word) and is restored by
-sigma^-1 . permutation . sigma.
+sigma^-1 . permutation . sigma.  A word of generators finds sigma once.
 """
 
 from __future__ import annotations
@@ -82,24 +82,29 @@ def modular_generator(seed: Seed, generator: str) -> Seed:
     """Apply a modular-group generator to a seed whose quiver is isomorphic
     to an affine E double-arrow base quiver, returning a seed on the same
     quiver."""
-    if generator not in GENERATORS:
-        raise ValueError("generator must be one of %s" % (GENERATORS,))
-    n = rank_of(seed.quiver)
-    isos = seed.quiver.isomorphisms_to(e_double_arrow(n))
-    if not isos:
-        raise UnsupportedQuiver("seed quiver is not isomorphic to the E%d double-arrow shape" % n)
-    sigma = min(isos)
-    word, perm = _resolve(n, generator)
-    # the generator conjugated by sigma: word sigma^-1(word), permutation
-    # sigma^-1 . perm . sigma
-    return seed.mutate_word([sigma.index(k) for k in word]).restored(
-        [sigma.index(perm[s]) for s in sigma], seed.quiver)
+    return apply_generator_word(seed, [generator])
 
 
 def apply_generator_word(seed: Seed, generators: list[str]) -> Seed:
-    """Apply named generators left to right (e.g. ["ta", "ta"])."""
-    for g in generators:
-        seed = modular_generator(seed, g)
+    """Apply named generators left to right (e.g. ["ta", "ta"]).  Each
+    returns a seed on the input quiver, so one sigma carries them all."""
+    inverse = None
+    for generator in generators:
+        if generator not in GENERATORS:
+            raise ValueError("generator must be one of %s" % (GENERATORS,))
+        if inverse is None:
+            n = rank_of(seed.quiver)
+            isos = seed.quiver.isomorphisms_to(e_double_arrow(n))
+            if not isos:
+                raise UnsupportedQuiver("seed quiver is not isomorphic to the E%d double-arrow "
+                                        "shape" % n)
+            sigma = min(isos)
+            inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
+        word, perm = _resolve(n, generator)
+        # the generator conjugated by sigma: word sigma^-1(word), permutation
+        # sigma^-1 . perm . sigma
+        seed = seed.mutate_word([inverse[k] for k in word]).restored(
+            [inverse[perm[s]] for s in sigma], seed.quiver)
     return seed
 
 

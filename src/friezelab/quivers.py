@@ -5,11 +5,11 @@ Vertices carry string labels; B[i][j] = (#arrows i -> j) - (#arrows j -> i).
 Everything here is exact integer combinatorics.
 
 Isomorphism testing and the canonical form share one color refinement: a
-vertex's signature is its color together with the sorted multiset of
-(B[i][j], color of j) over its nonzero entries, and signatures are ranked
-in their natural tuple order until the partition is stable.  Frozen
-vertices start in a color of their own, so no isomorphism unfreezes one.
-The canonical form is individualization-refinement (McKay & Piperno,
+vertex's signature is one integer whose base-(m+1) digits count its nonzero
+entries by (rank of the value B[i][j], color of j), above its own color, so
+it codes the color and that multiset exactly; signatures are ranked until
+the partition is stable.  Frozen vertices start in a color of their own, so
+no isomorphism unfreezes one.  The canonical form is individualization-refinement (McKay & Piperno,
 Practical graph isomorphism II, 2014): each vertex of the first smallest
 non-singleton cell is given a color of its own in turn, the partition is
 refined again, and the search recurses until every cell is a singleton.
@@ -17,9 +17,9 @@ The canonical key is the least B-matrix, read in leaf order, over all
 leaves of that tree (then the number of frozen vertices, if any); that
 leaf's vertex order is the canonical order.  Two vertices with equal rows
 are twins: swapping them is an automorphism that fixes the rest of the
-search node, so only the first of them is individualized.  The work is
-exponential only in the symmetry that refinement cannot break and that
-twins do not cover.
+search node, so only the first of them is individualized, and a node whose
+every cell consists of twins is a leaf.  The work is exponential only in
+the symmetry that refinement cannot break and that twins do not cover.
 
 The mutation-class search computes a canonical form for a child only when
 no known relation places it.  Every class keeps its representative's
@@ -33,7 +33,9 @@ shortcut never hides a new class, and a missing record costs one form.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .errors import SearchNotFound, integer
@@ -185,9 +187,8 @@ class Quiver:
             return []
         m = self.m
         # refine the disjoint union, so that the two halves' colors compare
-        union = _adjacency(self.b) + [[(j + m, x) for j, x in row]
-                                      for row in _adjacency(other.b)]
-        colors = _refine(union, self._frozen_colors() + other._frozen_colors())
+        colors = _refine(*_entries(self.b, other.b),
+                         self._frozen_colors() + other._frozen_colors())
         mine, theirs = colors[:m], colors[m:]
         if sorted(mine) != sorted(theirs):
             return []
@@ -205,12 +206,11 @@ class Quiver:
             for j in candidates[i]:
                 if used[j]:
                     continue
-                ok = True
+                # by skew-symmetry B[i2][i] matches once B[i][i2] does
                 for i2, j2 in assignment.items():
-                    if self.b[i][i2] != other.b[j][j2] or self.b[i2][i] != other.b[j2][j]:
-                        ok = False
+                    if self.b[i][i2] != other.b[j][j2]:
                         break
-                if ok:
+                else:
                     assignment[i] = j
                     used[j] = True
                     backtrack(pos + 1)
@@ -227,27 +227,18 @@ class Quiver:
         return [int(label in self.frozen) for label in self.labels]
 
     def canonical_key(self) -> tuple:
-        """Complete invariant of isomorphisms that keep frozen vertices
-        frozen: the least row-major flattening of B over the leaves of the
-        individualization-refinement tree, then the frozen count if nonzero.
-
-        Refinement runs to a stable partition; each vertex of the first
-        smallest non-singleton cell is then individualized in turn, and the
-        search recurses.  Vertices with equal rows are twins: a twin of a
-        vertex already tried is skipped, and a node whose every cell
-        consists of twins is a leaf.  A leaf's cell order is the vertex
-        order its matrix is read in.
-        """
+        """Complete invariant of isomorphisms that keep frozen vertices frozen:
+        the least row-major flattening of B over the leaves of the
+        individualization-refinement tree, then the frozen count if nonzero."""
         return self._canonical_form()[0]
 
     def _canonical_form(self) -> tuple[tuple, tuple[int, ...]]:
         """(key, order) with key[i * m + j] == B[order[i]][order[j]]."""
-        b = self.b
-        m = self.m
-        adj = _adjacency(b)
+        b, m = self.b, self.m
+        entries, lead = _entries(b)
         best: tuple | None = None
         best_order: list[int] = []
-        stack = [_refine(adj, self._frozen_colors())]
+        stack = [_refine(entries, lead, self._frozen_colors())]
         while stack:
             colors = stack.pop()
             order = sorted(range(m), key=colors.__getitem__)
@@ -272,7 +263,7 @@ class Quiver:
                 tried.add(b[v])
                 child = shifted[:]
                 child[v] -= 1
-                stack.append(_refine(adj, child))
+                stack.append(_refine(entries, lead, child))
         if self.frozen:
             best += (len(self.frozen),)
         return best, tuple(best_order)
@@ -289,27 +280,46 @@ class Quiver:
         return cls(data["labels"], data["b"], data.get("frozen", []))
 
 
-def _adjacency(b: Matrix) -> list[list[tuple[int, int]]]:
-    """Nonzero entries (j, B[i][j]) of each row i."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in b]
+@functools.lru_cache(maxsize=64)
+def _weights(m: int, values: int) -> tuple[tuple[int, ...], ...]:
+    """Rows (m+1)^(v*C + c) over c < C = 2m per value v, then c * (m+1)^(values*C)."""
+    colors = 2 * m
+    powers = list(accumulate(range(values * colors), lambda p, _: p * (m + 1), initial=1))
+    return tuple([tuple(powers[v * colors:(v + 1) * colors]) for v in range(values)]
+                 + [tuple(c * powers[-1] for c in range(colors))])
 
 
-def _refine(adj: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
-    """Coarsest stable refinement of a vertex coloring, as dense ranks.
+def _entries(*blocks: Matrix) -> tuple[list[tuple[int, int, tuple]], tuple[int, ...]]:
+    """Nonzero entries (i, j, weight row of v) of the blocks' disjoint union,
+    v the rank of B[i][j] among the nonzero values, and the lead row."""
+    values = sorted({x for b in blocks for row in b for x in row if x})
+    weights = _weights(sum(map(len, blocks)), len(values))
+    rank = dict(zip(values, weights))
+    entries, offset = [], 0
+    for b in blocks:
+        for i, row in enumerate(b, offset):
+            entries.extend([(i, j, rank[x]) for j, x in enumerate(row, offset) if x])
+        offset += len(b)
+    return entries, weights[-1]
 
-    A vertex's new color ranks (its color, sorted (B[i][j], color of j) over
-    its nonzero entries) in natural tuple order.  Since the old color leads
-    the signature, cells only split and keep their relative order.  Ranks
-    depend on signatures alone, so relabeling the vertices permutes the
-    result in the same way.
-    """
+
+def _refine(entries: list[tuple[int, int, tuple]], lead: tuple[int, ...],
+            colors: list[int]) -> list[int]:
+    """Coarsest stable refinement of a coloring of m vertices by colors
+    below C = 2m, as dense ranks of the codes color[i] * (m+1)^(V*C) plus
+    (m+1)^(v*C + color[j]) summed over the entries (i, j, v), V values.  A
+    row has at most m - 1 entries, so each base-(m+1) digit of the sum is
+    the multiplicity of one (v, color[j]) pair and the sum stays below
+    (m+1)^(V*C): the code is the color and the multiset exactly.  So cells
+    only split and keep their order, and a relabeling permutes the result."""
     count = len(set(colors))
     while True:
-        sigs = [(colors[i], tuple(sorted([(x, colors[j]) for j, x in row])))
-                for i, row in enumerate(adj)]
-        ranks = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        colors = [ranks[sig] for sig in sigs]
-        if len(ranks) == count or len(ranks) == len(adj):
+        codes = [lead[c] for c in colors]
+        for i, j, w in entries:
+            codes[i] += w[colors[j]]
+        ranks = {code: r for r, code in enumerate(sorted(set(codes)))}
+        colors = [ranks[code] for code in codes]
+        if len(ranks) == count or len(ranks) == len(codes):
             return colors
         count = len(ranks)
 

@@ -5,6 +5,7 @@ import pytest
 from friezelab import catalog
 from friezelab.errors import NoRestoringPermutation, UnsupportedQuiver
 from friezelab.modular import _resolve, apply_generator_word, generator_labels, modular_generator
+from friezelab.quivers import Quiver
 from friezelab.seeds import Seed
 
 
@@ -64,6 +65,24 @@ def test_generator_on_relabeled_seed(n, generator, shuffle):
     moved = modular_generator(seed, generator)
     assert moved.quiver == seed.quiver
     assert moved == based.restored(inverse, seed.quiver)
+
+
+def test_generator_word_finds_its_isomorphism_once(monkeypatch):
+    # every generator returns a seed on its input quiver, so one least
+    # isomorphism to the base serves the whole word; the result is that of
+    # applying the generators one call at a time
+    base = catalog.e_double_arrow(7)
+    seed = Seed.initial(base.permuted([3, 1, 0, 2, 6, 5, 4, 7]))
+    names = ["ta", "tb", "tc", "ta"]
+    one_at_a_time = seed
+    for g in names:
+        one_at_a_time = modular_generator(one_at_a_time, g)
+    calls = []
+    isomorphisms_to = Quiver.isomorphisms_to
+    monkeypatch.setattr(Quiver, "isomorphisms_to",
+                        lambda p, q: calls.append(q) or isomorphisms_to(p, q))
+    assert apply_generator_word(seed, names) == one_at_a_time
+    assert calls == [base]
 
 
 def test_non_base_quiver_rejected():

@@ -449,11 +449,13 @@ def relabeled(q, rng):
 
 
 def class_sample(rng, per_start=12):
-    """Quivers from the D4, D5, E6 and E7 mutation classes, each with a
-    randomly relabeled copy next to it."""
+    """Quivers from the D4, D5, E6 and E7 mutation classes and from the
+    mutation-infinite class of a triple arrow 0 => 1 with a frozen vertex 2,
+    whose entries leave +-2, each with a randomly relabeled copy next to it."""
+    triple = Quiver(["0", "1", "2"], [[0, 3, -1], [-3, 0, 1], [1, -1, 0]], frozen=["2"])
     out = []
     for start in (catalog.d4_star(), catalog.affine_d(5), catalog.e6_affine(),
-                  catalog.e7_affine()):
+                  catalog.e7_affine(), triple):
         for _ in range(per_start):
             q = start.mutate_word([rng.randrange(start.m) for _ in range(rng.randrange(10))])
             out.extend([q, relabeled(q, rng)])
@@ -487,9 +489,19 @@ def test_canonical_key_invariant_under_relabeling_in_mutation_classes():
             assert relabeled(q, rng).canonical_key() == q.canonical_key()
 
 
+def edge_quivers():
+    """The empty quiver, one vertex, three vertices without arrows, and one
+    arrow 0 -> 1 of multiplicity 1 and of multiplicity 3."""
+    return ([Quiver([], []), Quiver(["0"], [[0]]), Quiver("012", [[0] * 3] * 3)]
+            + [Quiver("01", [[0, k], [-k, 0]]) for k in (1, 3)])
+
+
 def test_canonical_key_equal_exactly_when_isomorphic():
     rng = random.Random(12)
-    sample = class_sample(rng, per_start=8)
+    sample = class_sample(rng, per_start=8) + edge_quivers()
+    single, triple = edge_quivers()[-2:]
+    assert single.canonical_key() != triple.canonical_key()
+    assert single.isomorphisms_to(triple) == []
     isomorphic_pairs = 0
     for i, p in enumerate(sample):
         for q in sample[i:]:
