@@ -3,21 +3,15 @@
 Both families satisfy P(k+1) = x*P(k) - P(k-1); the first kind starts at
 T0 = 2, T1 = x, the second kind at S0 = 1, S1 = x with the backward
 extension S(-1) = 0, S(-2) = -1.  They are related by T(k) = S(k) - S(k-2).
-This module is the only place the recurrence is run.
+The constants are multiples of x ** 0, the unit of x's ring, so every
+value lies in that ring.  This module is the only place the recurrence is
+run.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from typing import Iterator
-
-from .laurent import LaurentPoly
-
-
-def _const_like(x, value):
-    if isinstance(x, LaurentPoly):
-        return LaurentPoly.constant(x.vars, value)
-    return value
 
 
 def _recurrence(first, second, x) -> Iterator:
@@ -29,7 +23,7 @@ def _recurrence(first, second, x) -> Iterator:
 
 def first_kind(x) -> Iterator:
     """T_0(x), T_1(x), ..."""
-    return _recurrence(_const_like(x, 2), x, x)
+    return _recurrence(2 * x ** 0, x, x)
 
 
 def chebyshev_T(k: int, x):
@@ -41,7 +35,7 @@ def chebyshev_T(k: int, x):
 
 def second_kind(x) -> Iterator:
     """S_{-2}(x), S_{-1}(x), S_0(x), S_1(x), ..."""
-    return _recurrence(_const_like(x, -1), _const_like(x, 0), x)
+    return _recurrence(-x ** 0, 0 * x ** 0, x)
 
 
 def chebyshev_S(k: int, x):

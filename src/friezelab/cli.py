@@ -59,17 +59,39 @@ def _dimvec(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+class _Object(dict):
+    """A JSON object whose missing key raises KeyError(key, its path)."""
+
+    def __missing__(self, key):
+        raise KeyError(key, self.path)
+
+
+def _located(value, path: str = ""):
+    """The JSON value with every object an _Object that knows its path in
+    the file, such as reps[1].quiver ("" at the top)."""
+    if isinstance(value, list):
+        return [_located(item, "%s[%d]" % (path, i)) for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        value = _Object((k, _located(v, "%s.%s" % (path, k) if path else k))
+                        for k, v in value.items())
+        value.path = path
+    return value
+
+
 def _load(path: str, parse):
     """The object parse builds from the JSON in path.  JSON of the wrong
     shape, which parse meets as a TypeError, AttributeError or ValueError
     (a number that is not an integer, a matrix that is not skew-symmetric),
-    or without a key that parse reads, raises a ValueError naming the file."""
+    or without a key that parse reads (named with its object's path), raises
+    a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = _located(json.load(handle))
     try:
         return parse(data)
     except KeyError as exc:
-        raise ValueError("%s is malformed: missing key %s" % (path, exc)) from exc
+        key, where = (exc.args + ("",))[:2]
+        raise ValueError("%s is malformed: missing key %r%s"
+                         % (path, key, where and " in " + where)) from exc
     except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError("%s is malformed: %s" % (path, exc)) from exc
 
@@ -183,7 +205,7 @@ def cmd_search(args) -> Report:
     quiver = _load_quiver(args.quiver)
     found, word = mutation_class_search(quiver, has_double_arrow, args.max_nodes)
     payload = {"quiver": found.to_json(),
-               "word": [quiver.labels[k] for k in word.sequence]}
+               "word": [quiver.labels[k] for k in word]}
     return 0, payload, ["word: " + (",".join(payload["word"]) or "(empty)"),
                         "quiver: " + describe_quiver(found),
                         json.dumps(payload["quiver"], sort_keys=True)]
@@ -218,7 +240,7 @@ def cmd_theta(args) -> Report:
     words = [_vertices(quiver, chunk.strip())
              for chunk in args.invariance_words.split(";") if chunk.strip()]
     seed, found = double_arrow_seed(quiver, args.max_nodes)
-    word = [quiver.labels[k] for k in found.sequence]
+    word = [quiver.labels[k] for k in found]
     value = theta(seed)
     payload = {"laurent": value.laurent.to_json(), "at_ones": str(value.integer), "word": word}
     if args.at_ones:

@@ -92,8 +92,7 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     to be positive, which means the quiddity does not bound an infinite
     frieze.
     """
-    if not isinstance(quiddity, Quiddity):
-        quiddity = Quiddity(quiddity)
+    quiddity = Quiddity(quiddity)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = len(quiddity)
@@ -110,22 +109,14 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
                     % (t, nxt, quiddity.entries))
             diag.append(nxt)
         diagonals[res] = diag
-    pattern = FriezePattern(quiddity, depth, diagonals)
-    _check_diamond(pattern)
-    return pattern
-
-
-def _check_diamond(pattern: FriezePattern) -> None:
-    # x[i][j]*x[i+1][j+1] - x[i][j+1]*x[i+1][j] == 1 on every stored diamond.
-    n = pattern.period
     for i in range(n):
-        for t in range(1, pattern.depth + 1):
-            left = pattern.entry(i, i + t)
-            right = pattern.entry(i + 1, i + 1 + t)
-            top = pattern.entry(i + 1, i + t)
-            bottom = pattern.entry(i, i + 1 + t)
-            if left * right - top * bottom != 1:
+        # x[i][i+t]*x[i+1][i+1+t] - x[i+1][i+t]*x[i][i+1+t] == 1 on every
+        # stored diamond, read on the adjacent diagonals d = i and e = i + 1
+        d, e = diagonals[i], diagonals[(i + 1) % n]
+        for t in range(1, depth + 1):
+            if d[t] * e[t] - e[t - 1] * d[t + 1] != 1:
                 raise InvalidFrieze("diamond relation fails at (%d, %d)" % (i, i + t))
+    return FriezePattern(quiddity, depth, diagonals)
 
 
 def growth(pattern: FriezePattern, k: int) -> int:

@@ -171,12 +171,12 @@ class Quiver:
     def permuted(self, perm: Sequence[int]) -> "Quiver":
         """Relabel: vertex i moves to slot perm[i] (labels move with it)."""
         m = self.m
-        inv = [0] * m
-        for i, p in enumerate(perm):
-            inv[p] = i
+        if sorted(perm) != list(range(m)):
+            raise ValueError("perm %r is not a permutation of range(%d)" % (list(perm), m))
+        inv = sorted(range(m), key=perm.__getitem__)  # inv[perm[i]] == i
         labels = tuple(self.labels[inv[s]] for s in range(m))
         b = tuple(tuple(self.b[inv[s]][inv[t]] for t in range(m)) for s in range(m))
-        return Quiver(labels, b, self.frozen)
+        return Quiver._raw(labels, b, self.frozen)
 
     # -- isomorphism -----------------------------------------------------------
 
@@ -324,21 +324,18 @@ def _refine(entries: list[tuple[int, int, tuple]], lead: tuple[int, ...],
         count = len(ranks)
 
 
-class MutationWord:
-    """A mutation sequence: vertex indices, applied left factor first."""
+class MutationWord(tuple):
+    """A mutation sequence: a tuple of vertex indices, applied left first."""
 
-    __slots__ = ("sequence",)
-
-    def __init__(self, sequence: Iterable[int]):
-        self.sequence = tuple(int(k) for k in sequence)
+    def __new__(cls, sequence: Iterable[int]):
+        return super().__new__(cls, map(int, sequence))
 
     def __repr__(self) -> str:
-        return "MutationWord(%s)" % (list(self.sequence),)
+        return "MutationWord(%s)" % (list(self),)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MutationWord):
-            return NotImplemented
-        return self.sequence == other.sequence
+    @property
+    def sequence(self) -> tuple[int, ...]:
+        return tuple(self)
 
 
 def mutation_class_search(start: Quiver,

@@ -87,14 +87,14 @@ class QuiverRep:
     def from_json(cls, data) -> "QuiverRep":
         quiver = Quiver.from_json(data["quiver"])
         arrows = quiver.arrows()
-        declared = [tuple(entry["arrow"]) for entry in data["maps"]]
-        if sorted(declared) != sorted(arrows):
+        # arrows() is row-major with parallel arrows adjacent: a stable sort
+        # aligns the maps and keeps parallel arrows in declaration order
+        entries = sorted(data["maps"], key=lambda entry: tuple(entry["arrow"]))
+        declared = [tuple(entry["arrow"]) for entry in entries]
+        if declared != arrows:
             raise ValueError("declared arrows %s do not match the quiver's %s"
-                             % (sorted(declared), sorted(arrows)))
-        # align parallel arrows by order of declaration
-        remaining = {(t, h): [e["matrix"] for e in data["maps"] if tuple(e["arrow"]) == (t, h)]
-                     for (t, h) in set(declared)}
-        maps = [remaining[a].pop(0) for a in arrows]
+                             % (declared, arrows))
+        maps = [entry["matrix"] for entry in entries]
         return cls(quiver, data["dims"], maps, data.get("params", {}))
 
     def __eq__(self, other) -> bool:

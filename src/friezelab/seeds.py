@@ -8,10 +8,10 @@ double-arrow base quivers as x_a, x_b, ...
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .laurent import LaurentPoly
-from .quivers import MutationWord, Quiver
+from .quivers import Quiver
 
 
 def variable_name(label: str) -> str:
@@ -38,13 +38,9 @@ class Seed:
         are specialized away).
         """
         names = tuple(variable_name(l) for l in quiver.labels)
-        variables = []
-        for label, name in zip(quiver.labels, names):
-            if label in quiver.frozen:
-                variables.append(LaurentPoly.one(names))
-            else:
-                variables.append(LaurentPoly.variable(names, name))
-        return cls(quiver, variables)
+        return cls(quiver, [LaurentPoly.one(names) if label in quiver.frozen
+                            else LaurentPoly.variable(names, name)
+                            for label, name in zip(quiver.labels, names)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Seed):
@@ -59,14 +55,13 @@ class Seed:
 
     def mutate(self, k: int) -> "Seed":
         """Exchange mutation at vertex index k (not allowed on frozen ones)."""
-        one = LaurentPoly.one(self.vars[k].vars)
         variables = list(self.vars)
-        variables[k] = exchange(self.quiver, self.vars, k, one, LaurentPoly.div_exact)
+        variables[k] = exchange(self.quiver, self.vars, k, LaurentPoly.div_exact)
         return Seed(self.quiver.mutate(k), variables)
 
-    def mutate_word(self, word: Sequence[int] | MutationWord) -> "Seed":
+    def mutate_word(self, word: Sequence[int]) -> "Seed":
         seed = self
-        for k in word.sequence if isinstance(word, MutationWord) else word:
+        for k in word:
             seed = seed.mutate(k)
         return seed
 
@@ -84,18 +79,18 @@ class Seed:
         return Seed(base, variables)
 
 
-def exchange(quiver: Quiver, values: Sequence, k: int, one, divide):
+def exchange(quiver: Quiver, values: Sequence, k: int, divide):
     """The new value x'_k of the exchange relation x_k * x'_k = P+ + P- at
     vertex index k, where P+ multiplies values[j]^b_jk over the arrows
     j -> k and P- values[j]^b_kj over the arrows k -> j.
 
-    The values may be Laurent polynomials or integers: `one` is the unit
-    of their ring and `divide(a, b)` their exact division.
+    The values may be Laurent polynomials or integers: the products start
+    at values[k] ** 0, their ring's unit, and `divide` is exact division.
     """
     if quiver.labels[k] in quiver.frozen:
         raise ValueError("cannot mutate frozen vertex %r" % quiver.labels[k])
     b = quiver.b
-    inc = out = one
+    inc = out = values[k] ** 0
     for j in range(quiver.m):
         if b[j][k] > 0:
             inc = inc * values[j] ** b[j][k]

@@ -8,7 +8,7 @@ is independent of the chosen double-arrow seed, and its all-ones value is
 the principal growth coefficient of every tube frieze of the mutation
 class.  The triangle variables sit at the vertices w completing directed
 triangles u => v -> w -> u; the Kronecker quiver has none and uses the
-empty product 1.
+empty product, the unit.
 
 Its all-ones value needs no Laurent algebra: every cluster variable at all
 ones is a positive integer (the Laurent phenomenon with positivity), so
@@ -45,26 +45,25 @@ def triangle_neighbors(quiver: Quiver, u: int, v: int) -> list[int]:
 def theta(seed: Seed) -> ThetaValue:
     """The growth element at the seed's first double arrow, in the initial
     variables."""
-    one = LaurentPoly.one(seed.vars[0].vars)
-    laurent = _growth_element(seed.quiver, seed.vars, one, LaurentPoly.div_exact)
+    laurent = _growth_element(seed.quiver, seed.vars, LaurentPoly.div_exact)
     return ThetaValue(laurent, laurent.at_ones())
 
 
-def _growth_element(quiver: Quiver, values: Sequence, one, divide):
+def _growth_element(quiver: Quiver, values: Sequence, divide):
     """(x_u^2 + x_v^2 + prod of the triangle variables) / (x_u * x_v) at the
-    first double arrow u => v.  The values are Laurent polynomials or
-    integers, with unit `one` and exact division `divide`."""
+    first double arrow u => v, over Laurent polynomials or integers: the
+    product starts at values[u] ** 0, and `divide` is exact division."""
     doubles = quiver.double_arrows()
     if not doubles:
         raise MissingDoubleArrow("seed quiver has no double arrow")
     u, v = doubles[0]
-    product = one
+    product = values[u] ** 0
     for w in triangle_neighbors(quiver, u, v):
         product = product * values[w]
     return divide(values[u] ** 2 + values[v] ** 2 + product, values[u] * values[v])
 
 
-def theta_invariance(seed: Seed, words: Sequence[MutationWord | Sequence[int]]) -> bool:
+def theta_invariance(seed: Seed, words: Sequence[Sequence[int]]) -> bool:
     """True iff the growth element agrees (as a Laurent polynomial) on the
     seed and on every seed reached by the given words."""
     reference = theta(seed).laurent
@@ -102,9 +101,9 @@ def theta_at_ones(quiver: Quiver, word: Sequence[int]) -> int:
     """
     values = [1] * quiver.m
     for k in word:
-        values[k] = exchange(quiver, values, k, 1, _exact_quotient)
+        values[k] = exchange(quiver, values, k, _exact_quotient)
         quiver = quiver.mutate(k)
-    return _growth_element(quiver, values, 1, _exact_quotient)
+    return _growth_element(quiver, values, _exact_quotient)
 
 
 def _exact_quotient(numerator: int, denominator: int) -> int:
@@ -119,4 +118,4 @@ def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = 50_000) -> int:
     """Principal growth coefficient of every tube frieze of an acyclic
     affine quiver: search for a double arrow and read the growth element
     at all ones on integers."""
-    return theta_at_ones(quiver, _double_arrow_word(quiver, max_nodes).sequence)
+    return theta_at_ones(quiver, _double_arrow_word(quiver, max_nodes))

@@ -60,6 +60,11 @@ def test_symbolic_small_polynomials():
     assert chebyshev_T(3, x) == parse_laurent("x^3 - 3*x", ("x",))
     assert chebyshev_S(2, x) == parse_laurent("x^2 - 1", ("x",))
     assert chebyshev_S(3, x) == parse_laurent("x^3 - 2*x", ("x",))
+    # the starting constants lie in x's ring, not among the ints
+    for value, want in ((chebyshev_T(0, x), 2), (chebyshev_S(-2, x), -1),
+                        (chebyshev_S(-1, x), 0)):
+        assert isinstance(value, LaurentPoly) and value.vars == x.vars
+        assert value == LaurentPoly.constant(x.vars, want)
 
 
 def off_by_one(fn):

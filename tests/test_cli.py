@@ -486,6 +486,41 @@ def test_input_file_error_names_the_file_and_the_culprit(capsys, tmp_path, optio
     assert str(bad) in error["message"] and culprit in error["message"]
 
 
+def _first_map_without(key):
+    data = _with("d4/m_lambda.json")
+    del data["maps"][0][key]
+    return data
+
+
+def _tube_without_quiver_key(index, key):
+    reps = [catalog.d4_tubes()[0][0].to_json(), catalog.d4_tubes()[0][1].to_json()]
+    del reps[index]["quiver"][key]
+    return {"reps": reps}
+
+
+@pytest.mark.parametrize("option, payload, message", [
+    ("--quiver", {"b": [[0]]}, "missing key 'labels'"),
+    ("--rep", _with("d4/m_lambda.json", quiver={"labels": ["0"]}),
+     "missing key 'b' in quiver"),
+    ("--rep", _first_map_without("matrix"), "missing key 'matrix' in maps[0]"),
+    ("--tube", {"reps": [{}]}, "missing key 'quiver' in reps[0]"),
+    ("--tube", _tube_without_quiver_key(1, "b"), "missing key 'b' in reps[1].quiver"),
+])
+def test_missing_key_names_the_object(capsys, tmp_path, option, payload, message):
+    # a key missing below the top level names the JSON path of its object
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = {"--quiver": ["search", "--quiver", str(bad)],
+            "--rep": ["cc", "--rep", str(bad)],
+            "--tube": ["tube-frieze", "--quiver", fixture("d4/quiver.json"),
+                       "--tube", str(bad)]}[option]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error == {"type": "ValueError", "message": "%s is malformed: %s" % (bad, message)}
+
+
 def test_search_budget_error(capsys):
     code, out = run(capsys, "search", "--quiver", fixture("e6/quiver.json"),
                     "--max-nodes", "2")

@@ -137,6 +137,10 @@ def test_search_d4_reaches_triangle_fan():
     found, word = mutation_class_search(catalog.d4_star(), has_double_arrow, max_nodes=1000)
     assert found.isomorphisms_to(catalog.d4_double_arrow())
     assert catalog.d4_star().mutate_word(word.sequence) == found
+    # the word is a tuple of ints; .sequence is the same ints as a plain tuple
+    assert type(word.sequence) is tuple and word.sequence == tuple(word)
+    assert all(type(k) is int for k in word) and word == word.sequence
+    assert catalog.d4_star().mutate_word(word) == found
 
 
 def test_search_e6_reaches_base_shape():

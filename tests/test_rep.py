@@ -436,6 +436,21 @@ def test_rep_json_roundtrip():
         assert QuiverRep.from_json(M.to_json()) == M
 
 
+def test_rep_json_aligns_maps_with_arrows():
+    # maps may be declared in any order; parallel arrows keep theirs
+    data = catalog.d4_m_lambda(2).to_json()
+    data["maps"].reverse()
+    assert QuiverRep.from_json(data) == catalog.d4_m_lambda(2)
+    data = catalog.kronecker_regular().to_json()
+    data["maps"].reverse()
+    assert QuiverRep.from_json(data).maps == (((2,),), ((1,),))
+    data["maps"][0]["arrow"] = [1, 0]
+    with pytest.raises(ValueError) as info:
+        QuiverRep.from_json(data)
+    assert str(info.value) == ("declared arrows [(0, 1), (1, 0)] do not match "
+                               "the quiver's [(0, 1), (0, 1)]")
+
+
 def test_rep_validation():
     q = catalog.kronecker()
     with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import pytest
 from friezelab import catalog
 from friezelab.laurent import LaurentPoly
 from friezelab.quivers import Quiver
-from friezelab.seeds import Seed, variable_name
+from friezelab.seeds import Seed, exchange, variable_name
+from friezelab.theta import _exact_quotient
 
 from laurent_text import parse_laurent
 
@@ -94,6 +95,22 @@ def test_restored_requires_matching_quiver():
     moved = seed.restored((1, 0, 2, 3, 4), catalog.d4_star())
     assert moved.quiver == catalog.d4_star()
     assert moved.vars[0] == seed.vars[1]
+    # a repeated or out-of-range entry is not a relabelling, even where the
+    # B-matrix would match
+    empty = Quiver(["0", "1", "2"], [[0] * 3] * 3)
+    for perm in ([0, 0, 2], [0, 1, 3]):
+        with pytest.raises(ValueError, match=r"perm \[0, \d, \d\] is not a permutation"):
+            Seed.initial(empty).restored(perm, empty)
+    with pytest.raises(ValueError, match="is not a permutation of range"):
+        empty.permuted([0, 0, 2])
+
+
+def test_isolated_vertex_exchanges_empty_products():
+    # no arrow meets the vertex: both products are empty, so each is the unit
+    # of the values' ring and x0 * x0' = 1 + 1
+    q = Quiver(["0"], [[0]])
+    assert Seed.initial(q).mutate(0).vars == (parse_laurent("2*x0^-1", ("x0",)),)
+    assert exchange(q, [1], 0, _exact_quotient) == 2
 
 
 def test_permuted_roundtrip():

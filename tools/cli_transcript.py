@@ -26,13 +26,16 @@ from friezelab import cli
 GOLDEN = REPO / "tests" / "cli_transcript.json"
 
 # runs that the README block does not show: a quiver without --seed, the
-# full character, invariance words at a double-arrow seed, and the
-# generators tb, tc and gamma
+# full character, invariance words at a double-arrow seed, the generators
+# tb, tc and gamma, a growth element with an empty triangle product (the
+# Kronecker quiver, in both rings) and a searched word
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
     ["theta", "--quiver", "fixtures/d4/double_arrow.json", "--invariance-words", "0;1;0,1"],
     ["modular", "--quiver", "fixtures/e6/double_arrow.json", "--word", "tb,tc,gamma"],
+    ["theta", "--quiver", "fixtures/kronecker/quiver.json", "--at-ones"],
+    ["search", "--quiver", "fixtures/e6/quiver.json"],
 ]
 
 
