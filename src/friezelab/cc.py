@@ -15,7 +15,8 @@ algebra.
 
 The exponent rule above is one of the two sign conventions compatible with
 the abstract cluster-character axioms; it is the one locked by the golden
-test on the displayed dimension-(1,1,2,1,1) character.
+test on the displayed dimension-(1,1,2,1,1) character.  It holds for acyclic
+quivers only, so a quiver with an oriented cycle raises UnsupportedQuiver.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .chebyshev import first_kind, second_kind
-from .errors import CrossCheckFailed
+from .errors import CrossCheckFailed, UnsupportedQuiver
 from .frieze import Quiddity
 from .laurent import LaurentPoly
 from .rep import DEFAULT_PRIMES, QuiverRep, grassmannian_table
@@ -38,14 +39,20 @@ class CCValue:
     at_ones: int
 
 
+def _check_acyclic(quiver) -> None:
+    if len(quiver.topological_order()) < quiver.m:
+        raise UnsupportedQuiver("cluster characters need a quiver without oriented cycles")
+
+
 def cc_map(rep: QuiverRep, primes: Sequence[int] = DEFAULT_PRIMES) -> CCValue:
     """The cluster character of a representation, in the initial variables."""
     quiver = rep.quiver
+    _check_acyclic(quiver)
     names = tuple(variable_name(l) for l in quiver.labels)
     table = grassmannian_table(rep, primes)
     arrows = quiver.arrows()
     terms: dict[tuple[int, ...], int] = {}
-    for e, chi in table:
+    for e, chi in table.items():
         exps = [-d for d in rep.dims]
         for t, h in arrows:
             exps[h] += e[t]
@@ -59,10 +66,11 @@ def cc_map(rep: QuiverRep, primes: Sequence[int] = DEFAULT_PRIMES) -> CCValue:
 def quiddity_from_tube(quiver, tube: Sequence[QuiverRep]) -> Quiddity:
     """Quiddity row of a tube: the all-ones characters of its quasi-simples,
     each the sum of the Euler characteristics of its quiver Grassmannians."""
+    _check_acyclic(quiver)
     for rep in tube:
         if rep.quiver != quiver:
             raise ValueError("tube representations must live on the given quiver")
-    return Quiddity([grassmannian_table(rep).chi_sum() for rep in tube])
+    return Quiddity([sum(grassmannian_table(rep).values()) for rep in tube])
 
 
 def homogeneous_growth(x1: int) -> Iterator[tuple[int, int]]:

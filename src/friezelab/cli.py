@@ -22,9 +22,9 @@ from .cc import cc_map, homogeneous_growth, quiddity_from_tube
 from .errors import FriezelabError
 from .frieze import FriezePattern, Quiddity, generate, growth
 from .modular import apply_generator_word, check_relations, GENERATORS
-from .quivers import Quiver, has_double_arrow, mutation_class_search
+from .quivers import MAX_NODES, Quiver, has_double_arrow, mutation_class_search
 from .rep import (DEFAULT_PRIMES, QuiverRep, _certified_chi, count_points,
-                  grassmannian_table)
+                  grassmannian_table, table_json)
 from .reproduce import run_checks
 from .seeds import Seed
 from .theta import double_arrow_seed, growth_from_affine_quiver, theta, theta_invariance
@@ -94,14 +94,6 @@ def _load(path: str, parse):
                          % (path, key, where and " in " + where)) from exc
     except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError("%s is malformed: %s" % (path, exc)) from exc
-
-
-def _load_quiver(path: str) -> Quiver:
-    return _load(path, Quiver.from_json)
-
-
-def _load_rep(path: str) -> QuiverRep:
-    return _load(path, QuiverRep.from_json)
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -189,7 +181,7 @@ def cmd_frieze(args) -> Report:
 
 
 def cmd_mutate(args) -> Report:
-    quiver = _load_quiver(args.quiver)
+    quiver = _load(args.quiver, Quiver.from_json)
     word = _vertices(quiver, args.word)
     if args.seed:
         seed = Seed.initial(quiver).mutate_word(word)
@@ -202,7 +194,7 @@ def cmd_mutate(args) -> Report:
 
 
 def cmd_search(args) -> Report:
-    quiver = _load_quiver(args.quiver)
+    quiver = _load(args.quiver, Quiver.from_json)
     found, word = mutation_class_search(quiver, has_double_arrow, args.max_nodes)
     payload = {"quiver": found.to_json(),
                "word": [quiver.labels[k] for k in word]}
@@ -212,13 +204,13 @@ def cmd_search(args) -> Report:
 
 
 def cmd_modular(args) -> Report:
-    if not (args.word or args.check_relations):
+    names = [w.strip() for w in args.word.split(",") if w.strip()]
+    if not (names or args.check_relations):
         raise argparse.ArgumentTypeError("give --word, --check-relations or both")
-    seed = Seed.initial(_load_quiver(args.quiver))
+    seed = Seed.initial(_load(args.quiver, Quiver.from_json))
     relations = check_relations(seed) if args.check_relations else None
     payload, lines = {}, []
-    if args.word:
-        names = [w.strip() for w in args.word.split(",") if w.strip()]
+    if names:
         for name in names:
             if name not in GENERATORS:
                 raise argparse.ArgumentTypeError("unknown generator %r" % name)
@@ -234,7 +226,7 @@ def cmd_modular(args) -> Report:
 
 
 def cmd_theta(args) -> Report:
-    quiver = _load_quiver(args.quiver)
+    quiver = _load(args.quiver, Quiver.from_json)
     if args.at_ones and not args.json and not args.invariance_words:
         return 0, None, [str(growth_from_affine_quiver(quiver, args.max_nodes))]
     words = [_vertices(quiver, chunk.strip())
@@ -258,7 +250,7 @@ def cmd_theta(args) -> Report:
 
 
 def cmd_grassmannian(args) -> Report:
-    rep = _load_rep(args.rep)
+    rep = _load(args.rep, QuiverRep.from_json)
     primes = args.primes or DEFAULT_PRIMES
     if args.dimvec is not None:
         count = functools.cache(functools.partial(count_points, rep, args.dimvec))
@@ -268,13 +260,13 @@ def cmd_grassmannian(args) -> Report:
         return 0, payload, (["chi(Gr_e) = %s" % chi]
                             + ["  points over F_%s: %s" % item for item in counts.items()])
     table = grassmannian_table(rep, primes)
-    total = table.chi_sum()
-    return 0, {"table": table.to_json(), "sum": str(total)}, (
-        ["%s  chi=%d" % row for row in table] + ["sum of chi: %s" % total])
+    total = sum(table.values())
+    return 0, {"table": table_json(table), "sum": str(total)}, (
+        ["%s  chi=%d" % row for row in table.items()] + ["sum of chi: %s" % total])
 
 
 def cmd_cc(args) -> Report:
-    value = cc_map(_load_rep(args.rep), args.primes or DEFAULT_PRIMES)
+    value = cc_map(_load(args.rep, QuiverRep.from_json), args.primes or DEFAULT_PRIMES)
     payload = {"laurent": value.laurent.to_json(), "at_ones": str(value.at_ones)}
     if args.at_ones:
         return 0, payload, [str(value.at_ones)]
@@ -282,7 +274,7 @@ def cmd_cc(args) -> Report:
 
 
 def cmd_tube_frieze(args) -> Report:
-    quiver = _load_quiver(args.quiver)
+    quiver = _load(args.quiver, Quiver.from_json)
     tube = _load(args.tube, lambda data: [QuiverRep.from_json(r) for r in data["reps"]])
     return _frieze_report(args, quiddity_from_tube(quiver, tube), header=True)
 
@@ -338,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="breadth-first search of the mutation class")
     p.add_argument("--quiver", required=True)
-    p.add_argument("--max-nodes", type=_positive_int, default=50_000)
+    p.add_argument("--max-nodes", type=_positive_int, default=MAX_NODES)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("modular", help="apply cluster modular group generators")
@@ -353,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-ones", action="store_true", help="print only the integer value")
     p.add_argument("--invariance-words", default="",
                    help="semicolon-separated label words to test invariance against")
-    p.add_argument("--max-nodes", type=_positive_int, default=50_000)
+    p.add_argument("--max-nodes", type=_positive_int, default=MAX_NODES)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("grassmannian", help="subrepresentation counts and characteristics")

@@ -122,10 +122,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Iterable[str]) -> "LaurentPoly":
-        return cls(variables, {})
-
-    @classmethod
     def constant(cls, variables: Iterable[str], value: int) -> "LaurentPoly":
         vs = tuple(variables)
         return cls(vs, {(0,) * len(vs): value})
@@ -141,14 +137,7 @@ class LaurentPoly:
         exp[vs.index(name)] = 1
         return cls(vs, {tuple(exp): 1})
 
-    @classmethod
-    def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coef: int = 1) -> "LaurentPoly":
-        return cls(variables, {tuple(exponents): coef})
-
     # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._keys
 
     def __bool__(self) -> bool:
         return bool(self._keys)
@@ -218,13 +207,11 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.one(self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        if not k:
+            return LaurentPoly.one(self.vars)
+        result = self
+        for _ in range(k - 1):
+            result = result * self
         return result
 
     # -- division ----------------------------------------------------------
@@ -242,9 +229,9 @@ class LaurentPoly:
         self's box, hence inside its fields.
         """
         divisor = self._coerce(divisor)
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return LaurentPoly._raw(self.vars, {})
         (lo_p, hi_p), (lo_q, hi_q) = self._newton_box(), divisor._newton_box()
         lo, hi = tuple(map(sub, lo_p, lo_q)), tuple(map(sub, hi_p, hi_q))
@@ -296,7 +283,7 @@ class LaurentPoly:
         return [(unpack(k), c) for k, c in sorted(self._keys.items(), reverse=True)]
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         parts = []
         for exp, coef in self.sorted_terms():

@@ -64,7 +64,7 @@ def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if n != 6:
             raise ValueError("the symmetry gamma exists only for n = 6")
         # exactly two automorphisms, the identity first in lexicographic order
-        identity, gamma = base.automorphisms()
+        identity, gamma = base.isomorphisms_to(base)
         return (), gamma
     labels = generator_labels(n, generator)
     word = tuple(base.index(l) for l in labels)

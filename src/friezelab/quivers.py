@@ -42,6 +42,8 @@ from .errors import SearchNotFound, integer
 
 Matrix = tuple[tuple[int, ...], ...]
 
+MAX_NODES = 50_000  # default budget: canonical classes a mutation-class search may visit
+
 
 class Quiver:
     """A finite quiver without loops or 2-cycles, encoded by its B-matrix."""
@@ -220,9 +222,6 @@ class Quiver:
         backtrack(0)
         return sorted(found)
 
-    def automorphisms(self) -> list[tuple[int, ...]]:
-        return self.isomorphisms_to(self)
-
     def _frozen_colors(self) -> list[int]:
         return [int(label in self.frozen) for label in self.labels]
 
@@ -340,7 +339,7 @@ class MutationWord(tuple):
 
 def mutation_class_search(start: Quiver,
                           predicate: Callable[[Quiver], bool],
-                          max_nodes: int = 50_000) -> tuple[Quiver, MutationWord]:
+                          max_nodes: int = MAX_NODES) -> tuple[Quiver, MutationWord]:
     """Breadth-first search of the mutation class up to isomorphism.
 
     Returns the first quiver satisfying the predicate together with the

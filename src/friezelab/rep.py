@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul
 from typing import Iterable, Mapping, Sequence
@@ -301,13 +300,6 @@ def _check_dimvector(rep: QuiverRep, e: DimVector) -> None:
         raise ValueError("dimension vector %s exceeds dims %s" % (e, rep.dims))
 
 
-def _first_admissible(rep: QuiverRep, primes: Sequence[int]) -> int:
-    for p in primes:
-        if rep.admissible(p):
-            return p
-    raise InadmissiblePrime("no prime of %s is admissible for the fixture" % (tuple(primes),))
-
-
 def counting_degree_bound(rep: QuiverRep, e: Sequence[int]) -> int:
     return sum(x * (d - x) for x, d in zip(e, rep.dims))
 
@@ -342,32 +334,20 @@ def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -
     return chi
 
 
-@dataclass(frozen=True)
-class GrassmannianTable:
-    rows: tuple[tuple[DimVector, int], ...]
-
-    def chi_sum(self) -> int:
-        return sum(chi for _, chi in self.rows)
-
-    def as_dict(self) -> dict[DimVector, int]:
-        return {e: chi for e, chi in self.rows}
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def to_json(self) -> list[dict]:
-        return [{"e": list(e), "chi": str(chi)} for e, chi in self.rows]
-
-
 def grassmannian_table(rep: QuiverRep,
-                       primes: Sequence[int] = DEFAULT_PRIMES) -> GrassmannianTable:
-    """(e, chi) for every e with Gr_e nonempty at the first admissible prime of
-    primes.  One counting traversal per prime serves every e."""
+                       primes: Sequence[int] = DEFAULT_PRIMES) -> dict[DimVector, int]:
+    """The dict e -> chi(Gr_e) over every e with Gr_e nonempty at the first
+    admissible prime of primes, ordered by (sum(e), e).  One counting
+    traversal per prime serves every e."""
+    first = next((p for p in primes if rep.admissible(p)), None)
+    if first is None:
+        raise InadmissiblePrime("no prime of %s is admissible for the fixture" % (tuple(primes),))
     counts = functools.cache(functools.partial(
         _count_by_dimvector, rep, [tuple(range(d + 1)) for d in rep.dims]))
-    rows = [(e, _certified_chi(rep, e, primes, lambda p: counts(p).get(e, 0)))
-            for e in sorted(counts(_first_admissible(rep, primes)), key=lambda e: (sum(e), e))]
-    return GrassmannianTable(tuple(rows))
+    return {e: _certified_chi(rep, e, primes, lambda p: counts(p).get(e, 0))
+            for e in sorted(counts(first), key=lambda e: (sum(e), e))}
+
+
+def table_json(table: Mapping[DimVector, int]) -> list[dict]:
+    """The JSON rows {"e": [...], "chi": "<decimal>"} of a Grassmannian table."""
+    return [{"e": list(e), "chi": str(chi)} for e, chi in table.items()]

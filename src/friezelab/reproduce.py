@@ -50,10 +50,10 @@ def check_d4_grassmannian_table() -> None:
     table = grassmannian_table(catalog.d4_m_lambda(2))
     golden = fixtures.load_json("d4/goldens.json")["grassmannian_table"]
     want = {tuple(row["e"]): int(row["chi"]) for row in golden}
-    _expect(table.as_dict() == want, "character table differs from the golden file")
-    _expect(len(table) == 13 and table.chi_sum() == 14, "table shape is wrong")
-    _expect(table.as_dict()[(1, 1, 1, 0, 0)] == 2, "the projective-line stratum must have chi 2")
-    _expect(sum(1 for _, chi in table if chi == 2) == 1, "more than one stratum has chi 2")
+    _expect(table == want, "character table differs from the golden file")
+    _expect(len(table) == 13 and sum(table.values()) == 14, "table shape is wrong")
+    _expect(table[(1, 1, 1, 0, 0)] == 2, "the projective-line stratum must have chi 2")
+    _expect(list(table.values()).count(2) == 1, "more than one stratum has chi 2")
 
 
 def check_d4_cc_character() -> None:
@@ -61,7 +61,7 @@ def check_d4_cc_character() -> None:
     value = cc_map(catalog.d4_m_lambda(2))
     _expect(value.laurent == golden, "character differs from the golden polynomial")
     _expect(value.at_ones == 14, "character has wrong all-ones value")
-    numerator = value.laurent * LaurentPoly.monomial(value.laurent.vars, (1, 1, 2, 1, 1))
+    numerator = value.laurent * LaurentPoly(value.laurent.vars, {(1, 1, 2, 1, 1): 1})
     _expect(len(numerator.terms) == 8
             and sorted(numerator.terms.values()) == [1, 1, 1, 1, 2, 2, 2, 4],
             "numerator over x1*x2*x3^2*x4*x5 has coefficients %s"

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import CrossCheckFailed, MissingDoubleArrow
 from .laurent import LaurentPoly
-from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
+from .quivers import MAX_NODES, MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .rep import delta
 from .seeds import Seed, exchange
 
@@ -84,7 +84,7 @@ def _double_arrow_word(quiver: Quiver, max_nodes: int) -> MutationWord:
     return mutation_class_search(quiver, has_double_arrow, max_nodes)[1]
 
 
-def double_arrow_seed(quiver: Quiver, max_nodes: int = 50_000) -> tuple[Seed, MutationWord]:
+def double_arrow_seed(quiver: Quiver, max_nodes: int = MAX_NODES) -> tuple[Seed, MutationWord]:
     """The initial seed mutated to a double-arrow seed, and the word used."""
     word = _double_arrow_word(quiver, max_nodes)
     return Seed.initial(quiver).mutate_word(word), word
@@ -114,7 +114,7 @@ def _exact_quotient(numerator: int, denominator: int) -> int:
     return quotient
 
 
-def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = 50_000) -> int:
+def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = MAX_NODES) -> int:
     """Principal growth coefficient of every tube frieze of an acyclic
     affine quiver: search for a double arrow and read the growth element
     at all ones on integers."""

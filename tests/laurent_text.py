@@ -25,7 +25,7 @@ def parse_laurent(text: str, variables: Iterable[str]) -> LaurentPoly:
         tokens.append(m.group().strip())
         pos = m.end()
 
-    result = LaurentPoly.zero(vs)
+    result = LaurentPoly(vs)
     i = 0
     sign = 1
     while i < len(tokens):
@@ -63,7 +63,7 @@ def parse_laurent(text: str, variables: Iterable[str]) -> LaurentPoly:
                 i += 1
                 continue
             break
-        result = result + LaurentPoly.monomial(vs, exp, coef)
+        result = result + LaurentPoly(vs, {tuple(exp): coef})
         sign = 1
     return result
 

@@ -5,10 +5,13 @@ import pytest
 from friezelab import catalog
 from friezelab.cc import cc_map, growth_via_homogeneous, quiddity_from_tube
 from friezelab.chebyshev import chebyshev_S, chebyshev_T, second_kind
+from friezelab.errors import UnsupportedQuiver
 from friezelab.frieze import Quiddity, generate, growth
 from friezelab.laurent import LaurentPoly
+from friezelab.quivers import Quiver
 from friezelab.rep import QuiverRep, grassmannian_table
 from friezelab.reproduce import check_d4_degenerate_identity
+from friezelab.seeds import Seed
 from friezelab.theta import growth_from_affine_quiver
 
 from laurent_text import parse_laurent
@@ -49,10 +52,37 @@ def test_cc_map_multiplicative_on_direct_sums():
         assert cc_map(direct_sum(a, b)).laurent == cc_map(a).laurent * cc_map(b).laurent
 
 
+def kronecker_preprojective(a):
+    """M_a: dims (a, a + 1) and maps [I_a; 0] and [0; I_a] on the Kronecker quiver."""
+    identity = [[int(i == j) for j in range(a)] for i in range(a)]
+    zero = [[0] * a]
+    return QuiverRep(catalog.kronecker(), (a, a + 1), [identity + zero, zero + identity])
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_cc_map_matches_kronecker_mutation(a):
+    # mutation of the initial seed at 1, 0, 1, ... makes X_{M_0}, X_{M_1}, ...
+    # in turn; M_3 needs 8 primes, more than the defaults
+    seed = Seed.initial(catalog.kronecker())
+    for step in range(a + 1):
+        seed = seed.mutate(1 - step % 2)
+    assert seed.vars[1 - a % 2] == cc_map(kronecker_preprojective(a)).laurent
+
+
+def test_cc_refuses_oriented_cycle():
+    # the acyclic exponent rule would turn this table into the constant 2
+    q = Quiver(["0", "1", "2"], [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+    M = QuiverRep(q, (1, 1, 1), [[[1]]] * 3)
+    with pytest.raises(UnsupportedQuiver, match="oriented cycles"):
+        cc_map(M)
+    with pytest.raises(UnsupportedQuiver, match="oriented cycles"):
+        quiddity_from_tube(M.quiver, [M])
+
+
 def test_cc_at_ones_equals_table_sum():
     for M in (catalog.d4_m_lambda(2), catalog.d4_tubes()[0][0],
               catalog.kronecker_regular()):
-        assert cc_map(M).at_ones == grassmannian_table(M).chi_sum()
+        assert cc_map(M).at_ones == sum(grassmannian_table(M).values())
 
 
 def test_cc_coefficients_positive_on_fixtures():

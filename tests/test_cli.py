@@ -14,6 +14,7 @@ from friezelab.fixtures import fixture_root
 from friezelab.frieze import generate
 from friezelab.laurent import LaurentPoly
 from friezelab.quivers import Quiver
+from friezelab.rep import QuiverRep
 
 
 def run(capsys, *argv):
@@ -144,6 +145,16 @@ def test_theta_refuses_non_affine_acyclic_quivers(capsys, tmp_path, name, messag
     code, out = run(capsys, "theta", "--quiver", str(path), *mode)
     assert code == 1
     assert json.loads(out) == {"error": {"type": "NotAffine", "message": message}}
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_cc_refuses_oriented_cycle(capsys, tmp_path, mode):
+    cycle = Quiver(["0", "1", "2"], [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(QuiverRep(cycle, (1, 1, 1), [[[1]]] * 3).to_json()))
+    code, out = run(capsys, "cc", "--rep", str(path), *mode)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "UnsupportedQuiver"
 
 
 def test_theta_json(capsys):
@@ -347,7 +358,7 @@ def test_modular_json_is_one_object_with_seed_and_relations(capsys):
     assert both == {**moved, **checked} and set(both) == {"quiver", "vars", "relations"}
 
 
-@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--word", ","], ["--word", " , "]])
 def test_modular_needs_word_or_relations(capsys, mode):
     code, out = run(capsys, "modular", "--quiver", fixture("e6/double_arrow.json"), *mode)
     assert code == 2

@@ -20,7 +20,7 @@ def lp(text, variables=V2):
 
 def test_add_inverse_cancels():
     x0 = LaurentPoly.variable(V2, "x0")
-    assert (x0 + (-x0)).is_zero()
+    assert not (x0 + (-x0))
 
 
 def test_add_like_terms():
@@ -42,7 +42,7 @@ def test_mul_difference_of_squares():
 
 def test_mul_absorbing_zero():
     p = lp("x0^3 + 2*x1 - 1")
-    assert (LaurentPoly.zero(V2) * p).is_zero()
+    assert not (LaurentPoly(V2) * p)
 
 
 def test_variable_list_mismatch():
@@ -107,7 +107,7 @@ def test_div_exact_roundtrip_randomized():
     while checked < 100:
         p = _random_poly(rng, V2)
         q = _random_poly(rng, V2)
-        if q.is_zero():
+        if not q:
             continue
         assert (p * q).div_exact(q) == p
         checked += 1
@@ -155,9 +155,9 @@ def test_div_exact_roundtrip_several_variables():
         variables = ("a", "b", "c", "d")[:rng.choice((3, 4))]
         p = _random_poly(rng, variables, max_terms=6)
         q = _random_poly(rng, variables, max_terms=5)
-        if q.is_zero():
+        if not q:
             continue
-        zeros += p.is_zero()
+        zeros += not p
         assert (p * q).div_exact(q) == p
         checked += 1
     assert zeros
@@ -192,7 +192,7 @@ def test_ring_results_have_no_zero_coefficients():
         p = _random_poly(rng, V2)
         q = _random_poly(rng, V2)
         results = [p + q, p - q, -p, p * q, p * q - q * p]
-        if not q.is_zero():
+        if q:
             results.append((p * q).div_exact(q))
         for r in results:
             assert 0 not in r.terms.values()
@@ -228,7 +228,7 @@ def test_div_exact_roundtrip_hypothesis():
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
     @hypothesis.given(polys, polys)
     def check(p, q):
-        hypothesis.assume(not q.is_zero())
+        hypothesis.assume(q)
         assert (p * q).div_exact(q) == p
 
     check()
@@ -251,7 +251,7 @@ def test_packed_arithmetic_matches_tuple_reference():
             assert product.sorted_terms() == grlex_sorted(product.terms)
             assert [(tuple(t["exp"]), int(t["coef"])) for t in product.to_json()["terms"]] \
                 == grlex_sorted(product.terms)
-            if not q.is_zero():
+            if q:
                 assert product.div_exact(q) == p
 
 
@@ -272,13 +272,13 @@ def test_exponents_past_the_field_range_raise():
     assert (x0 ** (LIMIT - 1)).terms == {(LIMIT - 1, 0): 1}
     with pytest.raises(ExponentOutOfRange):
         x0 ** LIMIT
-    inverse = LaurentPoly.monomial(V2, (-1, 0))
+    inverse = LaurentPoly(V2, {(-1, 0): 1})
     assert (inverse ** LIMIT).terms == {(-LIMIT, 0): 1}
     with pytest.raises(ExponentOutOfRange):
         inverse ** (LIMIT + 1)
     with pytest.raises(ExponentOutOfRange):
-        LaurentPoly.monomial(V2, (0, LIMIT))
-    half = LaurentPoly.monomial(V2, (LIMIT // 2, 0))
+        LaurentPoly(V2, {(0, LIMIT): 1})
+    half = LaurentPoly(V2, {(LIMIT // 2, 0): 1})
     with pytest.raises(ExponentOutOfRange):
         half * half
 

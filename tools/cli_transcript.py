@@ -28,7 +28,8 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # runs that the README block does not show: a quiver without --seed, the
 # full character, invariance words at a double-arrow seed, the generators
 # tb, tc and gamma, a growth element with an empty triangle product (the
-# Kronecker quiver, in both rings) and a searched word
+# Kronecker quiver, in both rings), a searched word, a Grassmannian table,
+# a character at ones and a quiddity read from Euler characteristic sums
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -36,6 +37,10 @@ EXTRA = [
     ["modular", "--quiver", "fixtures/e6/double_arrow.json", "--word", "tb,tc,gamma"],
     ["theta", "--quiver", "fixtures/kronecker/quiver.json", "--at-ones"],
     ["search", "--quiver", "fixtures/e6/quiver.json"],
+    ["grassmannian", "--rep", "fixtures/kronecker/regular.json", "--table"],
+    ["cc", "--rep", "fixtures/d4/m_lambda0.json", "--at-ones"],
+    ["tube-frieze", "--quiver", "fixtures/d4/quiver.json", "--tube", "fixtures/d4/tube2.json",
+     "--growth", "1"],
 ]
 
 

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from friezelab import catalog
 from friezelab.cc import cc_map
 from friezelab.frieze import generate, growth
-from friezelab.rep import grassmannian_table
+from friezelab.rep import grassmannian_table, table_json
 from friezelab.theta import double_arrow_seed, theta
 
 ROOT = Path(__file__).resolve().parent.parent / "src" / "friezelab" / "fixtures"
@@ -39,7 +39,7 @@ def goldens():
             "rows": [[str(x) for x in f.row(r)] for r in range(1, 7)],
         },
         "growth_8_2": {str(k): str(growth(f, k)) for k in (1, 2, 3)},
-        "grassmannian_table": table.to_json(),
+        "grassmannian_table": table_json(table),
         "cc_m_lambda": character.laurent.to_json(),
         "cc_m_lambda_at_ones": str(character.at_ones),
         "theta_at_ones": str(theta(seed).integer),
