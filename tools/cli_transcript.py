@@ -29,12 +29,16 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # full character, invariance words at a double-arrow seed, the generators
 # tb, tc and gamma, a growth element with an empty triangle product (the
 # Kronecker quiver, in both rings), a searched word, a Grassmannian table,
-# a character at ones and a quiddity read from Euler characteristic sums
+# a character at ones, a quiddity read from Euler characteristic sums, the
+# E7 generators and friezes of 3 and 7 periods
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
     ["theta", "--quiver", "fixtures/d4/double_arrow.json", "--invariance-words", "0;1;0,1"],
     ["modular", "--quiver", "fixtures/e6/double_arrow.json", "--word", "tb,tc,gamma"],
+    ["modular", "--quiver", "fixtures/e7/double_arrow.json", "--word", "ta,tb,tc"],
+    ["frieze", "--quiddity", "7,7,7", "--depth", "4"],
+    ["frieze", "--quiddity", "3", "--depth", "4", "--growth", "2"],
     ["theta", "--quiver", "fixtures/kronecker/quiver.json", "--at-ones"],
     ["search", "--quiver", "fixtures/e6/quiver.json"],
     ["grassmannian", "--rep", "fixtures/kronecker/regular.json", "--table"],
