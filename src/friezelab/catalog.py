@@ -2,10 +2,13 @@
 and the verification suite.
 
 The affine D4 star, the affine E6 orientation, and the rank-2 tube
-representations below are the standard desk examples; the double-arrow base
-quivers are the unique shapes in the corresponding mutation classes whose
-modular-group generator words admit restoring permutations satisfying the
-tau relations (pendant and chain arrows point INTO the triangle vertices).
+representations below are the standard desk examples.  The double-arrow
+base quivers, the unique shapes in their mutation classes whose generator
+words admit restoring permutations satisfying the tau relations, are one
+fan: 0 => 1 with triangles 1 -> w -> 0 and a leg wk -> ... -> w1 -> w
+pointing INTO each w in a, b, c.  The legs have (0, 0, rank - 4) vertices
+for affine D_rank and E_LEGS[n] = (0, 1, n - 5) for affine E_n, whose
+generator t_w has exponent legs[w] + 2 in ta^2 == tb^3 == tc^(n-3).
 """
 
 from __future__ import annotations
@@ -35,17 +38,10 @@ def affine_a(p: int, q: int) -> Quiver:
     """Cycle with p clockwise and q counterclockwise arrows (p, q >= 1)."""
     if p < 1 or q < 1:
         raise ValueError("need p, q >= 1")
-    if p + q == 2:
-        return kronecker()
     n = p + q
     labels = [str(i) for i in range(n)]
-    arrows = []
-    for i in range(n):
-        j = (i + 1) % n
-        if i < p:
-            arrows.append((labels[i], labels[j]))
-        else:
-            arrows.append((labels[j], labels[i]))
+    arrows = [(labels[i], labels[(i + 1) % n]) if i < p else (labels[(i + 1) % n], labels[i])
+              for i in range(n)]
     return _quiver_from_arrows(labels, arrows)
 
 
@@ -93,40 +89,42 @@ def e8_affine() -> Quiver:
 
 # -- double-arrow base quivers ------------------------------------------------
 
-def d4_double_arrow() -> Quiver:
-    """The unique double-arrow quiver in the affine D4 class:
-    0 => 1 with three directed triangles 1 -> w -> 0."""
-    return d_double_arrow(4)
+E_LEGS = {n: {"a": 0, "b": 1, "c": n - 5} for n in (6, 7, 8)}
+
+
+def leg(w: str, k: int) -> list[str]:
+    """The triangle vertex w and the k vertices w1, ..., wk of its leg."""
+    return [w] + ["%s%d" % (w, i) for i in range(1, k + 1)]
+
+
+def _fan(legs: dict[str, int]) -> Quiver:
+    """The fan with legs[w] vertices in the leg of each w, labeled 0, 1,
+    then each w followed by its leg."""
+    labels, arrows = ["0", "1"], [("0", "1"), ("0", "1")]
+    for w, k in legs.items():
+        chain = leg(w, k)
+        labels += chain
+        arrows += [("1", w), (w, "0")] + list(zip(chain[1:], chain))
+    return _quiver_from_arrows(labels, arrows)
 
 
 def d_double_arrow(rank: int) -> Quiver:
-    """Double-arrow quiver of affine type D_rank: the D4 fan plus a chain
-    c1 -> c (then c2 -> c1, ...) hanging off the triangle vertex c."""
+    """Double-arrow quiver of affine type D_rank (unique for rank 4)."""
     if rank < 4:
         raise ValueError("affine D needs rank >= 4")
-    labels = ["0", "1", "a", "b", "c"] + ["c%d" % i for i in range(1, rank - 3)]
-    arrows = [("0", "1"), ("0", "1")]
-    for w in ("a", "b", "c"):
-        arrows += [("1", w), (w, "0")]
-    chain = ["c"] + ["c%d" % i for i in range(1, rank - 3)]
-    arrows += [(b, a) for a, b in zip(chain, chain[1:])]
-    return _quiver_from_arrows(labels, arrows)
+    return _fan({"a": 0, "b": 0, "c": rank - 4})
+
+
+def e_legs(n: int) -> dict[str, int]:
+    """The legs of the affine E_n fan."""
+    if n not in E_LEGS:
+        raise ValueError("n must be 6, 7 or 8")
+    return E_LEGS[n]
 
 
 def e_double_arrow(n: int) -> Quiver:
-    """Double-arrow base quiver of affine type E_n (n = 6, 7, 8): the D4 fan
-    plus a pendant b1 -> b and a chain ck -> ... -> c1 -> c."""
-    if n not in (6, 7, 8):
-        raise ValueError("n must be 6, 7 or 8")
-    k = n - 5
-    labels = ["0", "1", "a", "b", "b1", "c"] + ["c%d" % i for i in range(1, k + 1)]
-    arrows = [("0", "1"), ("0", "1")]
-    for w in ("a", "b", "c"):
-        arrows += [("1", w), (w, "0")]
-    arrows.append(("b1", "b"))
-    chain = ["c"] + ["c%d" % i for i in range(1, k + 1)]
-    arrows += [(b, a) for a, b in zip(chain, chain[1:])]
-    return _quiver_from_arrows(labels, arrows)
+    """Double-arrow base quiver of affine type E_n."""
+    return _fan(e_legs(n))
 
 
 # -- representation fixtures ---------------------------------------------------
@@ -196,7 +194,7 @@ def fixture_payloads() -> dict:
         "d4/m_lambda.json": d4_m_lambda(2).to_json(),
         "d4/m_lambda0.json": d4_m_lambda(0).to_json(),
         **tubes,
-        "d4/double_arrow.json": d4_double_arrow().to_json(),
+        "d4/double_arrow.json": d_double_arrow(4).to_json(),
         "e6/quiver.json": e6_affine().to_json(),
         "e6/double_arrow.json": e_double_arrow(6).to_json(),
         "e6/quiddities.json": {"tubes": [[str(a) for a in q] for q in E6_TUBE_QUIDDITIES]},

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from itertools import islice
@@ -48,7 +49,7 @@ def _quiddity(text: str) -> Quiddity:
 def _primes(text: str) -> tuple[int, ...]:
     values = tuple(int(x) for x in text.split(","))
     for i, p in enumerate(values):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise argparse.ArgumentTypeError("%d is not prime" % p)
         if p in values[:i]:
             raise argparse.ArgumentTypeError("prime %d is repeated" % p)
@@ -125,18 +126,16 @@ def describe_quiver(quiver: Quiver) -> str:
     return " ".join(parts)
 
 
-def render_frieze(pattern: FriezePattern) -> str:
-    """The staggered layout: 0's, 1's, then the computed rows."""
+def render_frieze(pattern: FriezePattern) -> list[str]:
+    """The lines of the staggered layout: 0's, 1's, then the computed rows,
+    each repeated over the same number of periods."""
     periods = max(2, 6 // pattern.period + 1)
-    rows = {r: pattern.row(r) * periods for r in range(-1, pattern.depth + 1)}
-    width = max(len(str(v)) for vals in rows.values() for v in vals) + 2
-    if width % 2:
-        width += 1
-    lines = []
-    for r in range(-1, pattern.depth + 1):
-        offset = " " * (width // 2) if (r % 2 == 0) else ""
-        lines.append(offset + "".join(str(v).center(width) for v in rows[r]).rstrip())
-    return "\n".join(lines)
+    rows = [[str(v) for v in pattern.row(r)] for r in range(-1, pattern.depth + 1)]
+    width = max(len(v) for row in rows for v in row) + 2
+    width += width % 2
+    return [(" " * (width // 2) if r % 2 == 0 else "")
+            + ("".join(v.center(width) for v in row) * periods).rstrip()
+            for r, row in enumerate(rows, -1)]
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -171,7 +170,7 @@ def _frieze_report(args, quiddity: Quiddity, header: bool) -> Report:
             payload["growth"] = growth_report
         return 0, payload, None
     lines = ["quiddity: " + ",".join(str(a) for a in quiddity)] if header else []
-    lines.append(render_frieze(pattern))
+    lines += render_frieze(pattern)
     lines += ["s_%s = %s" % item for item in growth_report.items()]
     return 0, None, lines
 
@@ -183,6 +182,9 @@ def cmd_frieze(args) -> Report:
 def cmd_mutate(args) -> Report:
     quiver = _load(args.quiver, Quiver.from_json)
     word = _vertices(quiver, args.word)
+    for k in word:
+        if quiver.labels[k] in quiver.frozen:
+            raise ValueError("cannot mutate frozen vertex %r" % quiver.labels[k])
     if args.seed:
         seed = Seed.initial(quiver).mutate_word(word)
         lines = ["x[%s] = %s" % pair for pair in zip(seed.quiver.labels, seed.vars)]
@@ -207,13 +209,13 @@ def cmd_modular(args) -> Report:
     names = [w.strip() for w in args.word.split(",") if w.strip()]
     if not (names or args.check_relations):
         raise argparse.ArgumentTypeError("give --word, --check-relations or both")
+    for name in names:
+        if name not in GENERATORS:
+            raise argparse.ArgumentTypeError("unknown generator %r" % name)
     seed = Seed.initial(_load(args.quiver, Quiver.from_json))
     relations = check_relations(seed) if args.check_relations else None
     payload, lines = {}, []
     if names:
-        for name in names:
-            if name not in GENERATORS:
-                raise argparse.ArgumentTypeError("unknown generator %r" % name)
         moved = apply_generator_word(seed, names)
         payload = _seed_json(moved)
         lines.append("applied %s" % ",".join(names))
@@ -394,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         status, payload, lines = args.func(args)
-        print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
+        print(*([json.dumps(payload, sort_keys=True)] if args.json else lines), sep="\n")
         sys.stdout.flush()  # a reader that closed early shows up here, not at exit
         return status
     except BrokenPipeError:

@@ -1,13 +1,12 @@
 """Generators of the cluster modular group on the affine E double-arrow
-base quivers.
+base quivers: the fans of catalog.E_LEGS, 0 => 1 with triangles 1 -> w -> 0
+and a leg of legs[w] = (0, 1, n - 5) vertices off w = a, b, c.
 
-A generator is a mutation word on the base quiver followed by the vertex
-permutation that returns the quiver to its base labeling:
-
-    ta = mu_a mu_0 mu_1
-    tb = mu_b1 mu_b mu_0 mu_1
-    tc = mu_ck ... mu_c1 mu_c mu_0 mu_1      (k = n - 5)
-    gamma = the order-2 symmetry of the 7-vertex quiver (legs b and c swap)
+A generator t_w is a mutation word on the base quiver, leg w from its far
+end, then 0 and 1 (tc = mu_ck ... mu_c1 mu_c mu_0 mu_1), followed by the
+vertex permutation that returns the quiver to its base labeling.  Its
+exponent in ta^2 == tb^3 == tc^(n-3) is legs[w] + 2.  The symmetry gamma of
+the 7-vertex quiver swaps legs b and c.
 
 The word is applied leftmost factor first: under that convention every
 generator of E6, E7 and E8 returns the base quiver to a relabeling of
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import functools
 
-from .catalog import e_double_arrow
+from .catalog import E_LEGS, e_double_arrow, e_legs, leg
 from .errors import NoRestoringPermutation, UnsupportedQuiver
 from .quivers import Quiver
 from .seeds import Seed
@@ -36,7 +35,7 @@ GENERATORS = ("ta", "tb", "tc", "gamma")
 def rank_of(quiver: Quiver) -> int:
     """The n with quiver isomorphic to the affine E_n double-arrow shape."""
     n = quiver.m - 1
-    if n not in (6, 7, 8):
+    if n not in E_LEGS:
         raise UnsupportedQuiver("the cluster modular group is implemented only for the affine "
                                 "E6, E7 and E8 base quivers (7, 8 or 9 vertices); got %d vertices"
                                 % quiver.m)
@@ -44,15 +43,13 @@ def rank_of(quiver: Quiver) -> int:
 
 
 def generator_labels(n: int, generator: str) -> list[str]:
-    """Mutation word of a generator, leftmost composition factor first."""
-    k = n - 5
-    if generator == "ta":
-        return ["a", "0", "1"]
-    if generator == "tb":
-        return ["b1", "b", "0", "1"]
-    if generator == "tc":
-        return ["c%d" % i for i in range(k, 0, -1)] + ["c", "0", "1"]
-    raise ValueError("unknown generator %r" % generator)
+    """Mutation word of a generator t_w, leftmost composition factor first:
+    leg w from its far end, then 0 and 1."""
+    legs = e_legs(n)
+    w = generator[1:]
+    if generator[:1] != "t" or w not in legs:
+        raise ValueError("unknown generator %r" % generator)
+    return leg(w, legs[w])[::-1] + ["0", "1"]
 
 
 @functools.cache
@@ -114,10 +111,11 @@ def check_relations(seed: Seed) -> dict[str, bool]:
     ta^2 == tb^3 == tc^(n-3), and for n = 6 also gamma^2 == id and
     gamma*ta == ta*gamma."""
     n = rank_of(seed.quiver)
-    a2 = apply_generator_word(seed, ["ta"] * 2)
-    b3 = apply_generator_word(seed, ["tb"] * 3)
-    ck = apply_generator_word(seed, ["tc"] * (n - 3))
-    relations = {"ta^2 == tb^3": a2 == b3, "tb^3 == tc^%d" % (n - 3): b3 == ck}
+    powers = {"t%s^%d" % (w, k + 2): apply_generator_word(seed, ["t" + w] * (k + 2))
+              for w, k in E_LEGS[n].items()}
+    names = list(powers)
+    relations = {"%s == %s" % pair: powers[pair[0]] == powers[pair[1]]
+                 for pair in zip(names, names[1:])}
     if n == 6:
         relations["gamma^2 == id"] = apply_generator_word(seed, ["gamma", "gamma"]) == seed
         relations["gamma*ta == ta*gamma"] = (apply_generator_word(seed, ["gamma", "ta"])

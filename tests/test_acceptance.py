@@ -76,7 +76,7 @@ def test_criterion_11_property_suites():
 
         # mutation involutivity on 500 random (seed, vertex) pairs
         pool = [catalog.kronecker(), catalog.d4_star(), catalog.affine_a(2, 1),
-                catalog.d4_double_arrow(), catalog.e6_affine(),
+                catalog.d_double_arrow(4), catalog.e6_affine(),
                 catalog.e_double_arrow(6)]
         seeds = [Seed.initial(q) for q in pool]
         for _ in range(500):

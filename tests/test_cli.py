@@ -108,8 +108,7 @@ def test_frieze_json_does_not_render_the_text_layout(capsys, monkeypatch):
 
 
 def test_render_offsets_alternate():
-    text = render_frieze(generate([4, 4], 2))
-    lines = text.splitlines()
+    lines = render_frieze(generate([4, 4], 2))
     indents = [len(l) - len(l.lstrip()) for l in lines]
     assert indents[0] != indents[1] and indents[0] == indents[2]
 
@@ -172,6 +171,20 @@ def test_theta_invariance_words(capsys):
     assert payload["invariant"] is True
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_theta_invariance_failure_exits_1(capsys, tmp_path, mode):
+    # the Markov quiver 0 => 1 => 2 => 0: theta at ones is 3, then 4 after mu_1
+    path = tmp_path / "markov.json"
+    path.write_text(json.dumps(Quiver(["0", "1", "2"],
+                                      [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]).to_json()))
+    code, out = run(capsys, "theta", "--quiver", str(path), "--invariance-words", "1", *mode)
+    assert code == 1
+    if mode:
+        assert json.loads(out)["invariant"] is False
+    else:
+        assert out.splitlines()[-1] == "invariant under given words: False"
+
+
 def test_search_json(capsys):
     code, payload = run_json(capsys, "search", "--quiver", fixture("d4/quiver.json"))
     assert code == 0
@@ -195,6 +208,16 @@ def test_mutate_involution(capsys):
                              "--word", "3,3")
     assert code == 0
     assert Quiver.from_json(payload) == catalog.d4_star()
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--seed"], ["--seed", "--json"]])
+def test_mutate_refuses_a_frozen_vertex(capsys, tmp_path, mode):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(catalog._quiver_from_arrows("012", ["01", "12"], "2").to_json()))
+    code, out = run(capsys, "mutate", "--quiver", str(path), "--word", "0,2", *mode)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ValueError",
+                                         "message": "cannot mutate frozen vertex '2'"}}
 
 
 @pytest.mark.parametrize("argv, label", [
@@ -372,6 +395,20 @@ def test_modular_unknown_generator_is_usage_error(capsys):
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "UsageError" and "zz" in error["message"]
+
+
+def test_modular_checks_generator_names_before_the_relations(capsys, monkeypatch):
+    import friezelab.cli as cli_module
+
+    def refuse(seed):
+        raise AssertionError("relations computed before the names were checked")
+
+    monkeypatch.setattr(cli_module, "check_relations", refuse)
+    code, out = run(capsys, "modular", "--quiver", fixture("e8/double_arrow.json"),
+                    "--word", "foo", "--check-relations")
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "UsageError",
+                                         "message": "unknown generator 'foo'"}}
 
 
 def test_modular_check_relations_rejects_non_e_quiver(capsys):

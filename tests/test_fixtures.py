@@ -33,6 +33,22 @@ def test_fixture_files_match_catalog():
         assert [QuiverRep.from_json(entry) for entry in reps] == list(tube)
 
 
+def test_double_arrow_quivers_are_fans_with_legs():
+    # labels 0, 1, then each triangle vertex followed by its leg; the arrows
+    # are the double arrow, the triangles 1 -> w -> 0 and legs pointing at w
+    def arrows(q):
+        return sorted((q.labels[t], q.labels[h]) for t, h in q.arrows())
+
+    fan = [("0", "1"), ("0", "1")] + [(t, h) for w in "abc" for t, h in (("1", w), (w, "0"))]
+    d6 = catalog.d_double_arrow(6)
+    assert d6.labels == ("0", "1", "a", "b", "c", "c1", "c2")
+    assert arrows(d6) == sorted(fan + [("c1", "c"), ("c2", "c1")])
+    e7 = catalog.e_double_arrow(7)
+    assert e7.labels == ("0", "1", "a", "b", "b1", "c", "c1", "c2")
+    assert arrows(e7) == sorted(fan + [("b1", "b"), ("c1", "c"), ("c2", "c1")])
+    assert catalog.affine_a(1, 1) == catalog.kronecker()
+
+
 def test_golden_character_matches_computation():
     golden = LaurentPoly.from_json(load_json("d4/goldens.json")["cc_m_lambda"])
     assert golden == cc_map(catalog.d4_m_lambda(2)).laurent

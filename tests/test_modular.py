@@ -18,6 +18,11 @@ def test_generator_labels():
     assert generator_labels(6, "tb") == ["b1", "b", "0", "1"]
     assert generator_labels(6, "tc") == ["c1", "c", "0", "1"]
     assert generator_labels(8, "tc") == ["c3", "c2", "c1", "c", "0", "1"]
+    with pytest.raises(ValueError, match="n must be 6, 7 or 8"):
+        generator_labels(5, "ta")
+    for generator in ("gamma", "td", "t", ""):
+        with pytest.raises(ValueError, match="unknown generator %r" % generator):
+            generator_labels(7, generator)
 
 
 def test_generator_words_restore_base_quiver():
@@ -90,7 +95,7 @@ def test_non_base_quiver_rejected():
     with pytest.raises(UnsupportedQuiver):
         modular_generator(seed, "ta")
     with pytest.raises(UnsupportedQuiver):
-        modular_generator(Seed.initial(catalog.d4_double_arrow()), "ta")
+        modular_generator(Seed.initial(catalog.d_double_arrow(4)), "ta")
 
 
 def test_unknown_generator_rejected():

@@ -86,7 +86,7 @@ def test_mutation_matches_matrix_formula():
 def test_double_arrows():
     assert catalog.kronecker().double_arrows() == [(0, 1)]
     assert catalog.d4_star().double_arrows() == []
-    fan = catalog.d4_double_arrow()
+    fan = catalog.d_double_arrow(4)
     assert fan.double_arrows() == [(fan.index("0"), fan.index("1"))]
 
 
@@ -136,7 +136,7 @@ def test_search_kronecker_trivial():
 
 def test_search_d4_reaches_triangle_fan():
     found, word = mutation_class_search(catalog.d4_star(), has_double_arrow, max_nodes=1000)
-    assert found.isomorphisms_to(catalog.d4_double_arrow())
+    assert found.isomorphisms_to(catalog.d_double_arrow(4))
     assert catalog.d4_star().mutate_word(word.sequence) == found
     # the word is a tuple of ints; .sequence is the same ints as a plain tuple
     assert type(word.sequence) is tuple and word.sequence == tuple(word)

@@ -52,7 +52,7 @@ def test_exchange_definition_at_initial_seed():
 def test_seed_mutation_is_involution():
     rng = random.Random(42)
     pool = [catalog.kronecker(), catalog.d4_star(), catalog.e6_affine(),
-            catalog.d4_double_arrow(), catalog.e_double_arrow(6)]
+            catalog.d_double_arrow(4), catalog.e_double_arrow(6)]
     checked = 0
     for quiver in pool:
         seed = Seed.initial(quiver)

@@ -26,7 +26,7 @@ NOT_AFFINE = {"star5": catalog._quiver_from_arrows("012345", [(l, "0") for l in 
 
 
 def test_triangle_neighbors_shapes():
-    fan = catalog.d4_double_arrow()
+    fan = catalog.d_double_arrow(4)
     u, v = fan.index("0"), fan.index("1")
     assert sorted(fan.labels[w] for w in triangle_neighbors(fan, u, v)) == ["a", "b", "c"]
 
@@ -41,7 +41,7 @@ def test_triangle_neighbors_shapes():
 
 
 def test_theta_symbolic_on_triangle_fan():
-    seed = Seed.initial(catalog.d4_double_arrow())
+    seed = Seed.initial(catalog.d_double_arrow(4))
     names = seed.vars[0].vars
     expected = parse_laurent(
         "x1*x0^-1 + x0*x1^-1 + x_a*x_b*x_c*x0^-1*x1^-1", names)
@@ -50,7 +50,7 @@ def test_theta_symbolic_on_triangle_fan():
 
 
 def test_theta_all_variables_one():
-    quiver = catalog.d4_double_arrow()
+    quiver = catalog.d_double_arrow(4)
     ones = [LaurentPoly.one(("t",)) for _ in range(quiver.m)]
     seed = Seed(quiver, ones)
     assert theta(seed).laurent == 3
@@ -107,7 +107,7 @@ def test_growth_route_refuses_non_affine_acyclic_quivers(name):
 
 
 def test_growth_route_searches_cyclic_and_frozen_quivers_unguarded():
-    fan = catalog.d4_double_arrow()
+    fan = catalog.d_double_arrow(4)
     seed, word = double_arrow_seed(fan)
     assert word == MutationWord([]) and seed == Seed.initial(fan)
     # A4 with a frozen end is not affine, but only unfrozen acyclic quivers are checked
@@ -132,7 +132,7 @@ def test_integer_path_along_a_kronecker_chain():
 
 
 def test_integer_path_rejects_bad_words():
-    fan = catalog.d4_double_arrow()
+    fan = catalog.d_double_arrow(4)
     with pytest.raises(MissingDoubleArrow):
         theta_at_ones(fan, [fan.index("a")])
     frozen = Quiver(fan.labels, fan.b, frozen=["a"])
@@ -166,7 +166,7 @@ def test_theta_invariance_empty_words():
 
 def test_theta_invariance_short_words_on_triangle_fan():
     # all words of length <= 4 that happen to return to a double-arrow shape
-    seed = Seed.initial(catalog.d4_double_arrow())
+    seed = Seed.initial(catalog.d_double_arrow(4))
     m = seed.quiver.m
     words = []
     for length in (1, 2, 3, 4):
@@ -181,10 +181,23 @@ def test_theta_invariance_rejects_bad_word():
     seed = Seed.initial(catalog.kronecker())
     # after one mutation the double arrow persists on the Kronecker quiver,
     # so use the triangle fan where mutating at "a" kills it
-    fan_seed = Seed.initial(catalog.d4_double_arrow())
+    fan_seed = Seed.initial(catalog.d_double_arrow(4))
     with pytest.raises(MissingDoubleArrow):
         theta_invariance(fan_seed, [(fan_seed.quiver.index("a"),)])
     assert theta_invariance(seed, [(0,), (1,)])
+
+
+MARKOV = Quiver(["0", "1", "2"], [[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
+
+
+def test_theta_invariance_fails_on_the_markov_quiver():
+    # 0 => 1 => 2 => 0 keeps its double arrows under every mutation, but the
+    # triangle product changes: theta at ones is 3, then 4 after mu_1
+    seed = Seed.initial(MARKOV)
+    assert theta(seed).integer == 3
+    assert theta(seed.mutate(1)).integer == 4
+    assert not theta_invariance(seed, [(1,)])
+    assert theta_invariance(seed, [(1, 1)])
 
 
 def test_bracelet_values():
