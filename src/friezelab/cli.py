@@ -396,7 +396,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         status, payload, lines = args.func(args)
-        print(*([json.dumps(payload, sort_keys=True)] if args.json else lines), sep="\n")
+        lines = [json.dumps(payload, sort_keys=True)] if args.json else lines
+        print(*lines, sep="\n")
         sys.stdout.flush()  # a reader that closed early shows up here, not at exit
         return status
     except BrokenPipeError:

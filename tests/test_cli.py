@@ -109,6 +109,7 @@ def test_frieze_json_does_not_render_the_text_layout(capsys, monkeypatch):
 
 def test_render_offsets_alternate():
     lines = render_frieze(generate([4, 4], 2))
+    assert len(lines) == 4
     indents = [len(l) - len(l.lstrip()) for l in lines]
     assert indents[0] != indents[1] and indents[0] == indents[2]
 
