@@ -30,7 +30,8 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # tb, tc and gamma, a growth element with an empty triangle product (the
 # Kronecker quiver, in both rings), a searched word, a Grassmannian table,
 # a character at ones, a quiddity read from Euler characteristic sums, the
-# E7 generators and friezes of 3 and 7 periods
+# E7 generators and friezes of 3 and 7 periods, the table of a parameter-free
+# representation and the character of one whose parameter is inadmissible at 2
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -45,6 +46,8 @@ EXTRA = [
     ["cc", "--rep", "fixtures/d4/m_lambda0.json", "--at-ones"],
     ["tube-frieze", "--quiver", "fixtures/d4/quiver.json", "--tube", "fixtures/d4/tube2.json",
      "--growth", "1"],
+    ["grassmannian", "--rep", "fixtures/d4/m_lambda0.json", "--table"],
+    ["cc", "--rep", "fixtures/kronecker/regular.json"],
 ]
 
 
