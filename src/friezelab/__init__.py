@@ -12,8 +12,7 @@ from .frieze import FriezePattern, Quiddity, generate, growth, measured_growth
 from .laurent import LaurentPoly
 from .modular import apply_generator_word, modular_generator
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
-from .rep import (DEFAULT_PRIMES, QuiverRep, count_points, defect, delta,
-                  euler_form, grassmannian_table)
+from .rep import QuiverRep, count_points, defect, delta, euler_form, grassmannian_table
 from .seeds import Seed
 from .theta import (ThetaValue, double_arrow_seed,
                     growth_from_affine_quiver, theta, theta_at_ones,
@@ -22,8 +21,7 @@ from .theta import (ThetaValue, double_arrow_seed,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CCValue", "CrossCheckFailed", "DEFAULT_PRIMES",
-    "ExponentOutOfRange", "FriezePattern", "FriezelabError",
+    "CCValue", "CrossCheckFailed", "ExponentOutOfRange", "FriezePattern", "FriezelabError",
     "InadmissiblePrime", "InvalidFrieze", "LaurentPoly",
     "MissingDoubleArrow", "MutationWord", "NoRestoringPermutation",
     "NonPolynomialCount", "NonPositiveEntry", "NotAffine", "NotDivisible",

@@ -29,7 +29,7 @@ from .chebyshev import first_kind, second_kind
 from .errors import CrossCheckFailed, UnsupportedQuiver
 from .frieze import Quiddity
 from .laurent import LaurentPoly
-from .rep import DEFAULT_PRIMES, QuiverRep, grassmannian_table
+from .rep import QuiverRep, grassmannian_table
 from .seeds import variable_name
 
 
@@ -44,12 +44,12 @@ def _check_acyclic(quiver) -> None:
         raise UnsupportedQuiver("cluster characters need a quiver without oriented cycles")
 
 
-def cc_map(rep: QuiverRep, primes: Sequence[int] = DEFAULT_PRIMES) -> CCValue:
+def cc_map(rep: QuiverRep) -> CCValue:
     """The cluster character of a representation, in the initial variables."""
     quiver = rep.quiver
     _check_acyclic(quiver)
     names = tuple(variable_name(l) for l in quiver.labels)
-    table = grassmannian_table(rep, primes)
+    table = grassmannian_table(rep)
     arrows = quiver.arrows()
     terms: dict[tuple[int, ...], int] = {}
     for e, chi in table.items():

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from itertools import islice
@@ -24,8 +23,8 @@ from .errors import FriezelabError
 from .frieze import FriezePattern, Quiddity, generate, growth
 from .modular import apply_generator_word, check_relations, GENERATORS
 from .quivers import MAX_NODES, Quiver, has_double_arrow, mutation_class_search
-from .rep import (DEFAULT_PRIMES, QuiverRep, _certified_chi, count_points,
-                  grassmannian_table, table_json)
+from .rep import (QuiverRep, _certified_chi, count_points, counting_degree_bound,
+                  counting_primes, grassmannian_table, is_prime, table_json)
 from .reproduce import run_checks
 from .seeds import Seed
 from .theta import double_arrow_seed, growth_from_affine_quiver, theta, theta_invariance
@@ -49,7 +48,7 @@ def _quiddity(text: str) -> Quiddity:
 def _primes(text: str) -> tuple[int, ...]:
     values = tuple(int(x) for x in text.split(","))
     for i, p in enumerate(values):
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise argparse.ArgumentTypeError("%d is not prime" % p)
         if p in values[:i]:
             raise argparse.ArgumentTypeError("prime %d is repeated" % p)
@@ -253,22 +252,22 @@ def cmd_theta(args) -> Report:
 
 def cmd_grassmannian(args) -> Report:
     rep = _load(args.rep, QuiverRep.from_json)
-    primes = args.primes or DEFAULT_PRIMES
     if args.dimvec is not None:
+        primes = args.primes or counting_primes(rep, counting_degree_bound(rep, args.dimvec) + 2)
         count = functools.cache(functools.partial(count_points, rep, args.dimvec))
         chi = _certified_chi(rep, args.dimvec, primes, count)
         counts = {str(p): str(count(p)) for p in primes if rep.admissible(p)}
         payload = {"e": list(args.dimvec), "chi": str(chi), "counts": counts}
         return 0, payload, (["chi(Gr_e) = %s" % chi]
                             + ["  points over F_%s: %s" % item for item in counts.items()])
-    table = grassmannian_table(rep, primes)
+    table = grassmannian_table(rep, args.primes)
     total = sum(table.values())
     return 0, {"table": table_json(table), "sum": str(total)}, (
         ["%s  chi=%d" % row for row in table.items()] + ["sum of chi: %s" % total])
 
 
 def cmd_cc(args) -> Report:
-    value = cc_map(_load(args.rep, QuiverRep.from_json), args.primes or DEFAULT_PRIMES)
+    value = cc_map(_load(args.rep, QuiverRep.from_json))
     payload = {"laurent": value.laurent.to_json(), "at_ones": str(value.at_ones)}
     if args.at_ones:
         return 0, payload, [str(value.at_ones)]
@@ -361,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cc", help="cluster character of a representation")
     p.add_argument("--rep", required=True)
-    p.add_argument("--primes", type=_primes, default=None)
     p.add_argument("--at-ones", action="store_true")
     p.set_defaults(func=cmd_cc)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .chebyshev import chebyshev_T
-from .errors import InvalidFrieze, NonPositiveEntry
+from .errors import InvalidFrieze, NonPositiveEntry, integer
 
 
 class Quiddity:
@@ -23,7 +23,7 @@ class Quiddity:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[int]):
-        ent = tuple(int(a) for a in entries)
+        ent = tuple(map(integer, entries))
         if not ent:
             raise ValueError("quiddity must have at least one entry")
         if any(a < 1 for a in ent):

@@ -327,7 +327,7 @@ class MutationWord(tuple):
     """A mutation sequence: a tuple of vertex indices, applied left first."""
 
     def __new__(cls, sequence: Iterable[int]):
-        return super().__new__(cls, map(int, sequence))
+        return super().__new__(cls, map(integer, sequence))
 
     def __repr__(self) -> str:
         return "MutationWord(%s)" % (list(self),)

@@ -14,11 +14,12 @@ once, so one traversal per prime fills a whole table.  Vertex order, arrow
 tables mod p and subspace lists are kept on the QuiverRep per prime while it
 lives, so a QuiverRep is treated as immutable.  chi(Gr_e) is P(1) for the
 point-counting polynomial P in the field size, held in an integer Newton
-divided-difference table over the first sum_v e_v(d_v - e_v) + 1 admissible
-primes.  Newton basis polynomials are monic with integer coefficients, so P
-is integral exactly when every division in the table is exact.  A remainder
-raises NonPolynomialCount, and so does a count at the next admissible prime,
-held out, that differs from P there.
+divided-difference table over the first bound + 1 admissible primes, bound =
+sum_v e_v(d_v - e_v).  Monic integer Newton basis polynomials make P integral
+exactly when every division in the table is exact.  A remainder raises
+NonPolynomialCount, and so does a count at the next admissible prime, held
+out, that differs from P there.  The primes default to the odd ones: some
+counts that fit one polynomial at odd primes do not fit it at 2.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .quivers import Quiver
 
 DimVector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
-
-DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 
 class QuiverRep:
@@ -67,6 +66,8 @@ class QuiverRep:
         self.dims = dims
         self.maps = tuple(clean)
         self.params = {k: integer(v) for k, v in (params or {}).items()}
+        if bad := {k: v for k, v in self.params.items() if v in (0, 1)}:
+            raise ValueError("parameters %s degenerate at every prime" % (bad,))
         self._prepared: dict = {}  # prime -> _prepare(self, prime)
 
     def admissible(self, p: int) -> bool:
@@ -288,7 +289,7 @@ def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
 
 def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
     """Number of subrepresentations of dimension vector e over F_p."""
-    e = tuple(int(x) for x in e)
+    e = tuple(map(integer, e))
     _check_dimvector(rep, e)
     return _count_by_dimvector(rep, [(x,) for x in e], p).get(e, 0)
 
@@ -301,16 +302,26 @@ def _check_dimvector(rep: QuiverRep, e: DimVector) -> None:
 
 
 def counting_degree_bound(rep: QuiverRep, e: Sequence[int]) -> int:
+    _check_dimvector(rep, e)
     return sum(x * (d - x) for x, d in zip(e, rep.dims))
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def counting_primes(rep: QuiverRep, n: int) -> tuple[int, ...]:
+    """The first n odd primes admissible for rep (module docstring)."""
+    odd = (p for p in itertools.count(3, 2) if is_prime(p) and rep.admissible(p))
+    return tuple(itertools.islice(odd, n))
 
 
 def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -> int:
     """chi(Gr_e) from count(p), its number of points over F_p (module docstring)."""
-    _check_dimvector(rep, e)
+    bound = counting_degree_bound(rep, e)
     for i, p in enumerate(primes):
         if p in primes[:i]:
             raise ValueError("prime %d is repeated" % p)
-    bound = counting_degree_bound(rep, e)
     admissible = [p for p in primes if rep.admissible(p)]
     if len(admissible) < bound + 2:
         raise ValueError("need at least %d admissible primes, got %d"
@@ -334,11 +345,12 @@ def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -
     return chi
 
 
-def grassmannian_table(rep: QuiverRep,
-                       primes: Sequence[int] = DEFAULT_PRIMES) -> dict[DimVector, int]:
+def grassmannian_table(rep: QuiverRep, primes: Sequence[int] | None = None) -> dict[DimVector, int]:
     """The dict e -> chi(Gr_e) over every e with Gr_e nonempty at the first
     admissible prime of primes, ordered by (sum(e), e).  One counting
-    traversal per prime serves every e."""
+    traversal per prime serves every e.  The default primes suffice for every e."""
+    if primes is None:
+        primes = counting_primes(rep, sum(d * d // 4 for d in rep.dims) + 2)
     first = next((p for p in primes if rep.admissible(p)), None)
     if first is None:
         raise InadmissiblePrime("no prime of %s is admissible for the fixture" % (tuple(primes),))

@@ -59,10 +59,10 @@ def kronecker_preprojective(a):
     return QuiverRep(catalog.kronecker(), (a, a + 1), [identity + zero, zero + identity])
 
 
-@pytest.mark.parametrize("a", [0, 1, 2])
+@pytest.mark.parametrize("a", [0, 1, 2, 3])
 def test_cc_map_matches_kronecker_mutation(a):
     # mutation of the initial seed at 1, 0, 1, ... makes X_{M_0}, X_{M_1}, ...
-    # in turn; M_3 needs 8 primes, more than the defaults
+    # in turn
     seed = Seed.initial(catalog.kronecker())
     for step in range(a + 1):
         seed = seed.mutate(1 - step % 2)

@@ -251,17 +251,31 @@ def test_grassmannian_rejects_composite_primes(capsys):
 
 def test_grassmannian_table_at_given_primes_only(capsys, tmp_path):
     data = json.loads(Path(fixture("d4/m_lambda.json")).read_text())
-    data["params"]["lambda"] = 4849845  # = 3*5*7*11*13*17*19, inadmissible at every default prime
+    data["params"]["lambda"] = 4849845  # = 3*5*7*11*13*17*19: 23 is the first admissible prime
     rep = tmp_path / "m_lambda_big.json"
     rep.write_text(json.dumps(data))
+    expected = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"), "--table")[1]
     code, payload = run_json(capsys, "grassmannian", "--rep", str(rep), "--table")
+    assert code == 0 and payload == expected
+    code, payload = run_json(capsys, "grassmannian", "--rep", str(rep), "--table",
+                             "--primes", "3,5,7,11,13,17,19")
     assert code == 1
     assert payload["error"]["type"] == "InadmissiblePrime"
     code, payload = run_json(capsys, "grassmannian", "--rep", str(rep), "--table",
                              "--primes", "23,29,31,37,41,43,47")
-    assert code == 0
-    assert payload == run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
-                               "--table")[1]
+    assert code == 0 and payload == expected
+
+
+def test_parameter_inadmissible_at_every_prime_is_a_json_error(capsys, tmp_path):
+    data = json.loads(Path(fixture("d4/m_lambda.json")).read_text())
+    data["params"]["lambda"] = 1
+    rep = tmp_path / "m_lambda_one.json"
+    rep.write_text(json.dumps(data))
+    for command in (["grassmannian", "--table"], ["cc"]):
+        code, payload = run_json(capsys, *command, "--rep", str(rep))
+        assert code == 1
+        assert payload["error"] == {"type": "ValueError", "message": "%s is malformed: "
+                                    "parameters {'lambda': 1} degenerate at every prime" % rep}
 
 
 def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
@@ -274,7 +288,9 @@ def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
     code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
                              "--dimvec", "1,1,1,0,0")
     assert code == 0 and payload["chi"] == "2"
-    assert sorted(traversed) == [3, 5, 7, 11, 13, 17, 19]
+    # degree bound 1: the first three admissible odd primes, and no others
+    assert sorted(traversed) == [3, 5, 7]
+    assert payload["counts"] == {"3": "4", "5": "6", "7": "8"}
     # the prime supply is checked before any count
     traversed.clear()
     code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
@@ -287,11 +303,12 @@ def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
     ("1,1,3,0,0", "dimension vector (1, 1, 3, 0, 0) exceeds dims (1, 1, 2, 1, 1)"),
     ("1,1", "dimension vector length mismatch"),
 ])
-def test_grassmannian_dimvec_is_checked_before_the_primes(capsys, dimvec, message):
+@pytest.mark.parametrize("primes", [[], ["--primes", "3"]])
+def test_grassmannian_dimvec_is_checked_before_the_primes(capsys, dimvec, message, primes):
     # a bad e would otherwise give a degree bound that depends on --primes:
     # a negative one, or one that asks for too few primes
     code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
-                             "--dimvec", dimvec, "--primes", "3")
+                             "--dimvec", dimvec, *primes)
     assert code == 1
     assert payload["error"] == {"type": "ValueError", "message": message}
 

@@ -14,6 +14,9 @@ def test_quiddity_validation():
         Quiddity([0, 5])
     with pytest.raises(ValueError):
         Quiddity([3, -1])
+    # numbers that are not integers are rejected, not truncated
+    with pytest.raises(ValueError, match="8.9 is not an integer"):
+        generate([8.9, 2.2], 3)
 
 
 def test_quiddity_cyclic_equality():

@@ -21,6 +21,8 @@ def test_validation():
         Quiver(["0", "0"], [[0, 0], [0, 0]])  # duplicate labels
     with pytest.raises(ValueError, match="2.9"):
         Quiver(["0", "1"], [[0, 2.9], [-2.9, 0]])  # not an integer
+    with pytest.raises(ValueError, match="1.7 is not an integer"):
+        MutationWord([1.7, 0])
 
 
 def test_kronecker_mutation_flips_double_arrow():

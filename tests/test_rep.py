@@ -10,9 +10,9 @@ import friezelab.rep as rep_module
 from friezelab import catalog
 from friezelab.errors import InadmissiblePrime, NotAffine
 from friezelab.quivers import Quiver
-from friezelab.rep import (DEFAULT_PRIMES, QuiverRep, _certified_chi, count_points,
-                           counting_degree_bound, delta, defect, euler_form,
-                           grassmannian_table, rref_subspaces)
+from friezelab.rep import (QuiverRep, _certified_chi, count_points, counting_degree_bound,
+                           counting_primes, delta, defect, euler_form,
+                           grassmannian_table, is_prime, rref_subspaces)
 
 from rep_helpers import direct_sum
 
@@ -309,8 +309,11 @@ def test_inadmissible_prime():
     assert not M.admissible(2)
 
 
-def _chi(M, e, primes=DEFAULT_PRIMES, count=count_points):
-    """The certified Euler characteristic of Gr_e(M), counting with count."""
+def _chi(M, e, primes=None, count=count_points):
+    """The certified Euler characteristic of Gr_e(M), counting with count at
+    primes, by default the first bound + 2 admissible odd primes."""
+    if primes is None:
+        primes = counting_primes(M, counting_degree_bound(M, e) + 2)
     return _certified_chi(M, e, primes, lambda p: count(M, e, p))
 
 
@@ -338,10 +341,11 @@ def test_grassmannian_table_matches_reference():
 
 def test_table_reads_dimension_vectors_at_the_first_given_prime(monkeypatch):
     M = catalog.d4_m_lambda(2)
-    # 4849845 = 3*5*7*11*13*17*19 vanishes mod every default prime
+    # 4849845 = 3*5*7*11*13*17*19 vanishes mod every odd prime below 23
     N = QuiverRep(M.quiver, M.dims, M.maps, {"lambda": 4849845})
+    assert grassmannian_table(N) == TABLE_ROWS
     with pytest.raises(InadmissiblePrime):
-        grassmannian_table(N)
+        grassmannian_table(N, (3, 5, 7, 11, 13, 17, 19))
     assert grassmannian_table(N, (23, 29, 31, 37, 41, 43, 47)) == TABLE_ROWS
     traversed = []
     real = rep_module._count_by_dimvector
@@ -466,11 +470,21 @@ def test_rep_validation():
         QuiverRep(q, (1, 1), [[[1]], [[0.5]]])
     with pytest.raises(ValueError, match="2.5"):
         QuiverRep(q, (1, 1), [[[1]], [[1]]], {"lambda": 2.5})
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        count_points(catalog.d4_m_lambda(2), (1, 1, 1.5, 0, 0), 3)
+    # a parameter 0 or 1 degenerates at every prime, so no count could start
+    for value in (0, 1):
+        with pytest.raises(ValueError, match="'lambda': %d" % value):
+            QuiverRep(q, (1, 1), [[[1]], [[1]]], {"lambda": value})
 
 
-def test_default_primes_are_prime():
-    for p in DEFAULT_PRIMES:
-        assert p > 1 and all(p % d for d in range(2, p))
+def test_counting_primes_are_the_first_admissible_odd_primes():
+    assert counting_primes(catalog.d4_m_lambda(0), 10) == (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    M = catalog.d4_m_lambda(2)
+    N = QuiverRep(M.quiver, M.dims, M.maps, {"lambda": 4849845})  # 3*5*7*11*13*17*19
+    assert counting_primes(N, 3) == (23, 31, 37)  # and 4849845 = 1 mod 29
+    assert counting_primes(M, 0) == ()
+    assert [n for n in range(-2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_e6_tube_dimension_vectors_are_regular():
