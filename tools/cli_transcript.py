@@ -31,7 +31,8 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # Kronecker quiver, in both rings), a searched word, a Grassmannian table,
 # a character at ones, a quiddity read from Euler characteristic sums, the
 # E7 generators and friezes of 3 and 7 periods, the table of a parameter-free
-# representation and the character of one whose parameter is inadmissible at 2
+# representation, the character of one whose parameter is inadmissible at 2
+# and a shallow frieze with many growth coefficients
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -48,6 +49,7 @@ EXTRA = [
      "--growth", "1"],
     ["grassmannian", "--rep", "fixtures/d4/m_lambda0.json", "--table"],
     ["cc", "--rep", "fixtures/kronecker/regular.json"],
+    ["frieze", "--quiddity", "8,2", "--depth", "2", "--growth", "40"],
 ]
 
 
