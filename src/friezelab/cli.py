@@ -19,12 +19,13 @@ import sys
 from itertools import islice
 
 from .cc import cc_map, homogeneous_growth, quiddity_from_tube
+from .chebyshev import first_kind
 from .errors import FriezelabError
 from .frieze import FriezePattern, Quiddity, generate, growth
 from .modular import apply_generator_word, check_relations, GENERATORS
 from .quivers import MAX_NODES, Quiver, has_double_arrow, mutation_class_search
 from .rep import (QuiverRep, _certified_chi, count_points, counting_degree_bound,
-                  counting_primes, grassmannian_table, is_prime, table_json)
+                  counting_primes, grassmannian_table, table_json)
 from .reproduce import run_checks
 from .seeds import Seed
 from .theta import double_arrow_seed, growth_from_affine_quiver, theta, theta_invariance
@@ -43,16 +44,6 @@ def _quiddity(text: str) -> Quiddity:
         return Quiddity(entries)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _primes(text: str) -> tuple[int, ...]:
-    values = tuple(int(x) for x in text.split(","))
-    for i, p in enumerate(values):
-        if not is_prime(p):
-            raise argparse.ArgumentTypeError("%d is not prime" % p)
-        if p in values[:i]:
-            raise argparse.ArgumentTypeError("prime %d is repeated" % p)
-    return values
 
 
 def _dimvec(text: str) -> tuple[int, ...]:
@@ -161,7 +152,9 @@ def _frieze_report(args, quiddity: Quiddity, header: bool) -> Report:
     requested mode is built, since a deep frieze is large in either."""
     depth = args.depth if args.depth is not None else 3 * len(quiddity) + 1
     pattern = generate(quiddity, depth)
-    growth_report = {str(k): str(growth(pattern, k)) for k in range(1, args.growth + 1)}
+    # s_k = T_k(s_1): one run of the recurrence gives s_1..s_K
+    coefficients = islice(first_kind(growth(pattern, 1)), 1, args.growth + 1) if args.growth else ()
+    growth_report = {str(k): str(s) for k, s in enumerate(coefficients, 1)}
     if args.json:
         payload = {"quiddity": [str(a) for a in quiddity],
                    "rows": [[str(x) for x in pattern.row(r)] for r in range(1, depth + 1)]}
@@ -253,14 +246,14 @@ def cmd_theta(args) -> Report:
 def cmd_grassmannian(args) -> Report:
     rep = _load(args.rep, QuiverRep.from_json)
     if args.dimvec is not None:
-        primes = args.primes or counting_primes(rep, counting_degree_bound(rep, args.dimvec) + 2)
+        primes = counting_primes(rep, counting_degree_bound(rep, args.dimvec) + 2)
         count = functools.cache(functools.partial(count_points, rep, args.dimvec))
         chi = _certified_chi(rep, args.dimvec, primes, count)
-        counts = {str(p): str(count(p)) for p in primes if rep.admissible(p)}
+        counts = {str(p): str(count(p)) for p in primes}
         payload = {"e": list(args.dimvec), "chi": str(chi), "counts": counts}
         return 0, payload, (["chi(Gr_e) = %s" % chi]
                             + ["  points over F_%s: %s" % item for item in counts.items()])
-    table = grassmannian_table(rep, args.primes)
+    table = grassmannian_table(rep)
     total = sum(table.values())
     return 0, {"table": table_json(table), "sum": str(total)}, (
         ["%s  chi=%d" % row for row in table.items()] + ["sum of chi: %s" % total])
@@ -355,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--dimvec", type=_dimvec, default=None)
     mode.add_argument("--table", action="store_true",
                       help="tabulate all nonempty subrepresentation dimension vectors")
-    p.add_argument("--primes", type=_primes, default=None)
     p.set_defaults(func=cmd_grassmannian)
 
     p = sub.add_parser("cc", help="cluster character of a representation")

@@ -18,8 +18,8 @@ divided-difference table over the first bound + 1 admissible primes, bound =
 sum_v e_v(d_v - e_v).  Monic integer Newton basis polynomials make P integral
 exactly when every division in the table is exact.  A remainder raises
 NonPolynomialCount, and so does a count at the next admissible prime, held
-out, that differs from P there.  The primes default to the odd ones: some
-counts that fit one polynomial at odd primes do not fit it at 2.
+out, that differs from P there.  The primes are the first admissible odd
+ones: some counts that fit one polynomial at odd primes do not fit it at 2.
 """
 
 from __future__ import annotations
@@ -209,8 +209,12 @@ def _insert(basis: list, vec, p: int) -> list:
 
 
 def _prepare(rep: QuiverRep, p: int):
-    """The set-up of _count_by_dimvector over F_p, made once per prime."""
+    """The set-up of _count_by_dimvector over F_p, checked and made once per prime."""
     if p not in rep._prepared:
+        if not is_prime(p):
+            raise ValueError("%d is not prime" % p)
+        if not rep.admissible(p):
+            raise InadmissiblePrime("prime %d degenerates a parameter of the fixture" % p)
         order = rep.quiver.topological_order()
         order += sorted(set(range(rep.quiver.m)) - set(order))  # vertices on oriented cycles last
         out = [[] for _ in order]  # arrows v -> h as (h, matrix mod p, h visited after v)
@@ -227,8 +231,6 @@ def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
     with e[v] in allowed[v]; only nonzero counts appear.  The vertex order, arrow
     tables mod p and subspace lists are kept on rep per prime for as long as rep
     lives (see _prepare), so rep is treated as immutable."""
-    if not rep.admissible(p):
-        raise InadmissiblePrime("prime %d degenerates a parameter of the fixture" % p)
     dims, m = rep.dims, rep.quiver.m
     order, out, watched, subspaces = _prepare(rep, p)
     # U_v constrains no later choice: count it by a Gaussian binomial, last
@@ -319,14 +321,7 @@ def counting_primes(rep: QuiverRep, n: int) -> tuple[int, ...]:
 def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -> int:
     """chi(Gr_e) from count(p), its number of points over F_p (module docstring)."""
     bound = counting_degree_bound(rep, e)
-    for i, p in enumerate(primes):
-        if p in primes[:i]:
-            raise ValueError("prime %d is repeated" % p)
-    admissible = [p for p in primes if rep.admissible(p)]
-    if len(admissible) < bound + 2:
-        raise ValueError("need at least %d admissible primes, got %d"
-                         % (bound + 2, len(admissible)))
-    sample, held_out = admissible[:bound + 1], admissible[bound + 1]
+    sample, held_out = primes[:bound + 1], primes[bound + 1]
     table = [count(p) for p in sample]  # becomes the divided differences in place
     for k in range(1, len(sample)):
         for i in range(len(sample) - 1, k - 1, -1):
@@ -345,19 +340,16 @@ def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -
     return chi
 
 
-def grassmannian_table(rep: QuiverRep, primes: Sequence[int] | None = None) -> dict[DimVector, int]:
+def grassmannian_table(rep: QuiverRep) -> dict[DimVector, int]:
     """The dict e -> chi(Gr_e) over every e with Gr_e nonempty at the first
-    admissible prime of primes, ordered by (sum(e), e).  One counting
-    traversal per prime serves every e.  The default primes suffice for every e."""
-    if primes is None:
-        primes = counting_primes(rep, sum(d * d // 4 for d in rep.dims) + 2)
-    first = next((p for p in primes if rep.admissible(p)), None)
-    if first is None:
-        raise InadmissiblePrime("no prime of %s is admissible for the fixture" % (tuple(primes),))
+    counting prime, ordered by (sum(e), e).  One counting traversal per prime
+    serves every e.  The first sum_v floor(d_v^2 / 4) + 2 counting primes
+    suffice for every e, since e_v(d_v - e_v) <= floor(d_v^2 / 4)."""
+    primes = counting_primes(rep, sum(d * d // 4 for d in rep.dims) + 2)
     counts = functools.cache(functools.partial(
         _count_by_dimvector, rep, [tuple(range(d + 1)) for d in rep.dims]))
     return {e: _certified_chi(rep, e, primes, lambda p: counts(p).get(e, 0))
-            for e in sorted(counts(first), key=lambda e: (sum(e), e))}
+            for e in sorted(counts(primes[0]), key=lambda e: (sum(e), e))}
 
 
 def table_json(table: Mapping[DimVector, int]) -> list[dict]:

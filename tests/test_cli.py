@@ -52,6 +52,19 @@ def test_frieze_growth_report(capsys):
     assert all(isinstance(x, str) for row in payload["rows"] for x in row)
 
 
+def test_frieze_growth_reads_s1_once(capsys, monkeypatch):
+    import friezelab.frieze as frieze_module
+
+    calls = []
+    real = frieze_module.measured_growth
+    monkeypatch.setattr(frieze_module, "measured_growth",
+                        lambda pattern, k: calls.append(k) or real(pattern, k))
+    code, payload = run_json(capsys, "frieze", "--quiddity", "8,2", "--depth", "2",
+                             "--growth", "5")
+    assert code == 0 and calls == [1]
+    assert payload["growth"] == {str(k): str(chebyshev_T(k, 14)) for k in range(1, 6)}
+
+
 def test_frieze_json_roundtrip(capsys):
     code, payload = run_json(capsys, "frieze", "--quiddity", "7,7,7", "--depth", "3")
     assert code == 0
@@ -73,8 +86,9 @@ def test_frieze_usage_error_on_nonpositive_quiddity(capsys):
 @pytest.mark.parametrize("argv, mentions", [
     (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--dimvec", "1,x,1"], "--dimvec"),
     (["nosuch"], "nosuch"),
-    (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--primes", "3,3,5,7,11"],
-     "prime 3 is repeated"),
+    # the counting primes are worked out from the degree bound, never given
+    (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--table", "--primes", "3,5,7"],
+     "--primes"),
     (["frieze", "--quiddity", "8,2", "--depth", "0"], "--depth"),
 ])
 def test_parser_usage_errors_are_json(capsys, argv, mentions):
@@ -243,26 +257,13 @@ def test_grassmannian_table_json(capsys):
     assert len(payload["table"]) == 13
 
 
-def test_grassmannian_rejects_composite_primes(capsys):
-    error = usage_error(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
-                        "--primes", "3,9")
-    assert "9 is not prime" in error["message"]
-
-
-def test_grassmannian_table_at_given_primes_only(capsys, tmp_path):
+def test_grassmannian_table_at_admissible_primes_only(capsys, tmp_path):
     data = json.loads(Path(fixture("d4/m_lambda.json")).read_text())
     data["params"]["lambda"] = 4849845  # = 3*5*7*11*13*17*19: 23 is the first admissible prime
     rep = tmp_path / "m_lambda_big.json"
     rep.write_text(json.dumps(data))
     expected = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"), "--table")[1]
     code, payload = run_json(capsys, "grassmannian", "--rep", str(rep), "--table")
-    assert code == 0 and payload == expected
-    code, payload = run_json(capsys, "grassmannian", "--rep", str(rep), "--table",
-                             "--primes", "3,5,7,11,13,17,19")
-    assert code == 1
-    assert payload["error"]["type"] == "InadmissiblePrime"
-    code, payload = run_json(capsys, "grassmannian", "--rep", str(rep), "--table",
-                             "--primes", "23,29,31,37,41,43,47")
     assert code == 0 and payload == expected
 
 
@@ -290,34 +291,20 @@ def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
     assert code == 0 and payload["chi"] == "2"
     # degree bound 1: the first three admissible odd primes, and no others
     assert sorted(traversed) == [3, 5, 7]
-    assert payload["counts"] == {"3": "4", "5": "6", "7": "8"}
-    # the prime supply is checked before any count
-    traversed.clear()
-    code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
-                             "--dimvec", "1,1,1,0,0", "--primes", "3")
-    assert code == 1 and not traversed
-    assert payload["error"]["message"] == "need at least 3 admissible primes, got 1"
+    assert payload["counts"] == {"3": "4", "5": "6", "7": "8"}  # points of P^1
 
 
 @pytest.mark.parametrize("dimvec, message", [
     ("1,1,3,0,0", "dimension vector (1, 1, 3, 0, 0) exceeds dims (1, 1, 2, 1, 1)"),
     ("1,1", "dimension vector length mismatch"),
 ])
-@pytest.mark.parametrize("primes", [[], ["--primes", "3"]])
-def test_grassmannian_dimvec_is_checked_before_the_primes(capsys, dimvec, message, primes):
-    # a bad e would otherwise give a degree bound that depends on --primes:
-    # a negative one, or one that asks for too few primes
+def test_grassmannian_dimvec_is_checked_before_the_primes(capsys, dimvec, message):
+    # a bad e would otherwise give a degree bound, possibly negative, to
+    # work out the primes from
     code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
-                             "--dimvec", dimvec, *primes)
+                             "--dimvec", dimvec)
     assert code == 1
     assert payload["error"] == {"type": "ValueError", "message": message}
-
-
-def test_grassmannian_dimvec_at_unsorted_primes(capsys):
-    code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
-                             "--dimvec", "1,1,1,0,0", "--primes", "7,3,11,5")
-    assert code == 0 and payload["chi"] == "2"
-    assert payload["counts"] == {str(p): str(p + 1) for p in (7, 3, 11, 5)}  # points of P^1
 
 
 @pytest.mark.parametrize("mode, message", [

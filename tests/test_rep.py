@@ -339,20 +339,20 @@ def test_grassmannian_table_matches_reference():
     assert len(table) == 13
 
 
-def test_table_reads_dimension_vectors_at_the_first_given_prime(monkeypatch):
+def test_table_reads_dimension_vectors_at_the_first_counting_prime(monkeypatch):
     M = catalog.d4_m_lambda(2)
     # 4849845 = 3*5*7*11*13*17*19 vanishes mod every odd prime below 23
     N = QuiverRep(M.quiver, M.dims, M.maps, {"lambda": 4849845})
-    assert grassmannian_table(N) == TABLE_ROWS
-    with pytest.raises(InadmissiblePrime):
-        grassmannian_table(N, (3, 5, 7, 11, 13, 17, 19))
-    assert grassmannian_table(N, (23, 29, 31, 37, 41, 43, 47)) == TABLE_ROWS
     traversed = []
     real = rep_module._count_by_dimvector
     monkeypatch.setattr(rep_module, "_count_by_dimvector",
                         lambda rep, allowed, p: traversed.append(p) or real(rep, allowed, p))
-    assert grassmannian_table(M, (5, 7, 11, 13)) == TABLE_ROWS
-    assert sorted(traversed) == [5, 7, 11]
+    assert grassmannian_table(N) == TABLE_ROWS
+    assert traversed == [23, 31, 37]  # and 4849845 = 1 mod 29
+    # sum floor(d_v^2 / 4) = 1: three primes, the first read for the rows
+    traversed.clear()
+    assert grassmannian_table(M) == TABLE_ROWS
+    assert traversed == [3, 5, 7]
 
 
 def test_quasi_simple_tables():
@@ -412,19 +412,16 @@ def test_certified_chi_of_integer_polynomials_at_shuffled_primes():
         assert chi == sum(coeffs)
 
 
-def test_degree_bound_requires_enough_primes():
+def test_degree_bound_of_a_projective_line():
+    # Gr_e(M) for e = (1, 1, 1, 0, 0) is P^1, with p + 1 points over F_p
     M = catalog.d4_m_lambda(2)
     assert counting_degree_bound(M, (1, 1, 1, 0, 0)) == 1
-    with pytest.raises(ValueError):
-        _chi(M, (1, 1, 1, 0, 0), (3, 5))
 
 
-def test_repeated_primes_are_rejected():
-    M = catalog.d4_m_lambda(2)
-    with pytest.raises(ValueError, match="prime 3 is repeated"):
-        grassmannian_table(M, (3, 3, 5, 7, 11))
-    with pytest.raises(ValueError, match="prime 5 is repeated"):
-        _chi(M, (1, 1, 1, 0, 0), (3, 5, 7, 5))
+@pytest.mark.parametrize("p", [9, 4, 1, 0, -3])
+def test_counting_refuses_a_modulus_that_is_not_prime(p):
+    with pytest.raises(ValueError, match="^%d is not prime$" % p):
+        count_points(catalog.d4_m_lambda(0), (1, 1, 1, 0, 0), p)
 
 
 def test_direct_sum_dims_and_maps():
