@@ -119,6 +119,38 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     return FriezePattern(quiddity, depth, diagonals)
 
 
+def certify_infinite(quiddity: Quiddity | Sequence[int]) -> None:
+    """Raise NonPositiveEntry, as `generate` would at a deep enough depth,
+    unless the quiddity bounds an infinite frieze.
+
+    Entries n apart on a diagonal satisfy e_{k+1} = s*e_k - e_{k-1} with
+    s = tr M (Cayley-Hamilton).  If e_{k+1} - e_k >= e_k - e_{k-1} >= 0 with
+    e_{k-1} > 0, then s >= 2 and e_{k+2} - e_{k+1} = (s - 2)*e_{k+1} +
+    (e_{k+1} - e_k) >= e_{k+1} - e_k, so the next triple holds too and every
+    later entry is positive.  Each diagonal runs until n consecutive entries
+    end such a triple, or until an entry <= 0 appears.  Either happens: when
+    s <= 1 some entry is <= 0, and when s >= 2 each subsequence either starts
+    to grow or reaches 0 or below.
+    """
+    quiddity = Quiddity(quiddity)
+    n = len(quiddity)
+    for res in range(n):
+        diag = [0, 1]
+        streak = 0
+        t = 1
+        while streak < n:
+            nxt = quiddity[(res + t + 1) % n] * diag[t] - diag[t - 1]
+            if nxt <= 0:
+                raise NonPositiveEntry(
+                    "entry in row %d is %d <= 0; quiddity %s does not bound an infinite frieze"
+                    % (t, nxt, quiddity.entries))
+            diag.append(nxt)
+            t += 1
+            # diag[t - 2n] is positive once t > 2n: only diag[0] is not
+            convex = t > 2 * n and nxt - diag[t - n] >= diag[t - n] - diag[t - 2 * n] >= 0
+            streak = streak + 1 if convex else 0
+
+
 def growth(pattern: FriezePattern, k: int) -> int:
     """The k-th growth coefficient s_k = T_k(s_1) of the pattern, with s_1
     read from the entries (row n minus row n-2, checked to be independent

@@ -17,14 +17,23 @@ graded-lexicographic order (total degree, then the exponent tuple) in which
 Stored exponents lie in [-2^14, 2^14), half a field, so the difference of
 two monomials still fits.  Each value knows its Newton box, the
 per-variable least and greatest exponents, computed once from the terms or
-inherited exactly: a product's box is the sum of the factors' boxes, an
-exact quotient's is their difference.  A product or a constructed value
-whose box leaves the range raises ExponentOutOfRange, so no exponent ever
-carries into the next field.
+inherited exactly: a product's box is the sum of the factors' boxes (the
+product of the two face polynomials is nonzero), a square's is twice its
+base's, an exact quotient's is their difference, and a sum in which no
+key cancels has the hull of its summands' boxes, since every term of both
+survives.  A sum with a cancelled key works its box out from the terms
+when asked.  A product, a square or a constructed value whose box leaves
+the range raises ExponentOutOfRange, so no exponent ever carries into the
+next field.
+
+Powers run by binary powering.  A square multiplies each unordered pair of
+terms once, with the doubled coefficient, and each term by itself once:
+n(n+1)/2 products for n terms instead of n^2.
 
 The public constructor validates its input.  Ring operations whose result
-is canonical by construction (sums, negation, products, exact quotients)
-return through the internal `_raw` constructor, which does not re-check.
+is canonical by construction (sums, negation, products, squares, exact
+quotients) return through the internal `_raw` constructor, which does not
+re-check.
 
 Exact division is sparse division with a heap (Monagan & Pearce, Sparse
 polynomial division using a heap, J. Symb. Comput. 46, 2011) on one
@@ -150,6 +159,10 @@ class LaurentPoly:
         return self.vars == other.vars and self._keys == other._keys
 
     def __hash__(self) -> int:
+        # a constant equals its int, 0 included, so it hashes as that int
+        zero = _layout(len(self.vars))[0]
+        if self._keys.keys() <= {zero}:
+            return hash(self._keys.get(zero, 0))
         return hash((self.vars, frozenset(self._keys.items())))
 
     def _coerce(self, other) -> "LaurentPoly":
@@ -166,13 +179,20 @@ class LaurentPoly:
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         keys = dict(self._keys)
+        cancelled = False
         for key, coef in other._keys.items():
             new = keys.get(key, 0) + coef
             if new:
                 keys[key] = new
             else:
                 del keys[key]
-        return LaurentPoly._raw(self.vars, keys)
+                cancelled = True
+        box = None
+        if not cancelled and self._box is not None and other._box is not None:
+            # every term of both summands survives, so the hull is exact
+            (lo1, hi1), (lo2, hi2) = self._box, other._box
+            box = tuple(map(min, lo1, lo2)), tuple(map(max, hi1, hi2))
+        return LaurentPoly._raw(self.vars, keys, box)
 
     __radd__ = __add__
 
@@ -209,10 +229,32 @@ class LaurentPoly:
             raise ValueError("exponent must be a nonnegative integer")
         if not k:
             return LaurentPoly.one(self.vars)
+        # binary powering from the top bit: p**(2m) = (p**m)**2, p**(2m+1) = p**(2m) * p
         result = self
-        for _ in range(k - 1):
-            result = result * self
+        for bit in bin(k)[3:]:
+            result = result._square()
+            if bit == "1":
+                result = result * self
         return result
+
+    def _square(self) -> "LaurentPoly":
+        if not self._keys:
+            return self
+        lo, hi = self._newton_box()
+        box = _checked_box(tuple(e + e for e in lo), tuple(e + e for e in hi))
+        zero = _layout(len(self.vars))[0]
+        out: dict[int, int] = {}
+        get = out.get
+        items = list(self._keys.items())
+        for i, (k1, c1) in enumerate(items):
+            key = k1 + k1 - zero
+            out[key] = get(key, 0) + c1 * c1
+            k1, c1 = k1 - zero, c1 + c1
+            for k2, c2 in items[i + 1:]:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        # the square of a nonzero value is nonzero, with twice its Newton box
+        return LaurentPoly._raw(self.vars, {k: c for k, c in out.items() if c}, box)
 
     # -- division ----------------------------------------------------------
 

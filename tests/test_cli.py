@@ -52,6 +52,20 @@ def test_frieze_growth_report(capsys):
     assert all(isinstance(x, str) for row in payload["rows"] for x in row)
 
 
+@pytest.mark.parametrize("quiddity, depth, growth, row", [
+    ("1,2,2,4,4", "13", "2", 14),
+    ("1,3", "4", "1", 5),
+])
+def test_frieze_refuses_a_finite_quiddity_above_its_nonpositive_row(capsys, quiddity, depth,
+                                                                    growth, row):
+    # the rows down to --depth are positive, but a later row is 0
+    code, payload = run_json(capsys, "frieze", "--quiddity", quiddity, "--depth", depth,
+                             "--growth", growth)
+    assert code == 1
+    assert payload["error"]["type"] == "NonPositiveEntry"
+    assert "entry in row %d is 0" % row in payload["error"]["message"]
+
+
 def test_frieze_growth_reads_s1_once(capsys, monkeypatch):
     import friezelab.frieze as frieze_module
 

@@ -4,7 +4,7 @@ import pytest
 
 from friezelab.chebyshev import chebyshev_T
 from friezelab.errors import InvalidFrieze, NonPositiveEntry
-from friezelab.frieze import Quiddity, generate, growth, measured_growth
+from friezelab.frieze import Quiddity, certify_infinite, generate, growth, measured_growth
 
 
 def test_quiddity_validation():
@@ -121,6 +121,34 @@ def test_growth_rejects_inconsistent_entries():
                           {0: [0, 1, 8, 15], 1: [0, 1, 2, 14]})
     with pytest.raises(InvalidFrieze):
         growth(bogus, 1)
+
+
+def _first_failure(check, *args):
+    try:
+        check(*args)
+    except NonPositiveEntry as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("quiddity, row", [((1, 2, 2, 4, 4), 14), ((1, 3), 5)])
+def test_certify_infinite_sees_past_a_shallow_depth(quiddity, row):
+    # both pass generate() at a shallow depth, and s_1 = 1 for both
+    generate(quiddity, depth=row - 1)
+    with pytest.raises(NonPositiveEntry, match="entry in row %d is 0" % row):
+        certify_infinite(quiddity)
+
+
+def test_certify_infinite_agrees_with_deep_generation():
+    rng = random.Random(1616)
+    infinite = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        q = [rng.randint(1, 6) for _ in range(n)]
+        verdict = _first_failure(certify_infinite, q)
+        assert verdict == _first_failure(generate, q, 40 * n), q
+        infinite += verdict is None
+    assert 0 < infinite < 400
 
 
 def test_periodicity_invariant():

@@ -134,6 +134,18 @@ def test_json_coefficients_are_strings():
     assert data["terms"][0]["coef"] == "12345678901234567890"
 
 
+def test_constant_hashes_as_its_int():
+    # a constant equals an int, so sets and dicts must find one by the other
+    for value in (1, 0, -7):
+        constant = LaurentPoly.constant(V2, value)
+        assert constant == value
+        assert len({value, constant}) == 1
+        assert {value: "int"}.get(constant) == "int"
+    x0 = LaurentPoly.variable(V2, "x0")
+    assert {0: "int"}.get(x0 - x0) == "int"
+    assert {1: "int"}.get(x0 ** 0) == "int"
+
+
 def test_canonical_no_zero_coefficients():
     p = LaurentPoly(V2, {(1, 0): 1, (0, 1): 0})
     assert (0, 1) not in p.terms
@@ -208,13 +220,13 @@ def test_at_ones_is_coefficient_sum():
 def test_pow_matches_repeated_multiplication():
     # powers run by repeated squaring, not by repeated multiplication
     rng = random.Random(31)
-    for _ in range(60):
-        p = _random_poly(rng, ("a", "b", "c"), max_terms=5)
-        k = rng.randint(0, 5)
+    polys = [LaurentPoly(("a", "b", "c"))]
+    polys += [_random_poly(rng, ("a", "b", "c"), max_terms=5) for _ in range(30)]
+    for p in polys:
         expected = LaurentPoly.one(p.vars)
-        for _ in range(k):
+        for k in range(10):
+            assert p ** k == expected
             expected = expected * p
-        assert p ** k == expected
 
 
 def test_div_exact_roundtrip_hypothesis():
@@ -281,6 +293,70 @@ def test_exponents_past_the_field_range_raise():
     half = LaurentPoly(V2, {(LIMIT // 2, 0): 1})
     with pytest.raises(ExponentOutOfRange):
         half * half
+
+
+def test_powers_near_the_field_range_raise_exactly_when_the_power_leaves_it():
+    # p**k has k times p's box; a mixed-sign box meets -LIMIT and LIMIT at
+    # k = 8, once inside the range ([-LIMIT, LIMIT)) and once outside it
+    eighth = LIMIT // 8
+    inside = LaurentPoly(V2, {(eighth - 1, -eighth): 1, (-5, 0): -2, (0, 7): 3})
+    outside = LaurentPoly(V2, {(-eighth, 0): 1, (0, eighth): -1, (0, 0): 1})
+    for p, last in ((inside, 8), (outside, 7)):
+        lo, hi = _box_from_terms(p)
+        assert last * min(lo) >= -LIMIT and last * max(hi) < LIMIT
+        assert (last + 1) * min(lo) < -LIMIT or (last + 1) * max(hi) >= LIMIT
+        expected = p
+        for k in range(2, last + 1):
+            expected = expected * p
+            assert p ** k == expected
+        with pytest.raises(ExponentOutOfRange):
+            p ** (last + 1)
+
+
+def _box_from_terms(poly):
+    columns = list(zip(*poly.terms))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def _assert_exact_box(poly):
+    # a carried box is the box of the terms; one is worked out when asked
+    if poly._box is not None:
+        assert poly._box == _box_from_terms(poly)
+    if poly:
+        assert poly._newton_box() == _box_from_terms(poly)
+
+
+def test_carried_newton_boxes_are_exact():
+    rng = random.Random(37)
+    for n in (1, 2, 3):
+        variables = ("a", "b", "c")[:n]
+        for _ in range(60):
+            p = _random_poly(rng, variables, max_terms=5, reach=4)
+            q = _random_poly(rng, variables, max_terms=5, reach=4)
+            results = [p + q, p - q, q - p, -p, p * q, p ** 2, p ** 3, p + q * q]
+            if q:
+                results.append((p * q).div_exact(q))
+            for r in results:
+                _assert_exact_box(r)
+
+
+def test_sum_boxes_after_cancellation_and_without_an_operand_box():
+    a = LaurentPoly(V2, {(3, -2): 1})
+    b = LaurentPoly(V2, {(-1, 0): 1, (0, -1): 2})
+    assert (a + b)._box == ((-1, -2), (3, 0))
+    # the extreme term a cancels: the box is b's, not the hull
+    cancelled = (a + b) + (-a)
+    assert cancelled == b
+    _assert_exact_box(cancelled)
+    assert cancelled._newton_box() == ((-1, -1), (0, 0))
+    unboxed = LaurentPoly._raw(V2, dict(a._keys))
+    for r in (unboxed + b, b + unboxed, unboxed - b, unboxed + unboxed, -unboxed):
+        _assert_exact_box(r)
+    # negative exponents only, and a sum that empties
+    negative = LaurentPoly(V2, {(-3, -1): 4, (-1, -2): -1})
+    for r in (negative + negative, negative - negative, negative * negative,
+              negative ** 2, negative ** 5, negative + a):
+        _assert_exact_box(r)
 
 
 def test_repeated_square_and_divide_keeps_its_range():
