@@ -31,8 +31,9 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # Kronecker quiver, in both rings), a searched word, a Grassmannian table,
 # a character at ones, a quiddity read from Euler characteristic sums, the
 # E7 generators and friezes of 3 and 7 periods, the table of a parameter-free
-# representation, the character of one whose parameter is inadmissible at 2
-# and a shallow frieze with many growth coefficients
+# representation, the character of one whose parameter is inadmissible at 2,
+# a shallow frieze with many growth coefficients and two finite quiddities
+# whose first non-positive entry lies below the requested depth
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -50,6 +51,8 @@ EXTRA = [
     ["grassmannian", "--rep", "fixtures/d4/m_lambda0.json", "--table"],
     ["cc", "--rep", "fixtures/kronecker/regular.json"],
     ["frieze", "--quiddity", "8,2", "--depth", "2", "--growth", "40"],
+    ["frieze", "--quiddity", "1,2,2,4,4", "--depth", "13", "--growth", "2"],
+    ["frieze", "--quiddity", "1,3", "--depth", "4", "--growth", "1"],
 ]
 
 
