@@ -21,7 +21,7 @@ from itertools import islice
 from .cc import cc_map, homogeneous_growth, quiddity_from_tube
 from .chebyshev import first_kind
 from .errors import FriezelabError
-from .frieze import FriezePattern, Quiddity, certify_infinite, generate, growth
+from .frieze import FriezePattern, Quiddity, generate, growth
 from .modular import apply_generator_word, check_relations, GENERATORS
 from .quivers import MAX_NODES, Quiver, has_double_arrow, mutation_class_search
 from .rep import (QuiverRep, _certified_chi, count_points, counting_degree_bound,
@@ -151,8 +151,6 @@ def _frieze_report(args, quiddity: Quiddity, header: bool) -> Report:
     with the quiddity row when header is set.  Only the output of the
     requested mode is built, since a deep frieze is large in either."""
     depth = args.depth if args.depth is not None else 3 * len(quiddity) + 1
-    # a shallow --depth must not hide a nonpositive row further down
-    certify_infinite(quiddity)
     pattern = generate(quiddity, depth)
     # s_k = T_k(s_1): one run of the recurrence gives s_1..s_K
     coefficients = islice(first_kind(growth(pattern, 1)), 1, args.growth + 1) if args.growth else ()

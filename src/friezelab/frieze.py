@@ -4,6 +4,9 @@ Entries x[i][j] live on diagonals: x[i][i] = 0, x[i][i+1] = 1, and the
 division-free recurrence x[i][j+1] = a[j+1]*x[i][j] - x[i][j-1] (quiddity
 index mod n) fills everything below.  Integrality holds by construction and
 the diamond relation bc - ad = 1 is checked afterwards as an invariant.
+The same recurrence runs each diagonal past the requested depth until a
+certificate proves every later entry positive, so a pattern exists only
+for a quiddity that bounds an infinite frieze, however shallow the depth.
 
 Row numbering follows the staggered layout: the row of 0's is row -1, the
 row of 1's is row 0, the quiddity row is row 1.
@@ -88,9 +91,17 @@ class FriezePattern:
 def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     """Fill a frieze pattern from its quiddity row down to the given depth.
 
-    Raises NonPositiveEntry as soon as a computed entry in rows >= 1 fails
-    to be positive, which means the quiddity does not bound an infinite
-    frieze.
+    Raises NonPositiveEntry at the first entry in rows >= 1 that is not
+    positive, at any depth, since then the quiddity does not bound an
+    infinite frieze.  Entries n apart on a diagonal satisfy e_{k+1} =
+    s*e_k - e_{k-1} with s = tr M (Cayley-Hamilton).  If e_{k+1} - e_k >=
+    e_k - e_{k-1} >= 0 with e_{k-1} > 0, then s >= 2 and e_{k+2} - e_{k+1} =
+    (s - 2)*e_{k+1} + (e_{k+1} - e_k) >= e_{k+1} - e_k, so the next triple
+    holds too and every later entry is positive.  So each diagonal runs to
+    the depth, and past it until n consecutive entries end such a triple,
+    or until an entry <= 0 appears.  Either happens: when s <= 1 some entry
+    is <= 0, and when s >= 2 each subsequence either starts to grow or
+    reaches 0 or below.
     """
     quiddity = Quiddity(quiddity)
     if depth < 1:
@@ -100,45 +111,9 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     for res in range(n):
         # the diagonal through (i, i) depends only on i mod n
         diag = [0, 1]
-        for t in range(1, depth + 1):
-            a = quiddity[(res + t + 1) % n]
-            nxt = a * diag[t] - diag[t - 1]
-            if nxt <= 0:
-                raise NonPositiveEntry(
-                    "entry in row %d is %d <= 0; quiddity %s does not bound an infinite frieze"
-                    % (t, nxt, quiddity.entries))
-            diag.append(nxt)
-        diagonals[res] = diag
-    for i in range(n):
-        # x[i][i+t]*x[i+1][i+1+t] - x[i+1][i+t]*x[i][i+1+t] == 1 on every
-        # stored diamond, read on the adjacent diagonals d = i and e = i + 1
-        d, e = diagonals[i], diagonals[(i + 1) % n]
-        for t in range(1, depth + 1):
-            if d[t] * e[t] - e[t - 1] * d[t + 1] != 1:
-                raise InvalidFrieze("diamond relation fails at (%d, %d)" % (i, i + t))
-    return FriezePattern(quiddity, depth, diagonals)
-
-
-def certify_infinite(quiddity: Quiddity | Sequence[int]) -> None:
-    """Raise NonPositiveEntry, as `generate` would at a deep enough depth,
-    unless the quiddity bounds an infinite frieze.
-
-    Entries n apart on a diagonal satisfy e_{k+1} = s*e_k - e_{k-1} with
-    s = tr M (Cayley-Hamilton).  If e_{k+1} - e_k >= e_k - e_{k-1} >= 0 with
-    e_{k-1} > 0, then s >= 2 and e_{k+2} - e_{k+1} = (s - 2)*e_{k+1} +
-    (e_{k+1} - e_k) >= e_{k+1} - e_k, so the next triple holds too and every
-    later entry is positive.  Each diagonal runs until n consecutive entries
-    end such a triple, or until an entry <= 0 appears.  Either happens: when
-    s <= 1 some entry is <= 0, and when s >= 2 each subsequence either starts
-    to grow or reaches 0 or below.
-    """
-    quiddity = Quiddity(quiddity)
-    n = len(quiddity)
-    for res in range(n):
-        diag = [0, 1]
         streak = 0
         t = 1
-        while streak < n:
+        while t <= depth or streak < n:
             nxt = quiddity[(res + t + 1) % n] * diag[t] - diag[t - 1]
             if nxt <= 0:
                 raise NonPositiveEntry(
@@ -149,6 +124,16 @@ def certify_infinite(quiddity: Quiddity | Sequence[int]) -> None:
             # diag[t - 2n] is positive once t > 2n: only diag[0] is not
             convex = t > 2 * n and nxt - diag[t - n] >= diag[t - n] - diag[t - 2 * n] >= 0
             streak = streak + 1 if convex else 0
+        del diag[depth + 2:]
+        diagonals[res] = diag
+    for i in range(n):
+        # x[i][i+t]*x[i+1][i+1+t] - x[i+1][i+t]*x[i][i+1+t] == 1 on every
+        # stored diamond, read on the adjacent diagonals d = i and e = i + 1
+        d, e = diagonals[i], diagonals[(i + 1) % n]
+        for t in range(1, depth + 1):
+            if d[t] * e[t] - e[t - 1] * d[t + 1] != 1:
+                raise InvalidFrieze("diamond relation fails at (%d, %d)" % (i, i + t))
+    return FriezePattern(quiddity, depth, diagonals)
 
 
 def growth(pattern: FriezePattern, k: int) -> int:

@@ -4,7 +4,7 @@ import pytest
 
 from friezelab.chebyshev import chebyshev_T
 from friezelab.errors import InvalidFrieze, NonPositiveEntry
-from friezelab.frieze import Quiddity, certify_infinite, generate, growth, measured_growth
+from friezelab.frieze import Quiddity, generate, growth, measured_growth
 
 
 def test_quiddity_validation():
@@ -131,22 +131,36 @@ def _first_failure(check, *args):
     return None
 
 
+def _recurrence(quiddity, rows):
+    """Run every diagonal of the frieze down to the given row with the
+    plain recurrence, and raise at its first entry <= 0 as generate does."""
+    n = len(quiddity)
+    for res in range(n):
+        prev, cur = 0, 1
+        for t in range(1, rows + 1):
+            prev, cur = cur, quiddity[(res + t + 1) % n] * cur - prev
+            if cur <= 0:
+                raise NonPositiveEntry(
+                    "entry in row %d is %d <= 0; quiddity %s does not bound an infinite frieze"
+                    % (t, cur, tuple(quiddity)))
+
+
 @pytest.mark.parametrize("quiddity, row", [((1, 2, 2, 4, 4), 14), ((1, 3), 5)])
-def test_certify_infinite_sees_past_a_shallow_depth(quiddity, row):
-    # both pass generate() at a shallow depth, and s_1 = 1 for both
-    generate(quiddity, depth=row - 1)
+def test_generate_sees_past_a_shallow_depth(quiddity, row):
+    # rows 1..row-1 are positive and s_1 = 1 for both, but neither quiddity
+    # bounds an infinite frieze
     with pytest.raises(NonPositiveEntry, match="entry in row %d is 0" % row):
-        certify_infinite(quiddity)
+        generate(quiddity, depth=row - 1)
 
 
-def test_certify_infinite_agrees_with_deep_generation():
+def test_generate_agrees_with_deep_recurrence():
     rng = random.Random(1616)
     infinite = 0
     for _ in range(400):
         n = rng.randint(1, 5)
         q = [rng.randint(1, 6) for _ in range(n)]
-        verdict = _first_failure(certify_infinite, q)
-        assert verdict == _first_failure(generate, q, 40 * n), q
+        verdict = _first_failure(generate, q, rng.randint(1, 2 * n))
+        assert verdict == _first_failure(_recurrence, q, 40 * n), q
         infinite += verdict is None
     assert 0 < infinite < 400
 
