@@ -76,10 +76,14 @@ def theta_invariance(seed: Seed, words: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def _acyclic_unfrozen(quiver: Quiver) -> bool:
+    return not quiver.frozen and len(quiver.topological_order()) == quiver.m
+
+
 def _double_arrow_word(quiver: Quiver, max_nodes: int) -> MutationWord:
     """The search's word to a double-arrow quiver.  An acyclic quiver without
     frozen vertices must be affine: delta raises NotAffine otherwise."""
-    if not quiver.frozen and len(quiver.topological_order()) == quiver.m:
+    if _acyclic_unfrozen(quiver):
         delta(quiver)
     return mutation_class_search(quiver, has_double_arrow, max_nodes)[1]
 
@@ -117,5 +121,10 @@ def _exact_quotient(numerator: int, denominator: int) -> int:
 def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = MAX_NODES) -> int:
     """Principal growth coefficient of every tube frieze of an acyclic
     affine quiver: search for a double arrow and read the growth element
-    at all ones on integers."""
-    return theta_at_ones(quiver, _double_arrow_word(quiver, max_nodes))
+    at all ones.  Only an input that delta has certified affine is replayed
+    on integers; any other is read through the Laurent growth element,
+    since no theorem makes its integer replay agree with theta."""
+    word = _double_arrow_word(quiver, max_nodes)
+    if _acyclic_unfrozen(quiver):
+        return theta_at_ones(quiver, word)
+    return theta(Seed.initial(quiver).mutate_word(word)).integer

@@ -175,6 +175,17 @@ def test_theta_refuses_non_affine_acyclic_quivers(capsys, tmp_path, name, messag
     assert json.loads(out) == {"error": {"type": "NotAffine", "message": message}}
 
 
+@pytest.mark.parametrize("mode", [["--at-ones"], ["--at-ones", "--json"]])
+def test_theta_at_ones_agrees_across_modes_on_a_wild_cyclic_quiver(capsys, tmp_path, mode):
+    # text mode replayed the word on integers and printed 7
+    star = catalog._quiver_from_arrows("012345", ["10", "20", "03", "04", "05"]).mutate(0)
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(star.to_json()))
+    code, out = run(capsys, "theta", "--quiver", str(path), *mode)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "NotDivisible"
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_cc_refuses_oriented_cycle(capsys, tmp_path, mode):
     cycle = Quiver(["0", "1", "2"], [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])

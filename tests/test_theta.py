@@ -6,7 +6,8 @@ import pytest
 from friezelab import catalog
 from friezelab.cc import cc_map, growth_via_homogeneous
 from friezelab.chebyshev import chebyshev_T
-from friezelab.errors import CrossCheckFailed, MissingDoubleArrow, NotAffine, SearchNotFound
+from friezelab.errors import (CrossCheckFailed, MissingDoubleArrow, NotAffine, NotDivisible,
+                              SearchNotFound)
 from friezelab.laurent import LaurentPoly
 from friezelab.modular import GENERATORS, modular_generator
 from friezelab.quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
@@ -91,10 +92,22 @@ def test_theta_missing_double_arrow():
         theta(Seed.initial(catalog.d4_star()))
 
 
-def test_growth_from_affine_quiver_values():
-    assert growth_from_affine_quiver(catalog.d4_star(), 1000) == 14
-    assert growth_from_affine_quiver(catalog.kronecker()) == 3
-    assert growth_from_affine_quiver(catalog.e6_affine()) == 322
+@pytest.mark.parametrize("name, value", [("d4_star", 14), ("kronecker", 3), ("e6_affine", 322),
+                                         ("e7_affine", 702)])
+def test_growth_from_affine_quiver_values(monkeypatch, name, value):
+    # a certified affine quiver takes the integer replay, never the Laurent form
+    monkeypatch.setattr(theta_module, "theta", None)
+    assert growth_from_affine_quiver(getattr(catalog, name)()) == value
+
+
+def test_growth_route_reads_other_quivers_through_laurent_theta():
+    # the wild star mutated at its centre is cyclic: its growth element is
+    # not a Laurent polynomial, though the integer replay divides to 7
+    star = catalog._quiver_from_arrows("012345", ["10", "20", "03", "04", "05"]).mutate(0)
+    _, word = mutation_class_search(star, has_double_arrow)
+    assert theta_at_ones(star, word.sequence) == 7
+    with pytest.raises(NotDivisible):
+        growth_from_affine_quiver(star)
 
 
 @pytest.mark.parametrize("name", sorted(NOT_AFFINE))
