@@ -48,3 +48,11 @@ def test_prefix_must_select_one_source_tree(tmp_path):
     with pytest.raises(SystemExit, match="2 source trees"):
         bench_summary.main([str(tmp_path), str(tmp_path / "other"),
                             "--parent", "aa", "--change", "aabb"])
+
+
+@pytest.mark.parametrize("parent, change", [(-0.011, -0.067), (0.5, -0.2), (0.0, 0.3)])
+def test_ratio_needs_positive_medians(parent, change):
+    # a negative trace overhead once read -0.011 -> -0.067 as a ratio of 5.88
+    pairs = [({"metrics": {"trace.overhead": {"value": parent, "unit": "ratio"}}},
+              {"metrics": {"trace.overhead": {"value": change, "unit": "ratio"}}})]
+    assert bench_summary.compare(pairs, "trace.overhead", "lower")["ratio"] is None

@@ -15,10 +15,11 @@ run length.
 
 For each workload and trace setting the summary gives, per metric, each
 side's median and quartiles (statistics.quantiles, inclusive method), the
-ratio of the medians, the pairs the change wins (ties count for neither),
-and whether the gain rule holds: the change wins at least nine tenths of
-the pairs and the medians differ by more than the parent's interquartile
-range.  Metric directions come from BENCHMARK.json.
+ratio of the medians (None unless both are positive), the pairs the change
+wins (ties count for neither), and whether the gain rule holds: the change
+wins at least nine tenths of the pairs and the medians differ by more than
+the parent's interquartile range.  Metric directions come from
+BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def compare(pairs: list[tuple[dict, dict]], name: str, better: str) -> dict:
         "better": better,
         "parent": base,
         "change": new,
-        "ratio": new["median"] / base["median"] if base["median"] else None,
+        "ratio": new["median"] / base["median"] if min(base["median"], new["median"]) > 0 else None,
         "change_wins": wins,
         "gain_rule_met": (wins >= 0.9 * len(pairs)
                           and sign * (new["median"] - base["median"]) > base["q3"] - base["q1"]),
