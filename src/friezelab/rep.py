@@ -171,14 +171,13 @@ def defect(quiver: Quiver, alpha: Sequence[int]) -> int:
 
 # -- counting subrepresentations over F_p -------------------------------------
 
-def rref_subspaces(n: int, k: int, p: int, support: Sequence[int] | None = None):
-    """Yield all k-dimensional subspaces of F_p^n as RREF row tuples; with a
-    support, those of the coordinate subspace on these sorted coordinates."""
-    coords = range(n) if support is None else support
+def rref_subspaces(n: int, k: int, p: int, support: Sequence[int]):
+    """Yield the k-dimensional subspaces of F_p^n inside the coordinate
+    subspace on the sorted coordinates `support`, as RREF row tuples."""
     if k < 0:
         return
-    for pivots in itertools.combinations(coords, k):
-        free = [(r, c) for r, piv in enumerate(pivots) for c in coords
+    for pivots in itertools.combinations(support, k):
+        free = [(r, c) for r, piv in enumerate(pivots) for c in support
                 if c > piv and c not in pivots]
         for values in itertools.product(range(p), repeat=len(free)):
             rows = [[int(c == piv) for c in range(n)] for piv in pivots]

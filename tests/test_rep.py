@@ -109,27 +109,26 @@ def test_extending_vertices_d4():
 
 def test_rref_subspace_counts():
     # Gaussian binomials: [n choose k]_q subspaces
-    assert len(list(rref_subspaces(2, 1, 3))) == 4
-    assert len(list(rref_subspaces(2, 1, 5))) == 6
-    assert len(list(rref_subspaces(3, 1, 3))) == 13
-    assert len(list(rref_subspaces(3, 2, 3))) == 13
-    assert list(rref_subspaces(2, 0, 3)) == [()]
-    assert len(list(rref_subspaces(2, 2, 7))) == 1
+    assert len(list(rref_subspaces(2, 1, 3, range(2)))) == 4
+    assert len(list(rref_subspaces(2, 1, 5, range(2)))) == 6
+    assert len(list(rref_subspaces(3, 1, 3, range(3)))) == 13
+    assert len(list(rref_subspaces(3, 2, 3, range(3)))) == 13
+    assert list(rref_subspaces(2, 0, 3, range(2))) == [()]
+    assert len(list(rref_subspaces(2, 2, 7, range(2)))) == 1
 
 
 def test_rref_subspaces_are_distinct_and_reduced():
     # distinct RREF matrices of rank k are distinct subspaces, so together
     # with the Gaussian binomial counts above this shows every subspace is
     # yielded once; with a support the rows vanish off it
-    for n, k, p, support in ((3, 1, 3, None), (3, 2, 2, None), (4, 2, 3, (0, 2, 3))):
-        coords = range(n) if support is None else support
+    for n, k, p, support in ((3, 1, 3, range(3)), (3, 2, 2, range(3)), (4, 2, 3, (0, 2, 3))):
         subs = list(rref_subspaces(n, k, p, support))
-        assert len(set(subs)) == len(subs) == rep_module._gaussian_binomial(len(coords), k, p)
+        assert len(set(subs)) == len(subs) == rep_module._gaussian_binomial(len(support), k, p)
         for rows in subs:
             pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
             assert pivots == sorted(pivots) and all(rows[r][c] == 1 for r, c in enumerate(pivots))
             assert all(row[c] == 0 for row in rows for c in pivots if c != row.index(1))
-            assert all(row[c] == 0 for row in rows for c in range(n) if c not in coords)
+            assert all(row[c] == 0 for row in rows for c in range(n) if c not in support)
 
 
 # -- the counting engine against the product enumeration -----------------------
@@ -145,7 +144,7 @@ def _reference_count(rep, e, p):
     the full product of the vertex Grassmannians and keeping the tuples that
     every arrow maps into themselves."""
     arrows = rep.quiver.arrows()
-    spaces = [list(rref_subspaces(d, k, p)) for d, k in zip(rep.dims, e)]
+    spaces = [list(rref_subspaces(d, k, p, range(d))) for d, k in zip(rep.dims, e)]
     members = [[_span(rows, d, p) for rows in per_vertex]
                for d, per_vertex in zip(rep.dims, spaces)]
     # maps_into[a][i][j]: arrow a maps the i-th subspace at its tail into the
