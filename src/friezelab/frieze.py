@@ -4,9 +4,8 @@ Entries x[i][j] live on diagonals: x[i][i] = 0, x[i][i+1] = 1, and the
 division-free recurrence x[i][j+1] = a[j+1]*x[i][j] - x[i][j-1] (quiddity
 index mod n) fills everything below.  Integrality holds by construction and
 the diamond relation bc - ad = 1 is checked afterwards as an invariant.
-The same recurrence runs each diagonal past the requested depth until a
-certificate proves every later entry positive, so a pattern exists only
-for a quiddity that bounds an infinite frieze, however shallow the depth.
+Each diagonal runs past the requested depth until every later entry is
+certified positive, so only an infinite frieze gets a pattern.
 
 Row numbering follows the staggered layout: the row of 0's is row -1, the
 row of 1's is row 0, the quiddity row is row 1.
@@ -121,9 +120,10 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
                     % (t, nxt, quiddity.entries))
             diag.append(nxt)
             t += 1
-            # diag[t - 2n] is positive once t > 2n: only diag[0] is not
-            convex = t > 2 * n and nxt - diag[t - n] >= diag[t - n] - diag[t - 2 * n] >= 0
-            streak = streak + 1 if convex else 0
+            if streak < n:
+                # diag[t - 2n] is positive once t > 2n: only diag[0] is not
+                convex = t > 2 * n and nxt - diag[t - n] >= diag[t - n] - diag[t - 2 * n] >= 0
+                streak = streak + 1 if convex else 0
         del diag[depth + 2:]
         diagonals[res] = diag
     for i in range(n):
