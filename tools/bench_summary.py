@@ -71,7 +71,8 @@ def compare(pairs: list[tuple[dict, dict]], name: str, better: str) -> dict:
         "better": better,
         "parent": base,
         "change": new,
-        "ratio": new["median"] / base["median"] if min(base["median"], new["median"]) > 0 else None,
+        "ratio": (new["median"] / base["median"]
+                  if base["median"] > 0 and new["median"] > 0 else None),
         "change_wins": wins,
         "gain_rule_met": (wins >= 0.9 * len(pairs)
                           and sign * (new["median"] - base["median"]) > base["q3"] - base["q1"]),
