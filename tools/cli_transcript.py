@@ -32,8 +32,9 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # a character at ones, a quiddity read from Euler characteristic sums, the
 # E7 generators and friezes of 3 and 7 periods, the table of a parameter-free
 # representation, the character of one whose parameter is inadmissible at 2,
-# a shallow frieze with many growth coefficients and two finite quiddities
-# whose first non-positive entry lies below the requested depth
+# a shallow frieze with many growth coefficients, two finite quiddities
+# whose first non-positive entry lies below the requested depth and a growth
+# coefficient read off a cyclic double-arrow quiver (the Laurent route)
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -53,6 +54,7 @@ EXTRA = [
     ["frieze", "--quiddity", "8,2", "--depth", "2", "--growth", "40"],
     ["frieze", "--quiddity", "1,2,2,4,4", "--depth", "13", "--growth", "2"],
     ["frieze", "--quiddity", "1,3", "--depth", "4", "--growth", "1"],
+    ["theta", "--quiver", "fixtures/e6/double_arrow.json", "--at-ones"],
 ]
 
 
