@@ -14,8 +14,7 @@ from .modular import apply_generator_word, modular_generator
 from .quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .rep import QuiverRep, count_points, defect, delta, euler_form, grassmannian_table
 from .seeds import Seed
-from .theta import (ThetaValue, double_arrow_seed,
-                    growth_from_affine_quiver, theta, theta_at_ones,
+from .theta import (ThetaValue, double_arrow_seed, growth_from_affine_quiver, theta,
                     theta_invariance, triangle_neighbors)
 
 __version__ = "0.1.0"
@@ -31,6 +30,6 @@ __all__ = [
     "double_arrow_seed", "euler_form", "generate", "grassmannian_table",
     "growth", "growth_from_affine_quiver", "growth_via_homogeneous",
     "has_double_arrow", "measured_growth", "modular_generator",
-    "mutation_class_search", "quiddity_from_tube", "theta", "theta_at_ones",
-    "theta_invariance", "triangle_neighbors",
+    "mutation_class_search", "quiddity_from_tube", "theta", "theta_invariance",
+    "triangle_neighbors",
 ]

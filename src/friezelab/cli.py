@@ -110,8 +110,9 @@ def describe_quiver(quiver: Quiver) -> str:
     parts = []
     for i in range(quiver.m):
         for j in range(quiver.m):
-            if quiver.b[i][j] > 0:
-                arrow = "=>" if quiver.b[i][j] == 2 else "->"
+            k = quiver.b[i][j]
+            if k > 0:
+                arrow = {1: "->", 2: "=>"}.get(k, "=%d=>" % k)
                 parts.append("%s%s%s" % (quiver.labels[i], arrow, quiver.labels[j]))
     return " ".join(parts)
 

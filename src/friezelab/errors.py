@@ -6,11 +6,14 @@ import operator
 
 def integer(value) -> int:
     """value as an int, or a ValueError naming it when it is not an integer:
-    a float such as 2.9, a string or None is not truncated or parsed."""
+    a float such as 2.9, a string or None is not truncated or parsed, and a
+    bool is not read as 0 or 1."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError("%r is not an integer" % (value,)) from None
+        pass
+    raise ValueError("%r is not an integer" % (value,))
 
 
 class FriezelabError(Exception):

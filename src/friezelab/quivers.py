@@ -276,7 +276,10 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data) -> "Quiver":
-        return cls(data["labels"], data["b"], data.get("frozen", []))
+        labels, frozen = data["labels"], data.get("frozen", [])
+        if not isinstance(labels, list) or not isinstance(frozen, list):
+            raise ValueError("labels and frozen must be lists, got %r and %r" % (labels, frozen))
+        return cls(labels, data["b"], frozen)
 
 
 @functools.lru_cache(maxsize=64)

@@ -4,15 +4,17 @@ At a seed whose quiver has a double arrow u => v, the element
 
     (x_u^2 + x_v^2 + prod of the triangle variables) / (x_u * x_v)
 
-is independent of the chosen double-arrow seed, and its all-ones value is
-the principal growth coefficient of every tube frieze of the mutation
-class.  The triangle variables sit at the vertices w completing directed
-triangles u => v -> w -> u; the Kronecker quiver has none and uses the
-empty product, the unit.
+is independent of the chosen double-arrow seed.  Its value at the all-ones
+point of the input's own seed is the principal growth coefficient of every
+tube frieze of the class: 14 from the D4 star, 3 from the D4 and E6
+double-arrow fans.  The triangle variables sit at the vertices w completing
+directed triangles u => v -> w -> u; the Kronecker quiver has none and uses
+the empty product, the unit.
 
-Its all-ones value needs no Laurent algebra: every cluster variable at all
-ones is a positive integer (the Laurent phenomenon with positivity), so
-`theta_at_ones` replays the exchange relations on integers.
+`growth_from_affine_quiver` is the one integer route to that value.  On an
+input that delta certifies affine it replays the exchange relations on
+integers: every cluster variable at all ones is a positive integer (the
+Laurent phenomenon with positivity).
 """
 
 from __future__ import annotations
@@ -94,22 +96,6 @@ def double_arrow_seed(quiver: Quiver, max_nodes: int = MAX_NODES) -> tuple[Seed,
     return Seed.initial(quiver).mutate_word(word), word
 
 
-def theta_at_ones(quiver: Quiver, word: Sequence[int]) -> int:
-    """theta(Seed.initial(quiver).mutate_word(word)).integer, on integers.
-
-    The exchange relation x_k * x'_k = P+ + P- is replayed along the word
-    with every initial variable 1, and the growth element is read as
-    (a_u^2 + a_v^2 + prod a_w) / (a_u * a_v) at the first double arrow
-    u => v.  A division with a nonzero remainder contradicts the Laurent
-    phenomenon and raises CrossCheckFailed.
-    """
-    values = [1] * quiver.m
-    for k in word:
-        values[k] = exchange(quiver, values, k, _exact_quotient)
-        quiver = quiver.mutate(k)
-    return _growth_element(quiver, values, _exact_quotient)
-
-
 def _exact_quotient(numerator: int, denominator: int) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
@@ -119,12 +105,17 @@ def _exact_quotient(numerator: int, denominator: int) -> int:
 
 
 def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = MAX_NODES) -> int:
-    """Principal growth coefficient of every tube frieze of an acyclic
-    affine quiver: search for a double arrow and read the growth element
-    at all ones.  Only an input that delta has certified affine is replayed
-    on integers; any other is read through the Laurent growth element,
-    since no theorem makes its integer replay agree with theta."""
+    """Principal growth coefficient of the tube friezes of the quiver's class:
+    the growth element at the all-ones point of the input's own seed, at the
+    end of the search's word to a double arrow.  An input that delta has
+    certified affine replays the exchange relations on integers, a remainder
+    raising CrossCheckFailed; any other is read through the Laurent growth
+    element, since no theorem makes its integer replay agree with theta."""
     word = _double_arrow_word(quiver, max_nodes)
-    if _acyclic_unfrozen(quiver):
-        return theta_at_ones(quiver, word)
-    return theta(Seed.initial(quiver).mutate_word(word)).integer
+    if not _acyclic_unfrozen(quiver):
+        return theta(Seed.initial(quiver).mutate_word(word)).integer
+    values = [1] * quiver.m
+    for k in word:
+        values[k] = exchange(quiver, values, k, _exact_quotient)
+        quiver = quiver.mutate(k)
+    return _growth_element(quiver, values, _exact_quotient)

@@ -250,6 +250,14 @@ def test_mutate_involution(capsys):
     assert Quiver.from_json(payload) == catalog.d4_star()
 
 
+def test_mutate_prints_the_multiplicity_of_a_triple_arrow(capsys, tmp_path):
+    # a triple arrow printed as 1->0, the line of a single arrow
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps({"labels": ["0", "1"], "b": [[0, 3], [-3, 0]]}))
+    code, out = run(capsys, "mutate", "--quiver", str(path), "--word", "0")
+    assert code == 0 and out.splitlines()[0] == "quiver: 1=3=>0"
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"], ["--seed"], ["--seed", "--json"]])
 def test_mutate_refuses_a_frozen_vertex(capsys, tmp_path, mode):
     path = tmp_path / "quiver.json"
@@ -516,6 +524,12 @@ def _with_first_map(**fields):
     ("--rep", _with_first_map(matrix=5)),
     ("--rep", _with("d4/m_lambda.json", params=[1])),
     ("--tube", {"reps": 5}),
+    # a string is not a list of one-character labels, a bool is not 0 or 1
+    ("--quiver", {"labels": "01", "b": [[0, 2], [-2, 0]]}),
+    ("--quiver", _with("d4/quiver.json", frozen="12")),
+    ("--quiver", {"labels": ["0", "1"], "b": [[0, True], [-1, False]]}),
+    ("--rep", {"quiver": {"labels": ["0", "1"], "b": [[0, 1], [-1, 0]]}, "dims": [True, 1],
+               "maps": [{"arrow": [0, 1], "matrix": [[1]]}]}),
 ])
 def test_malformed_input_file_is_a_json_error(capsys, tmp_path, option, payload):
     bad = tmp_path / "bad.json"
@@ -545,11 +559,12 @@ def _without(relative, key):
     ("--rep", _with("d4/m_lambda.json", params={"lambda": 2.5}), "2.5"),
     ("--tube", {}, "'reps'"),
     ("--tube", {"reps": [_without("d4/m_lambda.json", "maps")]}, "'maps'"),
+    ("--rep", _with("d4/m_lambda.json", dims=[1, 1, True, 1, 1]), "True"),
 ])
 def test_input_file_error_names_the_file_and_the_culprit(capsys, tmp_path, option, payload,
                                                           culprit):
     # a missing key, or a number that is not an integer, which int() would
-    # have truncated
+    # have truncated or, for a bool, read as 0 or 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     argv = {"--quiver": ["search", "--quiver", str(bad)],

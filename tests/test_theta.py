@@ -12,8 +12,7 @@ from friezelab.laurent import LaurentPoly
 from friezelab.modular import GENERATORS, modular_generator
 from friezelab.quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
 from friezelab.seeds import Seed
-from friezelab.theta import (double_arrow_seed,
-                             growth_from_affine_quiver, theta, theta_at_ones,
+from friezelab.theta import (double_arrow_seed, growth_from_affine_quiver, theta,
                              theta_invariance, triangle_neighbors)
 
 from laurent_text import parse_laurent
@@ -102,12 +101,15 @@ def test_growth_from_affine_quiver_values(monkeypatch, name, value):
 
 def test_growth_route_reads_other_quivers_through_laurent_theta():
     # the wild star mutated at its centre is cyclic: its growth element is
-    # not a Laurent polynomial, though the integer replay divides to 7
+    # not a Laurent polynomial, though an integer replay would divide to 7
     star = catalog._quiver_from_arrows("012345", ["10", "20", "03", "04", "05"]).mutate(0)
-    _, word = mutation_class_search(star, has_double_arrow)
-    assert theta_at_ones(star, word.sequence) == 7
     with pytest.raises(NotDivisible):
         growth_from_affine_quiver(star)
+
+
+def test_growth_route_reads_a_cyclic_affine_quiver_through_laurent_theta():
+    fan = catalog.e_double_arrow(6)
+    assert growth_from_affine_quiver(fan) == 3 == theta(Seed.initial(fan)).integer
 
 
 @pytest.mark.parametrize("name", sorted(NOT_AFFINE))
@@ -135,30 +137,13 @@ def test_integer_path_matches_laurent_theta(name):
     quiver = getattr(catalog, name)()
     _, word = mutation_class_search(quiver, has_double_arrow)
     value = theta(Seed.initial(quiver).mutate_word(word))
-    assert theta_at_ones(quiver, word.sequence) == value.integer == value.laurent.at_ones()
-
-
-def test_integer_path_along_a_kronecker_chain():
-    quiver = catalog.kronecker()
-    word = [0, 1] * 6
-    assert theta_at_ones(quiver, word) == theta(Seed.initial(quiver).mutate_word(word)).integer == 3
-
-
-def test_integer_path_rejects_bad_words():
-    fan = catalog.d_double_arrow(4)
-    with pytest.raises(MissingDoubleArrow):
-        theta_at_ones(fan, [fan.index("a")])
-    frozen = Quiver(fan.labels, fan.b, frozen=["a"])
-    with pytest.raises(ValueError):
-        theta_at_ones(frozen, [frozen.index("a")])
+    assert growth_from_affine_quiver(quiver) == value.integer == value.laurent.at_ones()
 
 
 def test_integer_path_certifies_its_divisions(monkeypatch):
-    quiver = catalog.d4_star()
-    _, word = mutation_class_search(quiver, has_double_arrow)
     monkeypatch.setattr(theta_module, "triangle_neighbors", lambda *args: [])
     with pytest.raises(CrossCheckFailed):
-        theta_at_ones(quiver, word.sequence)
+        growth_from_affine_quiver(catalog.d4_star())
 
 
 def test_theta_matches_cc_character_in_initial_variables():

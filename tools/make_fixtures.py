@@ -16,7 +16,7 @@ from friezelab import catalog
 from friezelab.cc import cc_map
 from friezelab.frieze import generate, growth
 from friezelab.rep import grassmannian_table, table_json
-from friezelab.theta import double_arrow_seed, theta
+from friezelab.theta import growth_from_affine_quiver
 
 ROOT = Path(__file__).resolve().parent.parent / "src" / "friezelab" / "fixtures"
 
@@ -32,7 +32,6 @@ def goldens():
     f = generate([8, 2], depth=6)
     table = grassmannian_table(catalog.d4_m_lambda(2))
     character = cc_map(catalog.d4_m_lambda(2))
-    seed, _ = double_arrow_seed(catalog.d4_star(), 1000)
     return {
         "frieze_8_2": {
             "quiddity": ["8", "2"],
@@ -42,7 +41,7 @@ def goldens():
         "grassmannian_table": table_json(table),
         "cc_m_lambda": character.laurent.to_json(),
         "cc_m_lambda_at_ones": str(character.at_ones),
-        "theta_at_ones": str(theta(seed).integer),
+        "theta_at_ones": str(growth_from_affine_quiver(catalog.d4_star())),
     }
 
 
