@@ -33,8 +33,9 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # E7 generators and friezes of 3 and 7 periods, the table of a parameter-free
 # representation, the character of one whose parameter is inadmissible at 2,
 # a shallow frieze with many growth coefficients, two finite quiddities
-# whose first non-positive entry lies below the requested depth and a growth
-# coefficient read off a cyclic double-arrow quiver (the Laurent route)
+# whose first non-positive entry lies below the requested depth, a growth
+# coefficient read off a cyclic double-arrow quiver (the Laurent route) and
+# the modular relations of E6 (with those of gamma) and of E7
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -55,6 +56,8 @@ EXTRA = [
     ["frieze", "--quiddity", "1,2,2,4,4", "--depth", "13", "--growth", "2"],
     ["frieze", "--quiddity", "1,3", "--depth", "4", "--growth", "1"],
     ["theta", "--quiver", "fixtures/e6/double_arrow.json", "--at-ones"],
+    ["modular", "--quiver", "fixtures/e6/double_arrow.json", "--check-relations"],
+    ["modular", "--quiver", "fixtures/e7/double_arrow.json", "--check-relations"],
 ]
 
 
