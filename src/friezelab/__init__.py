@@ -5,9 +5,8 @@ from .cc import CCValue, cc_map, growth_via_homogeneous, quiddity_from_tube
 from .chebyshev import chebyshev_S, chebyshev_T
 from .errors import (CrossCheckFailed, ExponentOutOfRange, FriezelabError,
                      InadmissiblePrime, InvalidFrieze, MissingDoubleArrow,
-                     NoRestoringPermutation, NonPolynomialCount, NotAffine,
-                     NotDivisible, NonPositiveEntry, SearchNotFound,
-                     UnsupportedQuiver)
+                     NonPolynomialCount, NotAffine, NotDivisible,
+                     NonPositiveEntry, SearchNotFound, UnsupportedQuiver)
 from .frieze import FriezePattern, Quiddity, generate, growth, measured_growth
 from .laurent import LaurentPoly
 from .modular import apply_generator_word, modular_generator
@@ -22,8 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CCValue", "CrossCheckFailed", "ExponentOutOfRange", "FriezePattern", "FriezelabError",
     "InadmissiblePrime", "InvalidFrieze", "LaurentPoly",
-    "MissingDoubleArrow", "MutationWord", "NoRestoringPermutation",
-    "NonPolynomialCount", "NonPositiveEntry", "NotAffine", "NotDivisible",
+    "MissingDoubleArrow", "MutationWord", "NonPolynomialCount",
+    "NonPositiveEntry", "NotAffine", "NotDivisible",
     "Quiddity", "Quiver", "QuiverRep", "SearchNotFound", "Seed",
     "ThetaValue", "UnsupportedQuiver", "apply_generator_word", "cc_map",
     "chebyshev_S", "chebyshev_T", "count_points", "defect", "delta",

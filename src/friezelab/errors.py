@@ -53,11 +53,6 @@ class SearchNotFound(FriezelabError):
     """Mutation-class search exhausted its node budget without a hit."""
 
 
-class NoRestoringPermutation(FriezelabError):
-    """No single vertex permutation returns a mutated quiver to its base
-    labeling."""
-
-
 class NotAffine(FriezelabError):
     """The symmetrized Euler form does not have a one-dimensional positive radical."""
 

@@ -9,10 +9,10 @@ exponent in ta^2 == tb^3 == tc^(n-3) is legs[w] + 2.  The symmetry gamma of
 the 7-vertex quiver swaps legs b and c.
 
 The word is applied leftmost factor first: under that convention every
-generator of E6, E7 and E8 returns the base quiver to a relabeling of
-itself.  The restoring permutation is the one that fixes every vertex
-outside the word; for each generator of E6, E7 and E8 exactly one does, and
-NoRestoringPermutation is raised if none or several do.
+generator returns the base quiver to a relabeling of itself, and the
+restoring permutation is the rotation 0 -> 1 -> w -> 0, which fixes every
+other vertex.  The rotation is stated, not searched for: Seed.restored
+checks on every application that it carries the quiver back to the base.
 
 A seed on any relabeling of the base quiver gets the generator carried onto
 its own labels by the least isomorphism sigma from its quiver to the base:
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 
 from .catalog import E_LEGS, e_double_arrow, e_legs, leg
-from .errors import NoRestoringPermutation, UnsupportedQuiver
+from .errors import UnsupportedQuiver
 from .quivers import Quiver
 from .seeds import Seed
 
@@ -54,25 +54,18 @@ def generator_labels(n: int, generator: str) -> list[str]:
 
 @functools.cache
 def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The mutation sequence of a generator and its restoring permutation,
-    found on the quiver level only."""
+    """The mutation sequence of a generator and its restoring permutation:
+    t_w rotates 0 -> 1 -> w -> 0, and gamma swaps legs b and c."""
     base = e_double_arrow(n)
     if generator == "gamma":
         if n != 6:
             raise ValueError("the symmetry gamma exists only for n = 6")
-        # exactly two automorphisms, the identity first in lexicographic order
-        identity, gamma = base.isomorphisms_to(base)
-        return (), gamma
-    labels = generator_labels(n, generator)
-    word = tuple(base.index(l) for l in labels)
-    touched = set(word)
-    fixing = [s for s in base.mutate_word(word).isomorphisms_to(base)
-              if all(s[i] == i for i in range(base.m) if i not in touched)]
-    if len(fixing) != 1:
-        raise NoRestoringPermutation(
-            "word %s returns to %d relabelings of the base quiver that fix the "
-            "vertices outside it, expected 1" % (labels, len(fixing)))
-    return word, fixing[0]
+        labels, moves = [], {"b": "c", "c": "b", "b1": "c1", "c1": "b1"}
+    else:
+        labels = generator_labels(n, generator)
+        moves = {"0": "1", "1": generator[1:], generator[1:]: "0"}
+    return (tuple(map(base.index, labels)),
+            tuple(base.index(moves.get(l, l)) for l in base.labels))
 
 
 def modular_generator(seed: Seed, generator: str) -> Seed:

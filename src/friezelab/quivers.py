@@ -9,7 +9,11 @@ vertex's signature is one integer whose base-(m+1) digits count its nonzero
 entries by (rank of the value B[i][j], color of j), above its own color, so
 it codes the color and that multiset exactly; signatures are ranked until
 the partition is stable.  Frozen vertices start in a color of their own, so
-no isomorphism unfreezes one.  The canonical form is individualization-refinement (McKay & Piperno,
+no isomorphism unfreezes one.  Refinement commutes with relabeling, so
+isomorphism testing refines each quiver alone and maps each class onto the
+class of equal color; as cells keep the order of their starting colors,
+equal frozen counts and class sizes give equal frozen classes.
+The canonical form is individualization-refinement (McKay & Piperno,
 Practical graph isomorphism II, 2014): each vertex of the first smallest
 non-singleton cell is given a color of its own in turn, the partition is
 refined again, and the search recurses until every cell is a singleton.
@@ -185,13 +189,10 @@ class Quiver:
     def isomorphisms_to(self, other: "Quiver") -> list[tuple[int, ...]]:
         """All vertex bijections sigma with other.b[sigma(i)][sigma(j)] == self.b[i][j],
         in lexicographic order."""
-        if self.m != other.m:
-            return []
         m = self.m
-        # refine the disjoint union, so that the two halves' colors compare
-        colors = _refine(*_entries(self.b, other.b),
-                         self._frozen_colors() + other._frozen_colors())
-        mine, theirs = colors[:m], colors[m:]
+        if m != other.m or len(self.frozen) != len(other.frozen):
+            return []
+        mine, theirs = (_refine(*_entries(q.b), q._frozen_colors()) for q in (self, other))
         if sorted(mine) != sorted(theirs):
             return []
         candidates = [[j for j in range(m) if theirs[j] == mine[i]] for i in range(m)]
@@ -277,8 +278,9 @@ class Quiver:
     @classmethod
     def from_json(cls, data) -> "Quiver":
         labels, frozen = data["labels"], data.get("frozen", [])
-        if not isinstance(labels, list) or not isinstance(frozen, list):
-            raise ValueError("labels and frozen must be lists, got %r and %r" % (labels, frozen))
+        if not all(isinstance(names, list) and all(isinstance(x, str) for x in names)
+                   for names in (labels, frozen)):
+            raise ValueError("labels and frozen must list strings: %r, %r" % (labels, frozen))
         return cls(labels, data["b"], frozen)
 
 
@@ -291,17 +293,13 @@ def _weights(m: int, values: int) -> tuple[tuple[int, ...], ...]:
                  + [tuple(c * powers[-1] for c in range(colors))])
 
 
-def _entries(*blocks: Matrix) -> tuple[list[tuple[int, int, tuple]], tuple[int, ...]]:
-    """Nonzero entries (i, j, weight row of v) of the blocks' disjoint union,
-    v the rank of B[i][j] among the nonzero values, and the lead row."""
-    values = sorted({x for b in blocks for row in b for x in row if x})
-    weights = _weights(sum(map(len, blocks)), len(values))
+def _entries(b: Matrix) -> tuple[list[tuple[int, int, tuple]], tuple[int, ...]]:
+    """Nonzero entries (i, j, weight row of v) of B, v the rank of B[i][j]
+    among the nonzero values, and the lead row."""
+    values = sorted({x for row in b for x in row if x})
+    weights = _weights(len(b), len(values))
     rank = dict(zip(values, weights))
-    entries, offset = [], 0
-    for b in blocks:
-        for i, row in enumerate(b, offset):
-            entries.extend([(i, j, rank[x]) for j, x in enumerate(row, offset) if x])
-        offset += len(b)
+    entries = [(i, j, rank[x]) for i, row in enumerate(b) for j, x in enumerate(row) if x]
     return entries, weights[-1]
 
 

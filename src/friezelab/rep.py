@@ -89,8 +89,8 @@ class QuiverRep:
         arrows = quiver.arrows()
         # arrows() is row-major with parallel arrows adjacent: a stable sort
         # aligns the maps and keeps parallel arrows in declaration order
-        entries = sorted(data["maps"], key=lambda entry: tuple(entry["arrow"]))
-        declared = [tuple(entry["arrow"]) for entry in entries]
+        entries = sorted(data["maps"], key=lambda entry: tuple(map(integer, entry["arrow"])))
+        declared = [tuple(map(integer, entry["arrow"])) for entry in entries]
         if declared != arrows:
             raise ValueError("declared arrows %s do not match the quiver's %s"
                              % (declared, arrows))

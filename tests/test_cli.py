@@ -530,6 +530,14 @@ def _with_first_map(**fields):
     ("--quiver", {"labels": ["0", "1"], "b": [[0, True], [-1, False]]}),
     ("--rep", {"quiver": {"labels": ["0", "1"], "b": [[0, 1], [-1, 0]]}, "dims": [True, 1],
                "maps": [{"arrow": [0, 1], "matrix": [[1]]}]}),
+    # an arrow's ends are integers, and labels and frozen vertices are strings
+    ("--rep", {"quiver": {"labels": ["0", "1"], "b": [[0, 1], [-1, 0]]}, "dims": [1, 1],
+               "maps": [{"arrow": [False, 1], "matrix": [[1]]}]}),
+    ("--rep", {"quiver": {"labels": ["0", "1"], "b": [[0, 1], [-1, 0]]}, "dims": [1, 1],
+               "maps": [{"arrow": [0, 1.0], "matrix": [[1]]}]}),
+    ("--quiver", {"labels": [0, "1"], "b": [[0, 2], [-2, 0]]}),
+    ("--quiver", {"labels": ["0", True], "b": [[0, 2], [-2, 0]]}),
+    ("--quiver", _with("d4/quiver.json", frozen=[1])),
 ])
 def test_malformed_input_file_is_a_json_error(capsys, tmp_path, option, payload):
     bad = tmp_path / "bad.json"

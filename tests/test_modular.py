@@ -3,7 +3,7 @@ import random
 import pytest
 
 from friezelab import catalog
-from friezelab.errors import NoRestoringPermutation, UnsupportedQuiver
+from friezelab.errors import UnsupportedQuiver
 from friezelab.modular import _resolve, apply_generator_word, generator_labels, modular_generator
 from friezelab.quivers import Quiver
 from friezelab.seeds import Seed
@@ -35,6 +35,56 @@ def test_generator_words_restore_base_quiver():
     # gamma is the base quiver's nontrivial symmetry, with an empty word
     word, gamma = _resolve(6, "gamma")
     assert word == () and gamma != tuple(range(7))
+
+
+def fixing_isomorphisms(base, word):
+    """The isomorphisms from the mutated base quiver back to the base that
+    fix every vertex outside the word: the search the stated rule replaces."""
+    return [s for s in base.mutate_word(word).isomorphisms_to(base)
+            if all(s[i] == i for i in range(base.m) if i not in word)]
+
+
+def rotation(base, w):
+    """The permutation 0 -> 1 -> w -> 0 of the base quiver's vertices."""
+    perm = list(range(base.m))
+    zero, one, w = (base.index(label) for label in ("0", "1", w))
+    perm[zero], perm[one], perm[w] = one, w, zero
+    return tuple(perm)
+
+
+def test_stated_rotation_is_the_only_fixing_isomorphism():
+    for n in (6, 7, 8):
+        base = catalog.e_double_arrow(n)
+        for w in "abc":
+            word, perm = _resolve(n, "t" + w)
+            assert perm == rotation(base, w)
+            assert fixing_isomorphisms(base, word) == [perm]
+    # the same rule holds on every leg of the affine D fans
+    for n in range(4, 16):
+        base = catalog.d_double_arrow(n)
+        for w, k in {"a": 0, "b": 0, "c": n - 4}.items():
+            word = [base.index(label) for label in catalog.leg(w, k)[::-1] + ["0", "1"]]
+            assert fixing_isomorphisms(base, word) == [rotation(base, w)]
+
+
+def test_gamma_is_the_nontrivial_automorphism():
+    base = catalog.e_double_arrow(6)
+    identity, gamma = base.isomorphisms_to(base)
+    assert identity == tuple(range(base.m))
+    assert _resolve(6, "gamma") == ((), gamma)
+
+
+def test_wrong_restoring_permutation_is_caught_at_run_time(monkeypatch):
+    # Seed.restored certifies the stated permutation on every application:
+    # the rotation run backwards, 0 -> w -> 1 -> 0, does not restore the base
+    import friezelab.modular as mod
+
+    word, perm = _resolve(6, "ta")
+    backwards = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    assert backwards != perm
+    monkeypatch.setattr(mod, "_resolve", lambda n, generator: (word, backwards))
+    with pytest.raises(ValueError, match="does not carry this quiver to the base quiver"):
+        modular_generator(base_seed(6), "ta")
 
 
 def test_gamma_relations_e6():
@@ -101,21 +151,3 @@ def test_non_base_quiver_rejected():
 def test_unknown_generator_rejected():
     with pytest.raises(ValueError):
         modular_generator(base_seed(6), "tz")
-
-
-def test_two_restoring_candidates_raise_no_restoring_permutation(monkeypatch):
-    # mutating every other vertex twice leaves the quiver of ta unchanged but
-    # touches every vertex, so both gamma-related restoring permutations of
-    # the 7-vertex base quiver fix the vertices outside the word
-    import friezelab.modular as mod
-
-    base = catalog.e_double_arrow(6)
-    word = generator_labels(6, "ta")
-    padded = word + [l for l in base.labels if l not in word for _ in range(2)]
-    monkeypatch.setattr(mod, "generator_labels", lambda n, generator: padded)
-    _resolve.cache_clear()
-    try:
-        with pytest.raises(NoRestoringPermutation, match="returns to 2 relabelings"):
-            modular_generator(base_seed(6), "ta")
-    finally:
-        _resolve.cache_clear()

@@ -283,9 +283,14 @@ def test_frozen_vertex_is_no_mutable_vertex_in_search():
 
 def test_canonical_key_tells_frozen_sets_apart():
     b = [[0, 1, 1], [-1, 0, -1], [-1, 1, 0]]
-    keys = {Quiver(["0", "1", "2"], b, frozen).canonical_key()
-            for frozen in ([], ["0"], ["1"], ["2"], ["0", "1"], ["0", "1", "2"])}
-    assert len(keys) == 6
+    variants = [Quiver(["0", "1", "2"], b, frozen)
+                for frozen in ([], ["0"], ["1"], ["2"], ["0", "1"], ["0", "1", "2"])]
+    assert len({q.canonical_key() for q in variants}) == 6
+    # each side of isomorphisms_to is refined from its own frozen colors, and
+    # with no frozen vertex and with all three frozen those colors coincide
+    for p in variants:
+        for q in variants:
+            assert bool(p.isomorphisms_to(q)) == (p.frozen == q.frozen)
     # relabeling moves the frozen labels with their vertices
     q = Quiver(["0", "1", "2"], b, ["1"])
     assert q.permuted([2, 0, 1]).canonical_key() == q.canonical_key()
