@@ -34,8 +34,9 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # representation, the character of one whose parameter is inadmissible at 2,
 # a shallow frieze with many growth coefficients, two finite quiddities
 # whose first non-positive entry lies below the requested depth, a growth
-# coefficient read off a cyclic double-arrow quiver (the Laurent route) and
-# the modular relations of E6 (with those of gamma) and of E7
+# coefficient read off a cyclic double-arrow quiver (the Laurent route), the
+# modular relations of E6 (with those of gamma) and of E7, the E8
+# generators, and the refusal of a quiver that is not a double-arrow fan
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -58,6 +59,8 @@ EXTRA = [
     ["theta", "--quiver", "fixtures/e6/double_arrow.json", "--at-ones"],
     ["modular", "--quiver", "fixtures/e6/double_arrow.json", "--check-relations"],
     ["modular", "--quiver", "fixtures/e7/double_arrow.json", "--check-relations"],
+    ["modular", "--quiver", "fixtures/e8/double_arrow.json", "--word", "ta,tb,tc"],
+    ["modular", "--quiver", "fixtures/e6/quiver.json", "--word", "ta"],
 ]
 
 
