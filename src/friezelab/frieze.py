@@ -147,6 +147,8 @@ def growth(pattern: FriezePattern, k: int) -> int:
 
 def measured_growth(pattern: FriezePattern, k: int) -> int:
     """Read s_k directly from the entries (needs depth >= k*n)."""
+    if k < 1:
+        raise ValueError("k must be positive")
     n = pattern.period
     if pattern.depth < k * n:
         raise ValueError("depth %d too shallow to measure s_%d" % (pattern.depth, k))

@@ -18,6 +18,12 @@ A seed on any relabeling of the base quiver gets the generator carried onto
 its own labels by the least isomorphism sigma from its quiver to the base:
 the seed mutates along sigma^-1(word) and is restored by
 sigma^-1 . permutation . sigma.  A word of generators finds sigma once.
+Equal canonical keys give one isomorphism sigma0, which sends the seed's
+canonical order onto the base's, position by position; every other is
+alpha . sigma0 for an automorphism alpha of the base.  Besides the identity
+the E7 and E8 fans have no automorphism and the E6 fan has only gamma, so
+sigma is sigma0 on E7 and E8, and the smaller of sigma0 and gamma . sigma0
+on E6.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ def generator_labels(n: int, generator: str) -> list[str]:
 
 
 @functools.cache
+def _base_form(n: int) -> tuple[tuple, tuple[int, ...]]:
+    return e_double_arrow(n)._canonical_form()
+
+
+@functools.cache
 def _resolve(n: int, generator: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The mutation sequence of a generator and its restoring permutation:
     t_w rotates 0 -> 1 -> w -> 0, and gamma swaps legs b and c."""
@@ -84,11 +95,15 @@ def apply_generator_word(seed: Seed, generators: list[str]) -> Seed:
             raise ValueError("generator must be one of %s" % (GENERATORS,))
         if inverse is None:
             n = rank_of(seed.quiver)
-            isos = seed.quiver.isomorphisms_to(e_double_arrow(n))
-            if not isos:
+            key, order = seed.quiver._canonical_form()
+            base_key, base_order = _base_form(n)
+            if key != base_key:
                 raise UnsupportedQuiver("seed quiver is not isomorphic to the E%d double-arrow "
                                         "shape" % n)
-            sigma = min(isos)
+            sigma = tuple(w for _, w in sorted(zip(order, base_order)))
+            if n == 6:
+                gamma = _resolve(6, "gamma")[1]
+                sigma = min(sigma, tuple(gamma[s] for s in sigma))
             inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
         word, perm = _resolve(n, generator)
         # the generator conjugated by sigma: word sigma^-1(word), permutation

@@ -1,18 +1,18 @@
-"""Quivers as skew-symmetric exchange matrices, with mutation, isomorphism
-testing, canonical forms, and breadth-first search of a mutation class.
+"""Quivers as skew-symmetric exchange matrices, with mutation, canonical
+forms, and breadth-first search of a mutation class.
 
 Vertices carry string labels; B[i][j] = (#arrows i -> j) - (#arrows j -> i).
 Everything here is exact integer combinatorics.
 
-Isomorphism testing and the canonical form share one color refinement: a
-vertex's signature is one integer whose base-(m+1) digits count its nonzero
-entries by (rank of the value B[i][j], color of j), above its own color, so
-it codes the color and that multiset exactly; signatures are ranked until
-the partition is stable.  Frozen vertices start in a color of their own, so
-no isomorphism unfreezes one.  Refinement commutes with relabeling, so
-isomorphism testing refines each quiver alone and maps each class onto the
-class of equal color; as cells keep the order of their starting colors,
-equal frozen counts and class sizes give equal frozen classes.
+The canonical form is the one isomorphism test: two quivers are isomorphic,
+by a bijection that keeps frozen vertices frozen, exactly when their
+canonical keys are equal, and then the map sending one canonical order
+onto the other, position by position, is an isomorphism.  Its color
+refinement gives a vertex a signature, one integer whose base-(m+1) digits
+count its nonzero entries by (rank of the value B[i][j], color of j), above
+its own color, so it codes the color and that multiset exactly; signatures
+are ranked until the partition is stable.  Frozen vertices start in a color
+of their own, so no isomorphism unfreezes one.
 The canonical form is individualization-refinement (McKay & Piperno,
 Practical graph isomorphism II, 2014): each vertex of the first smallest
 non-singleton cell is given a color of its own in turn, the partition is
@@ -184,47 +184,7 @@ class Quiver:
         b = tuple(tuple(self.b[inv[s]][inv[t]] for t in range(m)) for s in range(m))
         return Quiver._raw(labels, b, self.frozen)
 
-    # -- isomorphism -----------------------------------------------------------
-
-    def isomorphisms_to(self, other: "Quiver") -> list[tuple[int, ...]]:
-        """All vertex bijections sigma with other.b[sigma(i)][sigma(j)] == self.b[i][j],
-        in lexicographic order."""
-        m = self.m
-        if m != other.m or len(self.frozen) != len(other.frozen):
-            return []
-        mine, theirs = (_refine(*_entries(q.b), q._frozen_colors()) for q in (self, other))
-        if sorted(mine) != sorted(theirs):
-            return []
-        candidates = [[j for j in range(m) if theirs[j] == mine[i]] for i in range(m)]
-        order = sorted(range(m), key=lambda i: len(candidates[i]))
-        found: list[tuple[int, ...]] = []
-        assignment: dict[int, int] = {}
-        used = [False] * m
-
-        def backtrack(pos: int) -> None:
-            if pos == m:
-                found.append(tuple(assignment[i] for i in range(m)))
-                return
-            i = order[pos]
-            for j in candidates[i]:
-                if used[j]:
-                    continue
-                # by skew-symmetry B[i2][i] matches once B[i][i2] does
-                for i2, j2 in assignment.items():
-                    if self.b[i][i2] != other.b[j][j2]:
-                        break
-                else:
-                    assignment[i] = j
-                    used[j] = True
-                    backtrack(pos + 1)
-                    used[j] = False
-                    del assignment[i]
-
-        backtrack(0)
-        return sorted(found)
-
-    def _frozen_colors(self) -> list[int]:
-        return [int(label in self.frozen) for label in self.labels]
+    # -- canonical form ---------------------------------------------------------
 
     def canonical_key(self) -> tuple:
         """Complete invariant of isomorphisms that keep frozen vertices frozen:
@@ -238,7 +198,7 @@ class Quiver:
         entries, lead = _entries(b)
         best: tuple | None = None
         best_order: list[int] = []
-        stack = [_refine(entries, lead, self._frozen_colors())]
+        stack = [_refine(entries, lead, [int(label in self.frozen) for label in self.labels])]
         while stack:
             colors = stack.pop()
             order = sorted(range(m), key=colors.__getitem__)

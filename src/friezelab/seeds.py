@@ -8,6 +8,7 @@ double-arrow base quivers as x_a, x_b, ...
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .laurent import LaurentPoly
@@ -68,8 +69,8 @@ class Seed:
     def restored(self, perm: Sequence[int], base: Quiver) -> "Seed":
         """Permute the variables by perm and reattach them to the base quiver.
 
-        perm must identify this seed's quiver with base, i.e. be an element
-        of self.quiver.isomorphisms_to(base).
+        perm must be an isomorphism from this seed's quiver onto base:
+        base.b[perm[i]][perm[j]] == self.quiver.b[i][j].
         """
         if self.quiver.permuted(perm).b != base.b:
             raise ValueError("permutation does not carry this quiver to the base quiver")
@@ -84,17 +85,17 @@ def exchange(quiver: Quiver, values: Sequence, k: int, divide):
     vertex index k, where P+ multiplies values[j]^b_jk over the arrows
     j -> k and P- values[j]^b_kj over the arrows k -> j.
 
-    The values may be Laurent polynomials or integers: the products start
-    at values[k] ** 0, their ring's unit, and `divide` is exact division.
+    The values may be Laurent polynomials or integers, and `divide` is
+    exact division.
     """
     if quiver.labels[k] in quiver.frozen:
         raise ValueError("cannot mutate frozen vertex %r" % quiver.labels[k])
-    b = quiver.b
-    inc = out = values[k] ** 0
-    for j in range(quiver.m):
-        if b[j][k] > 0:
-            inc = inc * values[j] ** b[j][k]
-        if b[k][j] > 0:
-            out = out * values[j] ** b[k][j]
+    b, m = quiver.b, quiver.m
+    inc = product([values[j] ** b[j][k] for j in range(m) if b[j][k] > 0], values[k])
+    out = product([values[j] ** b[k][j] for j in range(m) if b[k][j] > 0], values[k])
     return divide(inc + out, values[k])
 
+
+def product(factors: Sequence, one):
+    """The factors multiplied from the first, or one ** 0 if there are none."""
+    return math.prod(factors[1:], start=factors[0]) if factors else one ** 0

@@ -26,7 +26,7 @@ from .errors import CrossCheckFailed, MissingDoubleArrow
 from .laurent import LaurentPoly
 from .quivers import MAX_NODES, MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .rep import delta
-from .seeds import Seed, exchange
+from .seeds import Seed, exchange, product
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,14 @@ def theta(seed: Seed) -> ThetaValue:
 
 def _growth_element(quiver: Quiver, values: Sequence, divide):
     """(x_u^2 + x_v^2 + prod of the triangle variables) / (x_u * x_v) at the
-    first double arrow u => v, over Laurent polynomials or integers: the
-    product starts at values[u] ** 0, and `divide` is exact division."""
+    first double arrow u => v, over Laurent polynomials or integers, where
+    `divide` is exact division."""
     doubles = quiver.double_arrows()
     if not doubles:
         raise MissingDoubleArrow("seed quiver has no double arrow")
     u, v = doubles[0]
-    product = values[u] ** 0
-    for w in triangle_neighbors(quiver, u, v):
-        product = product * values[w]
-    return divide(values[u] ** 2 + values[v] ** 2 + product, values[u] * values[v])
+    triangle = product([values[w] for w in triangle_neighbors(quiver, u, v)], values[u])
+    return divide(values[u] ** 2 + values[v] ** 2 + triangle, values[u] * values[v])
 
 
 def theta_invariance(seed: Seed, words: Sequence[Sequence[int]]) -> bool:

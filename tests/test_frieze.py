@@ -99,6 +99,14 @@ def test_growth_needs_depth():
         growth(f, 1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_growth_needs_positive_k(k):
+    f = generate([8, 2], depth=6)
+    for read in (growth, measured_growth):
+        with pytest.raises(ValueError, match="k must be positive"):
+            read(f, k)
+
+
 def test_classify_growth():
     # s_1 > 2 is fast affine growth, s_1 == 2 arithmetic-like growth
     assert growth(generate([8, 2], depth=4), 1) == 14

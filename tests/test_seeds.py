@@ -6,7 +6,7 @@ from friezelab import catalog
 from friezelab.laurent import LaurentPoly
 from friezelab.quivers import Quiver
 from friezelab.seeds import Seed, exchange, variable_name
-from friezelab.theta import _exact_quotient
+from friezelab.theta import _exact_quotient, theta
 
 from laurent_text import parse_laurent
 
@@ -111,6 +111,20 @@ def test_isolated_vertex_exchanges_empty_products():
     q = Quiver(["0"], [[0]])
     assert Seed.initial(q).mutate(0).vars == (parse_laurent("2*x0^-1", ("x0",)),)
     assert exchange(q, [1], 0, _exact_quotient) == 2
+
+
+def test_products_start_at_their_first_factor(monkeypatch):
+    # exchange and the growth element multiply their factors from the first,
+    # so the unit is never an operand of a product
+    operands = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, q: operands.extend((p, q)) or mul(p, q))
+    seed = Seed.initial(catalog.kronecker())
+    for i in range(40):
+        seed = seed.mutate(i % 2)
+    assert seed.vars[i % 2].at_ones() == 37889062373143906  # F_81
+    assert theta(Seed.initial(catalog.e_double_arrow(6))).integer == 3
+    assert operands and not any(x == 1 for x in operands)
 
 
 def test_permuted_roundtrip():
