@@ -36,7 +36,8 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # whose first non-positive entry lies below the requested depth, a growth
 # coefficient read off a cyclic double-arrow quiver (the Laurent route), the
 # modular relations of E6 (with those of gamma) and of E7, the E8
-# generators, and the refusal of a quiver that is not a double-arrow fan
+# generators, the refusal of a quiver that is not a double-arrow fan, and a
+# dimension vector that one arrow's kernel rank shows to be empty
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -61,6 +62,7 @@ EXTRA = [
     ["modular", "--quiver", "fixtures/e7/double_arrow.json", "--check-relations"],
     ["modular", "--quiver", "fixtures/e8/double_arrow.json", "--word", "ta,tb,tc"],
     ["modular", "--quiver", "fixtures/e6/quiver.json", "--word", "ta"],
+    ["grassmannian", "--rep", "fixtures/d4/m_lambda.json", "--dimvec", "0,0,2,0,0"],
 ]
 
 
