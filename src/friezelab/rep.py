@@ -10,16 +10,19 @@ dimension allowed there or, along an arrow that closes a cycle, leave the
 subspace chosen there.  A vertex that constrains no later choice is not
 enumerated but counted by the Gaussian binomial [d_v - w, e_v - w]_p.  Given a
 set of allowed dimensions per vertex, the routine counts every allowed e at
-once, so one traversal per prime fills a whole table.  Vertex order, arrow
-tables mod p and subspace lists are kept on the QuiverRep per prime while it
-lives, so a QuiverRep is treated as immutable.  chi(Gr_e) is P(1) for the
-point-counting polynomial P in the field size, held in an integer Newton
-divided-difference table over the first bound + 1 admissible primes, bound =
-sum_v e_v(d_v - e_v).  Monic integer Newton basis polynomials make P integral
-exactly when every division in the table is exact.  A remainder raises
-NonPolynomialCount, and so does a count at the next admissible prime, held
-out, that differs from P there.  The primes are the first admissible odd
-ones: some counts that fit one polynomial at odd primes do not fit it at 2.
+once, so one traversal per prime fills a whole table.  A single e counts 0,
+with no traversal, when e_h < e_t - dim ker(A mod p) for an arrow t -> h with
+matrix A: A maps U_t into U_h, onto a subspace of dimension at least
+e_t - dim ker A.  Vertex order, arrow tables mod p, their kernel dimensions
+and subspace lists are kept on the QuiverRep per prime while it lives, so a
+QuiverRep is treated as immutable.  chi(Gr_e) is P(1) for the point-counting
+polynomial P in the field size, held in an integer Newton divided-difference
+table over the first bound + 1 admissible primes, bound = sum_v e_v(d_v - e_v).
+Monic integer Newton basis polynomials make P integral exactly when every
+division in the table is exact.  A remainder raises NonPolynomialCount, and so
+does a count at the next admissible prime, held out, that differs from P
+there.  The primes are the first admissible odd ones: some counts that fit one
+polynomial at odd primes do not fit it at 2.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ Matrix = tuple[tuple[int, ...], ...]
 class QuiverRep:
     """A representation of a quiver by integer matrices; immutable, like Quiver."""
 
-    __slots__ = ("quiver", "dims", "maps", "params", "_prepared")
+    __slots__ = ("quiver", "dims", "maps", "params", "_prepared", "_kernels")
 
     def __init__(self, quiver: Quiver, dims: Iterable[int],
                  maps: Sequence[Sequence[Sequence[int]]],
@@ -69,6 +72,7 @@ class QuiverRep:
         if bad := {k: v for k, v in self.params.items() if v in (0, 1)}:
             raise ValueError("parameters %s degenerate at every prime" % (bad,))
         self._prepared: dict = {}  # prime -> _prepare(self, prime)
+        self._kernels: dict = {}  # prime -> _arrow_kernels(self, prime)
 
     def admissible(self, p: int) -> bool:
         """A prime is admissible unless some parameter degenerates mod p."""
@@ -224,6 +228,15 @@ def _prepare(rep: QuiverRep, p: int):
     return rep._prepared[p]
 
 
+def _arrow_kernels(rep: QuiverRep, p: int) -> list[tuple[int, int, int]]:
+    """(t, h, dim ker(A mod p)) for each arrow t -> h with matrix A, made once per prime."""
+    if p not in rep._kernels:
+        rank = lambda mat: len(functools.reduce(lambda b, r: _insert(b, r, p), mat, []))
+        rep._kernels[p] = [(t, h, rep.dims[t] - rank(mat))
+                           for t, arrows in enumerate(_prepare(rep, p)[1]) for h, mat, _ in arrows]
+    return rep._kernels[p]
+
+
 def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
                         p: int) -> dict[DimVector, int]:
     """The number of subrepresentations over F_p of every dimension vector e
@@ -289,9 +302,14 @@ def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
 
 
 def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
-    """Number of subrepresentations of dimension vector e over F_p."""
+    """Number of subrepresentations of dimension vector e over F_p: 0, with
+    no traversal, when e_h < e_t - dim ker(A mod p) for an arrow t -> h with
+    matrix A (module docstring)."""
     e = tuple(map(integer, e))
     _check_dimvector(rep, e)
+    p = integer(p)
+    if any(e[h] < e[t] - k for t, h, k in _arrow_kernels(rep, p)):
+        return 0
     return _count_by_dimvector(rep, [(x,) for x in e], p).get(e, 0)
 
 

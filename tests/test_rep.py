@@ -2,12 +2,14 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 import friezelab.rep as rep_module
 from friezelab import catalog
+from friezelab.cc import cc_map
 from friezelab.errors import InadmissiblePrime, NotAffine
 from friezelab.quivers import Quiver
 from friezelab.rep import (QuiverRep, _certified_chi, count_points, counting_degree_bound,
@@ -303,8 +305,9 @@ def test_count_points_forced_stratum():
 
 def test_inadmissible_prime():
     M = catalog.d4_m_lambda(2)
-    with pytest.raises(InadmissiblePrime):
-        count_points(M, (0, 0, 0, 0, 0), 2)
+    for e in ((0, 0, 0, 0, 0), (0, 0, 2, 0, 0)):  # the second is screened by a kernel rank
+        with pytest.raises(InadmissiblePrime):
+            count_points(M, e, 2)
     assert M.admissible(3)
     assert not M.admissible(2)
 
@@ -412,6 +415,47 @@ def test_certified_chi_of_integer_polynomials_at_shuffled_primes():
         assert chi == sum(coeffs)
 
 
+def _traversal_spy(monkeypatch):
+    """The allowed-dimension lists of every _count_by_dimvector call."""
+    calls = []
+    real = rep_module._count_by_dimvector
+    monkeypatch.setattr(rep_module, "_count_by_dimvector",
+                        lambda rep, allowed, p: calls.append(allowed) or real(rep, allowed, p))
+    return calls
+
+
+def test_kernel_screen_skips_the_traversal(monkeypatch):
+    calls = _traversal_spy(monkeypatch)
+    M = catalog.d4_m_lambda(2)
+    for p, line_count in ((3, 4), (5, 6), (7, 8)):
+        # arrow 3 -> 1 is [1 1], with a kernel of dimension 1, so U_3 = F_p^2
+        # cannot map into U_1 = 0
+        assert count_points(M, (0, 0, 2, 0, 0), p) == 0
+        assert calls == []
+        assert count_points(M, (1, 1, 1, 0, 0), p) == line_count
+        assert len(calls) == 1
+        calls.clear()
+    # the map [[3]] of 0 -> 1 vanishes over F_3 only: a rank taken over Q
+    # would screen e = (1, 0) at p = 3 as well
+    N = QuiverRep(Quiver(["0", "1"], [[0, 1], [-1, 0]]), (1, 1), [[[3]]])
+    assert count_points(N, (1, 0), 3) == 1
+    assert len(calls) == 1
+    assert count_points(N, (1, 0), 5) == 0
+    assert len(calls) == 1
+
+
+def test_tables_and_characters_compute_no_kernels(monkeypatch):
+    calls = []
+    real = rep_module._arrow_kernels
+    monkeypatch.setattr(rep_module, "_arrow_kernels",
+                        lambda rep, p: calls.append(p) or real(rep, p))
+    cc_map(catalog.d4_m_lambda(2))
+    grassmannian_table(catalog.d4_m_lambda(3))
+    assert calls == []
+    count_points(catalog.d4_m_lambda(2), (0, 0, 2, 0, 0), 3)
+    assert calls == [3]
+
+
 def test_degree_bound_of_a_projective_line():
     # Gr_e(M) for e = (1, 1, 1, 0, 0) is P^1, with p + 1 points over F_p
     M = catalog.d4_m_lambda(2)
@@ -420,8 +464,18 @@ def test_degree_bound_of_a_projective_line():
 
 @pytest.mark.parametrize("p", [9, 4, 1, 0, -3])
 def test_counting_refuses_a_modulus_that_is_not_prime(p):
-    with pytest.raises(ValueError, match="^%d is not prime$" % p):
-        count_points(catalog.d4_m_lambda(0), (1, 1, 1, 0, 0), p)
+    for e in ((1, 1, 1, 0, 0), (0, 0, 2, 0, 0)):  # the second is screened by a kernel rank
+        with pytest.raises(ValueError, match="^%d is not prime$" % p):
+            count_points(catalog.d4_m_lambda(0), e, p)
+
+
+@pytest.mark.parametrize("p", [3.0, "3", True])
+def test_counting_refuses_a_modulus_that_is_not_an_integer(p):
+    M = catalog.d4_m_lambda(2)
+    for _ in range(2):  # fresh, then with the set-up of p = 3 kept on M
+        with pytest.raises(ValueError, match="^%s is not an integer$" % re.escape(repr(p))):
+            count_points(M, (1, 1, 1, 0, 0), p)
+        assert count_points(M, (1, 1, 1, 0, 0), 3) == 4
 
 
 def test_direct_sum_dims_and_maps():
