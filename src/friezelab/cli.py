@@ -12,7 +12,6 @@ status 1.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -248,7 +247,7 @@ def cmd_grassmannian(args) -> Report:
     rep = _load(args.rep, QuiverRep.from_json)
     if args.dimvec is not None:
         primes = counting_primes(rep, counting_degree_bound(rep, args.dimvec) + 2)
-        count = functools.cache(functools.partial(count_points, rep, args.dimvec))
+        count = lambda p: count_points(rep, args.dimvec, p)
         chi = _certified_chi(rep, args.dimvec, primes, count)
         counts = {str(p): str(count(p)) for p in primes}
         payload = {"e": list(args.dimvec), "chi": str(chi), "counts": counts}

@@ -102,7 +102,7 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     is <= 0, and when s >= 2 each subsequence either starts to grow or
     reaches 0 or below.
     """
-    quiddity = Quiddity(quiddity)
+    quiddity, depth = Quiddity(quiddity), integer(depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = len(quiddity)
@@ -140,6 +140,7 @@ def growth(pattern: FriezePattern, k: int) -> int:
     """The k-th growth coefficient s_k = T_k(s_1) of the pattern, with s_1
     read from the entries (row n minus row n-2, checked to be independent
     of the starting diagonal)."""
+    k = integer(k)
     if k < 1:
         raise ValueError("k must be positive")
     return chebyshev_T(k, measured_growth(pattern, 1))
@@ -147,6 +148,7 @@ def growth(pattern: FriezePattern, k: int) -> int:
 
 def measured_growth(pattern: FriezePattern, k: int) -> int:
     """Read s_k directly from the entries (needs depth >= k*n)."""
+    k = integer(k)
     if k < 1:
         raise ValueError("k must be positive")
     n = pattern.period

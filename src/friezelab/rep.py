@@ -5,24 +5,19 @@ every arrow (shape dims[head] x dims[tail]).  Subrepresentations are counted
 by one exact backtracking routine over the vertices in
 Quiver.topological_order(), vertices on oriented cycles last.  At a vertex v,
 U_v runs over the subspaces containing the span W_v of the images from its
-tails, and a branch dies once the images reaching a vertex outgrow the
-dimension allowed there or, along an arrow that closes a cycle, leave the
-subspace chosen there.  A vertex that constrains no later choice is not
-enumerated but counted by the Gaussian binomial [d_v - w, e_v - w]_p.  Given a
-set of allowed dimensions per vertex, the routine counts every allowed e at
-once, so one traversal per prime fills a whole table.  A single e counts 0,
-with no traversal, when e_h < e_t - dim ker(A mod p) for an arrow t -> h with
-matrix A: A maps U_t into U_h, onto a subspace of dimension at least
-e_t - dim ker A.  Vertex order, arrow tables mod p, their kernel dimensions
-and subspace lists are kept on the QuiverRep per prime while it lives, so a
-QuiverRep is treated as immutable.  chi(Gr_e) is P(1) for the point-counting
-polynomial P in the field size, held in an integer Newton divided-difference
-table over the first bound + 1 admissible primes, bound = sum_v e_v(d_v - e_v).
-Monic integer Newton basis polynomials make P integral exactly when every
-division in the table is exact.  A remainder raises NonPolynomialCount, and so
-does a count at the next admissible prime, held out, that differs from P
-there.  The primes are the first admissible odd ones: some counts that fit one
-polynomial at odd primes do not fit it at 2.
+tails, and a branch dies once the images along an arrow that closes a cycle
+leave the subspace chosen at its head.  A vertex that constrains no later
+choice is not enumerated but counted by the Gaussian binomial
+[d_v - w, e_v - w]_p.  One traversal per prime counts every e <= dims at once,
+and the table it fills is kept on the QuiverRep while it lives, so a QuiverRep
+is treated as immutable; count_points reads a single e from it.  chi(Gr_e) is
+P(1) for the point-counting polynomial P in the field size, held in an integer
+Newton divided-difference table over the first bound + 1 admissible primes,
+bound = sum_v e_v(d_v - e_v).  Monic integer Newton basis polynomials make P
+integral exactly when every division in the table is exact.  A remainder
+raises NonPolynomialCount, and so does a count at the next admissible prime,
+held out, that differs from P there.  The primes are the first admissible odd
+ones: some counts that fit one polynomial at odd primes do not fit it at 2.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ Matrix = tuple[tuple[int, ...], ...]
 class QuiverRep:
     """A representation of a quiver by integer matrices; immutable, like Quiver."""
 
-    __slots__ = ("quiver", "dims", "maps", "params", "_prepared", "_kernels")
+    __slots__ = ("quiver", "dims", "maps", "params", "_tables")
 
     def __init__(self, quiver: Quiver, dims: Iterable[int],
                  maps: Sequence[Sequence[Sequence[int]]],
@@ -71,8 +66,7 @@ class QuiverRep:
         self.params = {k: integer(v) for k, v in (params or {}).items()}
         if bad := {k: v for k, v in self.params.items() if v in (0, 1)}:
             raise ValueError("parameters %s degenerate at every prime" % (bad,))
-        self._prepared: dict = {}  # prime -> _prepare(self, prime)
-        self._kernels: dict = {}  # prime -> _arrow_kernels(self, prime)
+        self._tables: dict = {}  # prime -> _count_by_dimvector(self, prime)
 
     def admissible(self, p: int) -> bool:
         """A prime is admissible unless some parameter degenerates mod p."""
@@ -211,61 +205,44 @@ def _insert(basis: list, vec, p: int) -> list:
     return basis + [(piv, [x * inv % p for x in vec])]
 
 
-def _prepare(rep: QuiverRep, p: int):
-    """The set-up of _count_by_dimvector over F_p, checked and made once per prime."""
-    if p not in rep._prepared:
-        if not is_prime(p):
-            raise ValueError("%d is not prime" % p)
-        if not rep.admissible(p):
-            raise InadmissiblePrime("prime %d degenerates a parameter of the fixture" % p)
-        order = rep.quiver.topological_order()
-        order += sorted(set(range(rep.quiver.m)) - set(order))  # vertices on oriented cycles last
-        out = [[] for _ in order]  # arrows v -> h as (h, matrix mod p, h visited after v)
-        for (t, h), mat in zip(rep.quiver.arrows(), rep.maps):
-            out[t].append((h, [[x % p for x in r] for r in mat], order.index(h) > order.index(t)))
-        watched = frozenset(h for arrows in out for h, _, later in arrows if not later)
-        rep._prepared[p] = (tuple(order), out, watched, {})
-    return rep._prepared[p]
-
-
-def _arrow_kernels(rep: QuiverRep, p: int) -> list[tuple[int, int, int]]:
-    """(t, h, dim ker(A mod p)) for each arrow t -> h with matrix A, made once per prime."""
-    if p not in rep._kernels:
-        rank = lambda mat: len(functools.reduce(lambda b, r: _insert(b, r, p), mat, []))
-        rep._kernels[p] = [(t, h, rep.dims[t] - rank(mat))
-                           for t, arrows in enumerate(_prepare(rep, p)[1]) for h, mat, _ in arrows]
-    return rep._kernels[p]
-
-
-def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
-                        p: int) -> dict[DimVector, int]:
-    """The number of subrepresentations over F_p of every dimension vector e
-    with e[v] in allowed[v]; only nonzero counts appear.  The vertex order, arrow
-    tables mod p and subspace lists are kept on rep per prime for as long as rep
-    lives (see _prepare), so rep is treated as immutable."""
+def _count_by_dimvector(rep: QuiverRep, p: int) -> dict[DimVector, int]:
+    """The number of subrepresentations over F_p of every dimension vector;
+    only nonzero counts appear.  The prime is checked and the table made once
+    per prime, then kept on rep for as long as rep lives, so rep is treated as
+    immutable."""
+    if p in rep._tables:
+        return rep._tables[p]
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
+    if not rep.admissible(p):
+        raise InadmissiblePrime("prime %d degenerates a parameter of the fixture" % p)
     dims, m = rep.dims, rep.quiver.m
-    order, out, watched, subspaces = _prepare(rep, p)
+    order = rep.quiver.topological_order()
+    order += sorted(set(range(m)) - set(order))  # vertices on oriented cycles last
+    out = [[] for _ in order]  # arrows v -> h as (h, matrix mod p, h visited after v)
+    for (t, h), mat in zip(rep.quiver.arrows(), rep.maps):
+        out[t].append((h, [[x % p for x in r] for r in mat], order.index(h) > order.index(t)))
+    watched = frozenset(h for arrows in out for h, _, later in arrows if not later)
     # U_v constrains no later choice: count it by a Gaussian binomial, last
-    free = [v not in watched and all(allowed[h] == (dims[h],) for h, _, _ in out[v])
-            for v in range(m)]
-    order = sorted(order, key=free.__getitem__)
-    top = [max(a) for a in allowed]
+    free = [v not in watched and all(dims[h] == 0 for h, _, _ in out[v]) for v in range(m)]
+    order.sort(key=free.__getitem__)
     chosen: list = [None] * m  # echelon basis of U_h at the heads of backward arrows
+    subspaces: dict = {}
     counts: dict[DimVector, int] = {}
     e = [0] * m
 
     def push(v, spans, rows):
         """spans with the images of rows added at the heads visited later, or
-        None when one outgrows its head or an image leaves an earlier U_h."""
+        None when an image leaves the U_h chosen at an earlier head."""
         spans = list(spans)
         for h, mat, later in out[v]:
             span = spans[h] if later else chosen[h]
             for row in rows:
                 span = _insert(span, [sum(map(mul, r, row)) % p for r in mat], p)
-            if (len(span) > top[h]) if later else (span is not chosen[h]):
-                return None
             if later:
                 spans[h] = span
+            elif span is not chosen[h]:
+                return None
         return spans
 
     def visit(i, spans, weight):
@@ -276,16 +253,15 @@ def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
         span = spans[v]
         w = len(span)
         if free[v]:
-            for k in allowed[v]:
-                if k >= w:
-                    e[v] = k
-                    visit(i + 1, spans, weight * _gaussian_binomial(dims[v] - w, k - w, p))
+            for k in range(w, dims[v] + 1):
+                e[v] = k
+                visit(i + 1, spans, weight * _gaussian_binomial(dims[v] - w, k - w, p))
             return
         base = push(v, spans, [row for _, row in span])
         if base is None:
             return
         complement = tuple(sorted(set(range(dims[v])) - {piv for piv, _ in span}))
-        for k in allowed[v]:
+        for k in range(w, dims[v] + 1):
             e[v] = k
             # U_v = W_v + S, S a (k - w)-subspace on the coordinates off W_v's pivots
             if (key := (dims[v], k - w, complement)) not in subspaces:
@@ -298,30 +274,28 @@ def _count_by_dimvector(rep: QuiverRep, allowed: Sequence[tuple[int, ...]],
                     visit(i + 1, spans_out, weight)
 
     visit(0, [[] for _ in range(m)], 1)
+    rep._tables[p] = counts
     return counts
 
 
 def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
-    """Number of subrepresentations of dimension vector e over F_p: 0, with
-    no traversal, when e_h < e_t - dim ker(A mod p) for an arrow t -> h with
-    matrix A (module docstring)."""
+    """Number of subrepresentations of dimension vector e over F_p, read from
+    the table of every e that one traversal per prime fills (module docstring)."""
+    e = _check_dimvector(rep, e)
+    return _count_by_dimvector(rep, integer(p)).get(e, 0)
+
+
+def _check_dimvector(rep: QuiverRep, e: Sequence[int]) -> DimVector:
     e = tuple(map(integer, e))
-    _check_dimvector(rep, e)
-    p = integer(p)
-    if any(e[h] < e[t] - k for t, h, k in _arrow_kernels(rep, p)):
-        return 0
-    return _count_by_dimvector(rep, [(x,) for x in e], p).get(e, 0)
-
-
-def _check_dimvector(rep: QuiverRep, e: DimVector) -> None:
     if len(e) != len(rep.dims):
         raise ValueError("dimension vector length mismatch")
     if min(e, default=0) < 0 or not all(map(le, e, rep.dims)):
         raise ValueError("dimension vector %s exceeds dims %s" % (e, rep.dims))
+    return e
 
 
 def counting_degree_bound(rep: QuiverRep, e: Sequence[int]) -> int:
-    _check_dimvector(rep, e)
+    e = _check_dimvector(rep, e)
     return sum(x * (d - x) for x, d in zip(e, rep.dims))
 
 
@@ -363,10 +337,8 @@ def grassmannian_table(rep: QuiverRep) -> dict[DimVector, int]:
     serves every e.  The first sum_v floor(d_v^2 / 4) + 2 counting primes
     suffice for every e, since e_v(d_v - e_v) <= floor(d_v^2 / 4)."""
     primes = counting_primes(rep, sum(d * d // 4 for d in rep.dims) + 2)
-    counts = functools.cache(functools.partial(
-        _count_by_dimvector, rep, [tuple(range(d + 1)) for d in rep.dims]))
-    return {e: _certified_chi(rep, e, primes, lambda p: counts(p).get(e, 0))
-            for e in sorted(counts(primes[0]), key=lambda e: (sum(e), e))}
+    return {e: _certified_chi(rep, e, primes, lambda p: _count_by_dimvector(rep, p).get(e, 0))
+            for e in sorted(_count_by_dimvector(rep, primes[0]), key=lambda e: (sum(e), e))}
 
 
 def table_json(table: Mapping[DimVector, int]) -> list[dict]:

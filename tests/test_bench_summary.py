@@ -39,6 +39,7 @@ def test_pairs_medians_and_gain_rule(tmp_path):
     assert ops["change_wins"] == 4 and ops["gain_rule_met"]
     tail = tube["metrics"]["op_tail_ms"]
     assert tail["better"] == "lower" and tail["change_wins"] == 3 and not tail["gain_rule_met"]
+    assert tail["per_pair"] == [[100, 105], [110, 60], [90, 40], [120, 70]]
     assert summary["parent"]["source_sha256"] == "aaaa"
 
 

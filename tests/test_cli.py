@@ -16,6 +16,8 @@ from friezelab.laurent import LaurentPoly
 from friezelab.quivers import Quiver
 from friezelab.rep import QuiverRep
 
+from rep_helpers import spy_traversals
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -313,12 +315,7 @@ def test_parameter_inadmissible_at_every_prime_is_a_json_error(capsys, tmp_path)
 
 
 def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
-    import friezelab.rep as rep_module
-
-    traversed = []
-    real = rep_module._count_by_dimvector
-    monkeypatch.setattr(rep_module, "_count_by_dimvector",
-                        lambda rep, allowed, p: traversed.append(p) or real(rep, allowed, p))
+    traversed = spy_traversals(monkeypatch)
     code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
                              "--dimvec", "1,1,1,0,0")
     assert code == 0 and payload["chi"] == "2"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -105,6 +106,17 @@ def test_growth_needs_positive_k(k):
     for read in (growth, measured_growth):
         with pytest.raises(ValueError, match="k must be positive"):
             read(f, k)
+
+
+@pytest.mark.parametrize("x", [2.5, True, "3"])
+def test_depth_and_k_must_be_integers(x):
+    message = "^%s is not an integer$" % re.escape(repr(x))
+    with pytest.raises(ValueError, match=message):
+        generate([8, 2], x)
+    f = generate([8, 2], depth=6)
+    for read in (growth, measured_growth):
+        with pytest.raises(ValueError, match=message):
+            read(f, x)
 
 
 def test_classify_growth():

@@ -9,7 +9,6 @@ import pytest
 
 import friezelab.rep as rep_module
 from friezelab import catalog
-from friezelab.cc import cc_map
 from friezelab.errors import InadmissiblePrime, NotAffine
 from friezelab.quivers import Quiver
 from friezelab.rep import (QuiverRep, _certified_chi, count_points, counting_degree_bound,
@@ -17,7 +16,7 @@ from friezelab.rep import (QuiverRep, _certified_chi, count_points, counting_deg
                            grassmannian_table, is_prime, rref_subspaces)
 
 from quiver_helpers import reference_isomorphisms
-from rep_helpers import direct_sum
+from rep_helpers import direct_sum, spy_traversals
 
 TABLE_ROWS = {
     (0, 0, 0, 0, 0): 1,
@@ -205,7 +204,7 @@ def test_count_points_matches_product_enumeration(p):
             with pytest.raises(InadmissiblePrime):
                 count_points(M, M.dims, p)
             continue
-        table = rep_module._count_by_dimvector(M, [tuple(range(d + 1)) for d in M.dims], p)
+        table = rep_module._count_by_dimvector(M, p)
         for e in _every_e(M):
             want = _reference_count(M, e, p)
             assert count_points(M, e, p) == want, (M.quiver.labels, M.dims, M.maps, e)
@@ -221,7 +220,7 @@ def test_count_points_matches_product_enumeration_on_an_e6_delta_rep(p):
     maps = [[[rng.randint(0, 1) for _ in range(d[t])] for _ in range(d[h])]
             for t, h in q.arrows()]
     M = QuiverRep(q, d, maps)
-    table = rep_module._count_by_dimvector(M, [tuple(range(x + 1)) for x in d], p)
+    table = rep_module._count_by_dimvector(M, p)
     for e in _every_e(M):
         want = _reference_count(M, e, p)
         assert count_points(M, e, p) == table.get(e, 0) == want, e
@@ -260,10 +259,9 @@ def test_per_e_counts_equal_one_traversal():
     reps = _perfbench_e6_delta_reps()
     assert len(reps) == 4
     for M in reps:
-        every = [tuple(range(d + 1)) for d in M.dims]
-        for p in (3, 5, 3):  # the set-up of p=3 is reused after p=5's
+        for p in (3, 5, 3):  # the table of p=3 is read again after p=5's
             fresh = QuiverRep(M.quiver, M.dims, M.maps)
-            table = rep_module._count_by_dimvector(fresh, every, p)
+            table = rep_module._count_by_dimvector(fresh, p)
             for e in _every_e(M):
                 assert count_points(M, e, p) == table.get(e, 0), (p, e)
     M = catalog.d4_m_lambda(3)
@@ -293,19 +291,27 @@ def test_count_points_trivial_ends():
 
 def test_count_points_projective_line_stratum():
     M = catalog.d4_m_lambda(2)
-    assert count_points(M, (1, 1, 1, 0, 0), 3) == 4
-    assert count_points(M, (1, 1, 1, 0, 0), 5) == 6
+    for p, line_count in ((3, 4), (5, 6), (7, 8)):
+        assert count_points(M, (1, 1, 1, 0, 0), p) == line_count
+        # arrow 3 -> 1 is [1 1], with a kernel of dimension 1, so U_3 = F_p^2
+        # cannot map into U_1 = 0
+        assert count_points(M, (0, 0, 2, 0, 0), p) == 0
 
 
 def test_count_points_forced_stratum():
     M = catalog.d4_m_lambda(2)
     for p in (3, 5, 11):
         assert count_points(M, (1, 1, 1, 1, 0), p) == 1
+    # the map [[3]] of 0 -> 1 vanishes over F_3 only, so U_0 = F_p maps into
+    # U_1 = 0 at p = 3 and nowhere else
+    N = QuiverRep(Quiver(["0", "1"], [[0, 1], [-1, 0]]), (1, 1), [[[3]]])
+    assert count_points(N, (1, 0), 3) == 1
+    assert count_points(N, (1, 0), 5) == 0
 
 
 def test_inadmissible_prime():
     M = catalog.d4_m_lambda(2)
-    for e in ((0, 0, 0, 0, 0), (0, 0, 2, 0, 0)):  # the second is screened by a kernel rank
+    for e in ((0, 0, 0, 0, 0), (0, 0, 2, 0, 0)):  # the second counts 0 at every prime
         with pytest.raises(InadmissiblePrime):
             count_points(M, e, 2)
     assert M.admissible(3)
@@ -346,10 +352,7 @@ def test_table_reads_dimension_vectors_at_the_first_counting_prime(monkeypatch):
     M = catalog.d4_m_lambda(2)
     # 4849845 = 3*5*7*11*13*17*19 vanishes mod every odd prime below 23
     N = QuiverRep(M.quiver, M.dims, M.maps, {"lambda": 4849845})
-    traversed = []
-    real = rep_module._count_by_dimvector
-    monkeypatch.setattr(rep_module, "_count_by_dimvector",
-                        lambda rep, allowed, p: traversed.append(p) or real(rep, allowed, p))
+    traversed = spy_traversals(monkeypatch)
     assert grassmannian_table(N) == TABLE_ROWS
     assert traversed == [23, 31, 37]  # and 4849845 = 1 mod 29
     # sum floor(d_v^2 / 4) = 1: three primes, the first read for the rows
@@ -415,38 +418,18 @@ def test_certified_chi_of_integer_polynomials_at_shuffled_primes():
         assert chi == sum(coeffs)
 
 
-def test_kernel_screen_skips_the_traversal(monkeypatch):
-    calls = []
-    real = rep_module._count_by_dimvector
-    monkeypatch.setattr(rep_module, "_count_by_dimvector",
-                        lambda rep, allowed, p: calls.append(p) or real(rep, allowed, p))
+def test_counts_after_a_table_run_no_traversal(monkeypatch):
     M = catalog.d4_m_lambda(2)
-    for p, line_count in ((3, 4), (5, 6), (7, 8)):
-        # arrow 3 -> 1 is [1 1], with a kernel of dimension 1, so U_3 = F_p^2
-        # cannot map into U_1 = 0
-        assert count_points(M, (0, 0, 2, 0, 0), p) == 0
-        assert calls == []
-        assert count_points(M, (1, 1, 1, 0, 0), p) == line_count
-        assert calls == [p]
-        calls.clear()
-    # the map [[3]] of 0 -> 1 vanishes over F_3 only: a rank taken over Q
-    # would screen e = (1, 0) at p = 3 as well
-    N = QuiverRep(Quiver(["0", "1"], [[0, 1], [-1, 0]]), (1, 1), [[[3]]])
-    assert count_points(N, (1, 0), 3) == 1
-    assert count_points(N, (1, 0), 5) == 0
-    assert calls == [3]
-
-
-def test_tables_and_characters_compute_no_kernels(monkeypatch):
-    calls = []
-    real = rep_module._arrow_kernels
-    monkeypatch.setattr(rep_module, "_arrow_kernels",
-                        lambda rep, p: calls.append(p) or real(rep, p))
-    cc_map(catalog.d4_m_lambda(2))
-    grassmannian_table(catalog.d4_m_lambda(3))
-    assert calls == []
-    count_points(catalog.d4_m_lambda(2), (0, 0, 2, 0, 0), 3)
-    assert calls == [3]
+    grassmannian_table(M)
+    primes = counting_primes(M, sum(d * d // 4 for d in M.dims) + 2)
+    inserts = []
+    real = rep_module._insert
+    monkeypatch.setattr(rep_module, "_insert",
+                        lambda basis, vec, p: inserts.append(p) or real(basis, vec, p))
+    for p in primes:
+        for e in _every_e(M):
+            count_points(M, e, p)
+    assert inserts == []  # every traversal inserts an image; a lookup does not
 
 
 def test_degree_bound_of_a_projective_line():
@@ -457,7 +440,7 @@ def test_degree_bound_of_a_projective_line():
 
 @pytest.mark.parametrize("p", [9, 4, 1, 0, -3])
 def test_counting_refuses_a_modulus_that_is_not_prime(p):
-    for e in ((1, 1, 1, 0, 0), (0, 0, 2, 0, 0)):  # the second is screened by a kernel rank
+    for e in ((1, 1, 1, 0, 0), (0, 0, 2, 0, 0)):  # the second counts 0 at every prime
         with pytest.raises(ValueError, match="^%d is not prime$" % p):
             count_points(catalog.d4_m_lambda(0), e, p)
 
@@ -465,7 +448,7 @@ def test_counting_refuses_a_modulus_that_is_not_prime(p):
 @pytest.mark.parametrize("p", [3.0, "3", True])
 def test_counting_refuses_a_modulus_that_is_not_an_integer(p):
     M = catalog.d4_m_lambda(2)
-    for _ in range(2):  # fresh, then with the set-up of p = 3 kept on M
+    for _ in range(2):  # fresh, then with the table of p = 3 kept on M
         with pytest.raises(ValueError, match="^%s is not an integer$" % re.escape(repr(p))):
             count_points(M, (1, 1, 1, 0, 0), p)
         assert count_points(M, (1, 1, 1, 0, 0), 3) == 4
@@ -514,8 +497,12 @@ def test_rep_validation():
         QuiverRep(q, (1, 1), [[[1]], [[0.5]]])
     with pytest.raises(ValueError, match="2.5"):
         QuiverRep(q, (1, 1), [[[1]], [[1]]], {"lambda": 2.5})
-    with pytest.raises(ValueError, match="1.5 is not an integer"):
-        count_points(catalog.d4_m_lambda(2), (1, 1, 1.5, 0, 0), 3)
+    for x in (1.5, True):
+        for e in ((1, 1, x, 0, 0), (x, 1, 1, 0, 0)):
+            with pytest.raises(ValueError, match="^%r is not an integer$" % x):
+                count_points(catalog.d4_m_lambda(2), e, 3)
+            with pytest.raises(ValueError, match="^%r is not an integer$" % x):
+                counting_degree_bound(catalog.d4_m_lambda(2), e)
     # a parameter 0 or 1 degenerates at every prime, so no count could start
     for value in (0, 1):
         with pytest.raises(ValueError, match="'lambda': %d" % value):

@@ -15,8 +15,9 @@ run length.
 
 For each workload and trace setting the summary gives, per metric, each
 side's median and quartiles (statistics.quantiles, inclusive method), the
-ratio of the medians (None unless both are positive), the pairs the change
-wins (ties count for neither), and whether the gain rule holds: the change
+[parent, change] values of every pair in the order of the seeds, the ratio
+of the medians (None unless both are positive), the pairs the change wins
+(ties count for neither), and whether the gain rule holds: the change
 wins at least nine tenths of the pairs and the medians differ by more than
 the parent's interquartile range.  Metric directions come from
 BENCHMARK.json.
@@ -71,6 +72,7 @@ def compare(pairs: list[tuple[dict, dict]], name: str, better: str) -> dict:
         "better": better,
         "parent": base,
         "change": new,
+        "per_pair": [[p, c] for p, c in zip(parent, change)],
         "ratio": (new["median"] / base["median"]
                   if base["median"] > 0 and new["median"] > 0 else None),
         "change_wins": wins,
