@@ -6,11 +6,15 @@ by one exact backtracking routine over the vertices in
 Quiver.topological_order(), vertices on oriented cycles last.  At a vertex v,
 U_v runs over the subspaces containing the span W_v of the images from its
 tails, and a branch dies once the images along an arrow that closes a cycle
-leave the subspace chosen at its head.  A vertex that constrains no later
-choice is not enumerated but counted by the Gaussian binomial
-[d_v - w, e_v - w]_p.  One traversal per prime counts every e <= dims at once,
-and the table it fills is kept on the QuiverRep while it lives, so a QuiverRep
-is treated as immutable; count_points reads a single e from it.  chi(Gr_e) is
+leave the subspace chosen at its head.  A free vertex, one that constrains
+no later choice, is not enumerated: free vertices come last, the traversal
+stops where they begin, and each class of leaves with the same e and the same
+span size w at every free vertex is expanded once, after the traversal, by the
+Gaussian binomials [d_v - w, e_v - w]_p.  Each span join and each row's images
+along its vertex's out-arrows are computed once per traversal and dropped with
+it.  One traversal per prime counts every e <= dims at once, and the table it
+fills is kept on the QuiverRep while it lives, so a QuiverRep is treated as
+immutable; count_points reads a single e from it.  chi(Gr_e) is
 P(1) for the point-counting polynomial P in the field size, held in an integer
 Newton divided-difference table over the first bound + 1 admissible primes,
 bound = sum_v e_v(d_v - e_v).  Monic integer Newton basis polynomials make P
@@ -190,26 +194,30 @@ def _gaussian_binomial(n: int, k: int, p: int) -> int:
             // math.prod(p ** (i + 1) - 1 for i in range(k)))
 
 
-def _insert(basis: list, vec, p: int) -> list:
-    """An echelon basis [(pivot, row), ...] of span(basis) + vec: basis itself
-    when vec already lies in the span, else a new list.  Each row is 1 at its
-    pivot and 0 at the pivots of the rows before it."""
+def _insert(basis: tuple, vec: tuple, p: int) -> tuple:
+    """An echelon basis ((pivot, row), ...) of span(basis) + vec: basis itself
+    when vec already lies in the span, else basis with one row more.  Each row
+    is 1 at its pivot and 0 at the pivots of the rows before it."""
     for piv, row in basis:
         c = vec[piv]
         if c:
-            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+            vec = tuple((x - c * y) % p for x, y in zip(vec, row))
     piv = next((i for i, x in enumerate(vec) if x), None)
     if piv is None:
         return basis
     inv = pow(vec[piv], -1, p)
-    return basis + [(piv, [x * inv % p for x in vec])]
+    return basis + ((piv, tuple(x * inv % p for x in vec)),)
 
 
 def _count_by_dimvector(rep: QuiverRep, p: int) -> dict[DimVector, int]:
     """The number of subrepresentations over F_p of every dimension vector;
     only nonzero counts appear.  The prime is checked and the table made once
     per prime, then kept on rep for as long as rep lives, so rep is treated as
-    immutable."""
+    immutable.  Each span join (span, vector) and each row's images along its
+    vertex's out-arrows are computed once per traversal and dropped with it.
+    Each leaf records e at the enumerated vertices and the span size at every
+    free vertex; each such class is expanded once, after the traversal, by
+    Gaussian binomials memoized per (n, k)."""
     if p in rep._tables:
         return rep._tables[p]
     if not is_prime(p):
@@ -223,40 +231,49 @@ def _count_by_dimvector(rep: QuiverRep, p: int) -> dict[DimVector, int]:
     for (t, h), mat in zip(rep.quiver.arrows(), rep.maps):
         out[t].append((h, [[x % p for x in r] for r in mat], order.index(h) > order.index(t)))
     watched = frozenset(h for arrows in out for h, _, later in arrows if not later)
-    # U_v constrains no later choice: count it by a Gaussian binomial, last
+    # U_v constrains no later choice: count it by Gaussian binomials, last
     free = [v not in watched and all(dims[h] == 0 for h, _, _ in out[v]) for v in range(m)]
     order.sort(key=free.__getitem__)
+    stop = m - sum(free)
+    tail = order[stop:]
     chosen: list = [None] * m  # echelon basis of U_h at the heads of backward arrows
     subspaces: dict = {}
-    counts: dict[DimVector, int] = {}
+    joins: dict = {}  # (span, vector) -> _insert(span, vector, p)
+    images: list[dict] = [{} for _ in range(m)]  # row at v -> its image along each out-arrow
+    leaves: dict = {}  # (e, span size at each free vertex) -> number of leaves
     e = [0] * m
+
+    def join(span, vec):
+        if (got := joins.get(key := (span, vec))) is None:
+            got = joins[key] = _insert(span, vec, p)
+        return got
 
     def push(v, spans, rows):
         """spans with the images of rows added at the heads visited later, or
         None when an image leaves the U_h chosen at an earlier head."""
         spans = list(spans)
-        for h, mat, later in out[v]:
+        seen = images[v]
+        for row in rows:
+            if row not in seen:
+                seen[row] = [tuple(sum(map(mul, r, row)) % p for r in mat) for _, mat, _ in out[v]]
+        for j, (h, _, later) in enumerate(out[v]):
             span = spans[h] if later else chosen[h]
             for row in rows:
-                span = _insert(span, [sum(map(mul, r, row)) % p for r in mat], p)
+                span = join(span, seen[row][j])
             if later:
                 spans[h] = span
-            elif span is not chosen[h]:
+            elif len(span) != len(chosen[h]):  # join returns span or one row more
                 return None
         return spans
 
-    def visit(i, spans, weight):
-        if i == m:
-            counts[tuple(e)] = counts.get(tuple(e), 0) + weight
+    def visit(i, spans):
+        if i == stop:
+            key = (tuple(e), tuple(len(spans[v]) for v in tail))
+            leaves[key] = leaves.get(key, 0) + 1
             return
         v = order[i]
         span = spans[v]
         w = len(span)
-        if free[v]:
-            for k in range(w, dims[v] + 1):
-                e[v] = k
-                visit(i + 1, spans, weight * _gaussian_binomial(dims[v] - w, k - w, p))
-            return
         base = push(v, spans, [row for _, row in span])
         if base is None:
             return
@@ -270,10 +287,22 @@ def _count_by_dimvector(rep: QuiverRep, p: int) -> dict[DimVector, int]:
                 spans_out = push(v, base, rows)
                 if spans_out is not None:
                     if v in watched:
-                        chosen[v] = functools.reduce(lambda b, r: _insert(b, r, p), rows, span)
-                    visit(i + 1, spans_out, weight)
+                        chosen[v] = functools.reduce(join, rows, span)
+                    visit(i + 1, spans_out)
 
-    visit(0, [[] for _ in range(m)], 1)
+    visit(0, [()] * m)
+    binomials: dict = {}
+    counts: dict[DimVector, int] = {}
+    for (enumerated, sizes), n in leaves.items():
+        e = list(enumerated)
+        for ks in itertools.product(*(range(w, dims[v] + 1) for v, w in zip(tail, sizes))):
+            weight = n
+            for v, w, k in zip(tail, sizes, ks):
+                e[v] = k
+                if (key := (dims[v] - w, k - w)) not in binomials:
+                    binomials[key] = _gaussian_binomial(*key, p)
+                weight *= binomials[key]
+            counts[tuple(e)] = counts.get(tuple(e), 0) + weight
     rep._tables[p] = counts
     return counts
 

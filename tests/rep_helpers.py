@@ -1,6 +1,7 @@
 """Operations on representations that only the tests use."""
 
 import friezelab.rep as rep_module
+from friezelab.quivers import Quiver
 from friezelab.rep import QuiverRep
 
 
@@ -12,6 +13,23 @@ def direct_sum(m1: QuiverRep, m2: QuiverRep) -> QuiverRep:
     maps = [[row + (0,) * m2.dims[t] for row in a] + [(0,) * m1.dims[t] + row for row in b]
             for (t, h), a, b in zip(m1.quiver.arrows(), m1.maps, m2.maps)]
     return QuiverRep(m1.quiver, dims, maps, {**m1.params, **m2.params})
+
+
+def dual(rep: QuiverRep) -> QuiverRep:
+    """DM, the dual of rep: the same dimensions on the opposite quiver, where
+    the k-th arrow h -> t carries the transpose of the k-th map on t -> h.
+    Its subrepresentations of dimension vector dims - e are the annihilators
+    of those of rep of dimension vector e."""
+    q = rep.quiver
+    opposite = Quiver(q.labels, [[-x for x in row] for row in q.b], q.frozen)
+    maps: dict = {}
+    for arrow, mat in zip(q.arrows(), rep.maps):
+        maps.setdefault(arrow, []).append(mat)
+    transposed = []
+    for t, h in opposite.arrows():
+        mat = maps[(h, t)].pop(0)
+        transposed.append([[row[j] for row in mat] for j in range(rep.dims[h])])
+    return QuiverRep(opposite, rep.dims, transposed, rep.params)
 
 
 def spy_traversals(monkeypatch) -> list[int]:

@@ -16,7 +16,7 @@ from friezelab.rep import (QuiverRep, _certified_chi, count_points, counting_deg
                            grassmannian_table, is_prime, rref_subspaces)
 
 from quiver_helpers import reference_isomorphisms
-from rep_helpers import direct_sum, spy_traversals
+from rep_helpers import direct_sum, dual, spy_traversals
 
 TABLE_ROWS = {
     (0, 0, 0, 0, 0): 1,
@@ -190,6 +190,13 @@ def _oracle_reps():
     reps = [_random_rep(q, rng, top) for q, top in quivers for _ in range(4)]
     reps += [catalog.d4_m_lambda(lam) for lam in (0, 1, 2, 3, 4)]
     reps += [r for pair in catalog.d4_tubes() for r in pair]
+    # free vertices, counted by Gaussian binomials: the centre 3, whose heads
+    # are zero and which 4 and 5 push into (their images coincide at p = 2);
+    # then the sinks 1 and 2, whose span sizes differ where U_3 meets the
+    # kernel of 3 -> 1 only
+    d4 = catalog.d4_star()
+    reps.append(QuiverRep(d4, (0, 0, 2, 1, 1), [[], [], [[1], [0]], [[1], [2]]]))
+    reps.append(QuiverRep(d4, (1, 2, 2, 1, 0), [[[1, 0]], [[1, 0], [0, 1]], [[1], [1]], [[], []]]))
     return reps
 
 
@@ -237,6 +244,31 @@ def _perfbench_e6_delta_reps():
         if op["kind"] == "count" and op["p"] == 3 and op["maps"] not in maps:
             maps.append(op["maps"])
     return [QuiverRep(catalog.e6_affine(), inputs.E6_DELTA, m) for m in maps]
+
+
+def test_a_traversal_joins_each_span_and_vector_once(monkeypatch):
+    # the same (span, image) joins recur across the branches of one
+    # traversal: without the per-traversal memo these tables take 679 joins
+    # at p = 3 and 1,247 at p = 5
+    calls = []
+    real = rep_module._insert
+    monkeypatch.setattr(rep_module, "_insert",
+                        lambda basis, vec, p: calls.append(p) or real(basis, vec, p))
+    for M in _perfbench_e6_delta_reps():
+        for p, most in ((3, 250), (5, 500)):
+            calls.clear()
+            rep_module._count_by_dimvector(QuiverRep(M.quiver, M.dims, M.maps), p)
+            assert 0 < len(calls) <= most, (p, len(calls))
+
+
+def test_counts_are_dual_past_the_oracle_primes():
+    # Gr_e(M) and Gr_{d-e}(DM) have the same points; DM's traversal starts at
+    # M's sinks, so its joins and free vertices fall elsewhere
+    for M in _perfbench_e6_delta_reps():
+        DM = dual(M)
+        for e in _every_e(M):
+            co = tuple(d - x for d, x in zip(M.dims, e))
+            assert count_points(M, e, 7) == count_points(DM, co, 7), e
 
 
 def test_counting_setup_is_made_once_per_prime(monkeypatch):
