@@ -36,8 +36,9 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # whose first non-positive entry lies below the requested depth, a growth
 # coefficient read off a cyclic double-arrow quiver (the Laurent route), the
 # modular relations of E6 (with those of gamma) and of E7, the E8
-# generators, the refusal of a quiver that is not a double-arrow fan, and a
-# dimension vector that one arrow's kernel rank shows to be empty
+# generators, the refusal of a quiver that is not a double-arrow fan, a
+# dimension vector that one arrow's kernel rank shows to be empty, and two
+# multi-step Laurent replays (six Kronecker steps, five E7 steps by label)
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -63,6 +64,8 @@ EXTRA = [
     ["modular", "--quiver", "fixtures/e8/double_arrow.json", "--word", "ta,tb,tc"],
     ["modular", "--quiver", "fixtures/e6/quiver.json", "--word", "ta"],
     ["grassmannian", "--rep", "fixtures/d4/m_lambda.json", "--dimvec", "0,0,2,0,0"],
+    ["mutate", "--quiver", "fixtures/kronecker/quiver.json", "--word", "0,1,0,1,0,1", "--seed"],
+    ["mutate", "--quiver", "fixtures/e7/double_arrow.json", "--word", "c2,c1,c,0,1", "--seed"],
 ]
 
 
