@@ -142,6 +142,8 @@ class Quiver:
 
         A row with B[i][k] == 0 is left unchanged and is reused as it is.
         """
+        if not 0 <= k < self.m:
+            raise IndexError("vertex index %r is outside 0..%d" % (k, self.m - 1))
         b = self.b
         out_k = [(j, x) for j, x in enumerate(b[k]) if x > 0]
         in_k = [(j, x) for j, x in enumerate(b[k]) if x < 0]

@@ -176,8 +176,6 @@ def defect(quiver: Quiver, alpha: Sequence[int]) -> int:
 def rref_subspaces(n: int, k: int, p: int, support: Sequence[int]):
     """Yield the k-dimensional subspaces of F_p^n inside the coordinate
     subspace on the sorted coordinates `support`, as RREF row tuples."""
-    if k < 0:
-        return
     for pivots in itertools.combinations(support, k):
         free = [(r, c) for r, piv in enumerate(pivots) for c in support
                 if c > piv and c not in pivots]

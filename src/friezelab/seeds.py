@@ -1,4 +1,4 @@
-"""Seeds: a quiver plus cluster variables, with exchange-relation mutation.
+"""Seeds (a quiver plus cluster variables) and `replay`, the one exchange loop.
 
 Cluster variables are Laurent polynomials in the initial variables.  The
 variable attached to vertex label L is named "xL" when L is purely numeric
@@ -56,15 +56,10 @@ class Seed:
 
     def mutate(self, k: int) -> "Seed":
         """Exchange mutation at vertex index k (not allowed on frozen ones)."""
-        variables = list(self.vars)
-        variables[k] = exchange(self.quiver, self.vars, k, LaurentPoly.div_exact)
-        return Seed(self.quiver.mutate(k), variables)
+        return self.mutate_word((k,))
 
     def mutate_word(self, word: Sequence[int]) -> "Seed":
-        seed = self
-        for k in word:
-            seed = seed.mutate(k)
-        return seed
+        return Seed(*replay(self.quiver, self.vars, word, LaurentPoly.div_exact))
 
     def restored(self, perm: Sequence[int], base: Quiver) -> "Seed":
         """Permute the variables by perm and reattach them to the base quiver.
@@ -78,6 +73,15 @@ class Seed:
         for i, p in enumerate(perm):
             variables[p] = self.vars[i]
         return Seed(base, variables)
+
+
+def replay(quiver: Quiver, values: Sequence, word: Sequence[int], divide) -> tuple[Quiver, list]:
+    """The quiver and values after exchanges along word, leftmost first, over any
+    values `exchange` accepts.  A k outside the quiver raises before any exchange."""
+    values = list(values)
+    for k in word:
+        quiver, values[k] = quiver.mutate(k), exchange(quiver, values, k, divide)
+    return quiver, values
 
 
 def exchange(quiver: Quiver, values: Sequence, k: int, divide):

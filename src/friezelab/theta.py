@@ -13,8 +13,8 @@ the empty product, the unit.
 
 `growth_from_affine_quiver` is the one integer route to that value.  On an
 input that delta certifies affine it replays the exchange relations on
-integers: every cluster variable at all ones is a positive integer (the
-Laurent phenomenon with positivity).
+integers, through the `replay` that mutates Laurent seeds: every cluster
+variable at all ones is a positive integer (Laurent phenomenon, positivity).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import CrossCheckFailed, MissingDoubleArrow
 from .laurent import LaurentPoly
 from .quivers import MAX_NODES, MutationWord, Quiver, has_double_arrow, mutation_class_search
 from .rep import delta
-from .seeds import Seed, exchange, product
+from .seeds import Seed, product, replay
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,5 @@ def growth_from_affine_quiver(quiver: Quiver, max_nodes: int = MAX_NODES) -> int
     word = _double_arrow_word(quiver, max_nodes)
     if not _acyclic_unfrozen(quiver):
         return theta(Seed.initial(quiver).mutate_word(word)).integer
-    values = [1] * quiver.m
-    for k in word:
-        values[k] = exchange(quiver, values, k, _exact_quotient)
-        quiver = quiver.mutate(k)
+    quiver, values = replay(quiver, [1] * quiver.m, word, _exact_quotient)
     return _growth_element(quiver, values, _exact_quotient)

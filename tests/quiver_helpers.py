@@ -1,4 +1,53 @@
-"""Quiver operations that only the tests use."""
+"""Quiver operations and pinned search outputs that only the tests use."""
+
+from friezelab import catalog
+
+# Words and arrived B-matrices of the double-arrow searches, recorded from the
+# brute-force canonical form that individualization-refinement replaced.  Any
+# complete invariant visits the same classes in the same order, so these must
+# not move.
+PINNED_SEARCHES = {
+    "d4": (catalog.d4_star, [2, 0, 3, 4],
+           [[0, 2, -1, -1, -1],
+            [-2, 0, 1, 1, 1],
+            [1, -1, 0, 0, 0],
+            [1, -1, 0, 0, 0],
+            [1, -1, 0, 0, 0]]),
+    "d5": (lambda: catalog.affine_d(5), [2, 3, 0, 4, 5],
+           [[0, -2, 0, 1, 1, 1],
+            [2, 0, 0, -1, -1, -1],
+            [0, 0, 0, 1, 0, 0],
+            [-1, 1, -1, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0]]),
+    "e6": (catalog.e6_affine, [1, 2, 0, 3, 5, 2, 0, 4, 6],
+           [[0, -1, 1, 0, 0, 0, 0],
+            [1, 0, -2, 0, 1, 0, 1],
+            [-1, 2, 0, 0, -1, 0, -1],
+            [0, 0, 0, 0, 0, 0, 1],
+            [0, -1, 1, 0, 0, -1, 0],
+            [0, 0, 0, 0, 1, 0, 0],
+            [0, -1, 1, -1, 0, 0, 0]]),
+    "e7": (catalog.e7_affine, [3, 4, 2, 5, 7, 1, 2, 3, 6],
+           [[0, -2, 1, 1, 0, 0, 1, 0],
+            [2, 0, -1, -1, 0, 0, -1, 0],
+            [-1, 1, 0, 0, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, -1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 1, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0, 0, -1],
+            [0, 0, 0, 0, -1, 0, 1, 0]]),
+    "e8": (catalog.e8_affine, [5, 4, 6, 3, 8, 2, 4, 7, 1, 2, 3, 5],
+           [[0, -2, 1, 1, 0, 1, 0, 0, 0],
+            [2, 0, -1, -1, 0, -1, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0, 0, 0, 0],
+            [-1, 1, 0, 0, -1, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0, 0, 0],
+            [-1, 1, 0, 0, 0, 0, 0, -1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0, 1, 0, 0, -1],
+            [0, 0, 0, 0, 0, 0, -1, 1, 0]]),
+}
 
 
 def reference_isomorphisms(p, q):

@@ -18,6 +18,19 @@ def test_quiddity_validation():
     # numbers that are not integers are rejected, not truncated
     with pytest.raises(ValueError, match="8.9 is not an integer"):
         generate([8.9, 2.2], 3)
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        generate([8, 2], 0)
+
+
+def test_pattern_reads_only_its_computed_band():
+    f = generate([8, 2], depth=3)
+    assert f.entry(0, 4) == 112 and f.row(-1) == [0, 0]
+    for i, j in ((0, -1), (0, 5)):
+        with pytest.raises(IndexError, match=r"entry \(%d, %d\) lies outside" % (i, j)):
+            f.entry(i, j)
+    for r in (-2, 4):
+        with pytest.raises(IndexError, match="row %d not computed" % r):
+            f.row(r)
 
 
 def test_quiddity_cyclic_equality():

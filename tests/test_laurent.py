@@ -369,6 +369,15 @@ def test_repeated_square_and_divide_keeps_its_range():
     assert p == start
 
 
+def test_constructor_and_division_reject_malformed_input():
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        LaurentPoly(("x0", "x0"))
+    with pytest.raises(ValueError, match="exponent vector length"):
+        LaurentPoly(V2, {(1,): 2})
+    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+        lp("x0").div_exact(LaurentPoly(V2))
+
+
 def test_constructor_rejects_non_integers():
     with pytest.raises(ValueError, match="1.5"):
         LaurentPoly(V2, {(1.5, 0): 2})

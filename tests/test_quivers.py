@@ -12,7 +12,7 @@ from friezelab.modular import _resolve
 from friezelab.quivers import (MutationWord, Quiver, has_double_arrow,
                                mutation_class_search)
 
-from quiver_helpers import reference_isomorphisms
+from quiver_helpers import PINNED_SEARCHES, reference_isomorphisms
 
 
 def test_validation():
@@ -26,6 +26,16 @@ def test_validation():
         Quiver(["0", "1"], [[0, 2.9], [-2.9, 0]])  # not an integer
     with pytest.raises(ValueError, match="1.7 is not an integer"):
         MutationWord([1.7, 0])
+    with pytest.raises(ValueError, match="B must be a 2 x 2 matrix"):
+        Quiver(["0", "1"], [[0, 1]])  # not square
+    with pytest.raises(ValueError, match="frozen vertices must be existing labels"):
+        Quiver(["0", "1"], [[0, 1], [-1, 0]], frozen=["2"])
+    # the catalog refuses ranks below its families' smallest member
+    with pytest.raises(ValueError, match="need p, q >= 1"):
+        catalog.affine_a(0, 1)
+    for family in (catalog.affine_d, catalog.d_double_arrow):
+        with pytest.raises(ValueError, match="affine D needs rank >= 4"):
+            family(3)
 
 
 def test_kronecker_mutation_flips_double_arrow():
@@ -158,54 +168,6 @@ def test_search_e6_reaches_base_shape():
 def test_search_not_found_budget():
     with pytest.raises(SearchNotFound):
         mutation_class_search(catalog.d4_star(), lambda q: False, max_nodes=5)
-
-
-# Words and arrived B-matrices of the double-arrow searches, recorded from the
-# brute-force canonical form that individualization-refinement replaced.  Any
-# complete invariant visits the same classes in the same order, so these must
-# not move.
-PINNED_SEARCHES = {
-    "d4": (catalog.d4_star, [2, 0, 3, 4],
-           [[0, 2, -1, -1, -1],
-            [-2, 0, 1, 1, 1],
-            [1, -1, 0, 0, 0],
-            [1, -1, 0, 0, 0],
-            [1, -1, 0, 0, 0]]),
-    "d5": (lambda: catalog.affine_d(5), [2, 3, 0, 4, 5],
-           [[0, -2, 0, 1, 1, 1],
-            [2, 0, 0, -1, -1, -1],
-            [0, 0, 0, 1, 0, 0],
-            [-1, 1, -1, 0, 0, 0],
-            [-1, 1, 0, 0, 0, 0],
-            [-1, 1, 0, 0, 0, 0]]),
-    "e6": (catalog.e6_affine, [1, 2, 0, 3, 5, 2, 0, 4, 6],
-           [[0, -1, 1, 0, 0, 0, 0],
-            [1, 0, -2, 0, 1, 0, 1],
-            [-1, 2, 0, 0, -1, 0, -1],
-            [0, 0, 0, 0, 0, 0, 1],
-            [0, -1, 1, 0, 0, -1, 0],
-            [0, 0, 0, 0, 1, 0, 0],
-            [0, -1, 1, -1, 0, 0, 0]]),
-    "e7": (catalog.e7_affine, [3, 4, 2, 5, 7, 1, 2, 3, 6],
-           [[0, -2, 1, 1, 0, 0, 1, 0],
-            [2, 0, -1, -1, 0, 0, -1, 0],
-            [-1, 1, 0, 0, 0, 0, 0, 0],
-            [-1, 1, 0, 0, 0, -1, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 1, 0, 0, 0, 0],
-            [-1, 1, 0, 0, 0, 0, 0, -1],
-            [0, 0, 0, 0, -1, 0, 1, 0]]),
-    "e8": (catalog.e8_affine, [5, 4, 6, 3, 8, 2, 4, 7, 1, 2, 3, 5],
-           [[0, -2, 1, 1, 0, 1, 0, 0, 0],
-            [2, 0, -1, -1, 0, -1, 0, 0, 0],
-            [-1, 1, 0, 0, 0, 0, 0, 0, 0],
-            [-1, 1, 0, 0, -1, 0, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0, 0, 0, 0],
-            [-1, 1, 0, 0, 0, 0, 0, -1, 0],
-            [0, 0, 0, 0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 0, 1, 0, 0, -1],
-            [0, 0, 0, 0, 0, 0, -1, 1, 0]]),
-}
 
 
 def assert_pinned_search(name):

@@ -522,6 +522,10 @@ def test_rep_validation():
         QuiverRep(q, (1, 1), [[[1]]])
     with pytest.raises(ValueError):
         QuiverRep(q, (1, 1), [[[1, 0]], [[1]]])
+    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+        QuiverRep(q, (1, -1), [[[1]], [[1]]])
+    with pytest.raises(ValueError, match="vector length must equal the vertex count"):
+        euler_form(q, (1, 0), (1, 0, 0))
     # numbers that are not integers are rejected, not truncated
     with pytest.raises(ValueError, match="1.5"):
         QuiverRep(q, (1.5, 1), [[[1]], [[1]]])

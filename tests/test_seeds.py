@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from friezelab import catalog
 from friezelab.laurent import LaurentPoly
 from friezelab.quivers import Quiver
-from friezelab.seeds import Seed, exchange, variable_name
+from friezelab.seeds import Seed, exchange, replay, variable_name
 from friezelab.theta import _exact_quotient, theta
 
 from laurent_text import parse_laurent
+from quiver_helpers import PINNED_SEARCHES
 
 
 def test_variable_names():
@@ -76,6 +78,53 @@ def test_laurent_phenomenon_random_words():
         for _ in range(rng.randint(1, 12)):
             seed = seed.mutate(rng.randrange(quiver.m))
         assert all(var.terms for var in seed.vars)
+
+
+def test_seed_needs_one_variable_per_vertex():
+    with pytest.raises(ValueError, match="one variable per vertex"):
+        Seed(catalog.kronecker(), Seed.initial(catalog.d4_star()).vars)
+
+
+@pytest.mark.parametrize("k", [-1, 5])
+def test_a_vertex_index_outside_the_quiver_raises(k):
+    # -1 used to read the last column without negating the last row
+    quiver = catalog.d4_star()
+    message = "vertex index %d is outside 0..4" % k
+    for mutate in (quiver.mutate, Seed.initial(quiver).mutate,
+                   lambda k: replay(quiver, [1] * quiver.m, [0, k], _exact_quotient)):
+        with pytest.raises(IndexError, match=message):
+            mutate(k)
+
+
+REPLAY_WORDS = {name: PINNED_SEARCHES[name][:2] for name in ("d4", "d5", "e6", "e7")}
+REPLAY_WORDS["kronecker-12"] = (catalog.kronecker, [0, 1] * 6)
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_WORDS))
+def test_integer_replay_is_the_laurent_replay_at_ones(name):
+    make, word = REPLAY_WORDS[name]
+    quiver = make()
+    seed = Seed.initial(quiver).mutate_word(word)
+    arrived, values = replay(quiver, [1] * quiver.m, word, _exact_quotient)
+    assert arrived == seed.quiver
+    assert values == [var.at_ones() for var in seed.vars]
+
+
+class MaxPlus(tuple):
+    """A d-vector: the product adds, the sum is the componentwise max, a
+    power scales and division subtracts."""
+    def __mul__(self, other): return MaxPlus(map(operator.add, self, other))
+    def __add__(self, other): return MaxPlus(map(max, self, other))
+    def __pow__(self, n): return MaxPlus(n * x for x in self)
+    def divide(self, other): return MaxPlus(map(operator.sub, self, other))
+
+
+def test_replay_computes_denominator_vectors_on_max_plus_values():
+    # d(x_i) = -e_i; the word reaches a quasi-simple of the rank-2 tube of E8
+    quiver = catalog.e8_affine()
+    start = [MaxPlus(-int(i == j) for j in range(quiver.m)) for i in range(quiver.m)]
+    _, values = replay(quiver, start, [0, 2, 4, 5, 6, 8, 3, 5, 1, 7], MaxPlus.divide)
+    assert values[7] == (1, 1, 2, 2, 3, 3, 2, 1, 2)
 
 
 def test_frozen_vertex_never_mutates():
