@@ -120,7 +120,8 @@ class MaxPlus(tuple):
 
 
 def test_replay_computes_denominator_vectors_on_max_plus_values():
-    # d(x_i) = -e_i; the word reaches a quasi-simple of the rank-2 tube of E8
+    # d(x_i) = -e_i (Fomin-Zelevinsky, Cluster algebras IV, section 7); the word
+    # ends at a quasi-simple of the rank-2 tube of affine E8
     quiver = catalog.e8_affine()
     start = [MaxPlus(-int(i == j) for j in range(quiver.m)) for i in range(quiver.m)]
     _, values = replay(quiver, start, [0, 2, 4, 5, 6, 8, 3, 5, 1, 7], MaxPlus.divide)
