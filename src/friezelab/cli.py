@@ -174,9 +174,6 @@ def cmd_frieze(args) -> Report:
 def cmd_mutate(args) -> Report:
     quiver = _load(args.quiver, Quiver.from_json)
     word = _vertices(quiver, args.word)
-    for k in word:
-        if quiver.labels[k] in quiver.frozen:
-            raise ValueError("cannot mutate frozen vertex %r" % quiver.labels[k])
     if args.seed:
         seed = Seed.initial(quiver).mutate_word(word)
         lines = ["x[%s] = %s" % pair for pair in zip(seed.quiver.labels, seed.vars)]

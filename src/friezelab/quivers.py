@@ -26,13 +26,11 @@ every cell consists of twins is a leaf.  The work is exponential only in
 the symmetry that refinement cannot break and that twins do not cover.
 
 The mutation-class search computes a canonical form for a child only when
-no known relation places it.  Every class keeps its representative's
-canonical order, the vertices whose mutation leads back to a visited class,
-and for each child it reached the child's class and an isomorphism onto
-that class's representative.  Mutations at vertices with no arrow between
-them commute, so a child of a child can often be read off two such records
-(a commuting square).  A record only ever names a visited class, so a
-shortcut never hides a new class, and a missing record costs one form.
+no record places it.  Every class records, per vertex, the class of the
+child there and an isomorphism onto that class's representative, read off
+other records by reversal, twins, commuting squares and pentagons where it
+can.  A record only ever names a visited class, so a shortcut never hides
+a new class, and a missing record costs one form.
 """
 
 from __future__ import annotations
@@ -138,12 +136,14 @@ class Quiver:
     # -- mutation --------------------------------------------------------------
 
     def mutate(self, k: int) -> "Quiver":
-        """Standard matrix mutation at vertex index k.
+        """Standard matrix mutation at vertex index k, which must not be frozen.
 
         A row with B[i][k] == 0 is left unchanged and is reused as it is.
         """
         if not 0 <= k < self.m:
             raise IndexError("vertex index %r is outside 0..%d" % (k, self.m - 1))
+        if self.labels[k] in self.frozen:
+            raise ValueError("cannot mutate frozen vertex %r" % self.labels[k])
         b = self.b
         out_k = [(j, x) for j, x in enumerate(b[k]) if x > 0]
         in_k = [(j, x) for j, x in enumerate(b[k]) if x < 0]
@@ -310,23 +310,26 @@ def mutation_class_search(start: Quiver,
     canonical quivers have been visited.  Frozen vertices are never mutated,
     and the canonical form never maps one to a mutable vertex.
 
-    A child mu_k(Q) in a visited class R adds to R's skip set the vertex r
-    that an isomorphism from the child to R's representative sends k to,
-    since mu_r(R) is isomorphic to Q; a new child's skip set is {k}.  Of
-    mutable vertices with equal rows (twins, whose children are isomorphic)
-    only the first is mutated.
-
-    Each class records, for every child it reaches, the child's class and
-    an isomorphism psi from the child to that class's representative.  When
-    Q' = mu_l(Q) is expanded at k with B[k][l] == 0, mutations at k and l
-    commute: mu_k(Q') is mu_l(mu_k(Q)).  If Q's record for k is (N, psi) and
-    N's record for psi(l) is (R, chi), then chi o psi maps mu_k(Q') onto R's
-    representative, and no canonical form is computed.  A missing record
-    only costs the form.  Classes with records all lie in the visited set,
-    so every shortcut and skip drops only children that would be found
-    visited: words, arrived quivers and visited counts are those of keying
-    every child.  BFS levels are distances in the class graph, so N lies at
-    most two levels above Q'; records further up are dropped.
+    Each class records, per mutable vertex k of its representative Q, the
+    class R of mu_k(Q) and an isomorphism psi from mu_k(Q) onto R's
+    representative; a vertex with a record is not expanded.  A record is
+    the child's canonical form or is read off other records:
+    - reverse: mutation is an involution, so R's record at psi(k) is (Q, psi^-1);
+    - twins: a vertex k with the row of an earlier j has j's record, psi o (k j);
+    - squares: for Q' = mu_l(P) expanded at k with B[k][l] == 0, mu_k(Q') is
+      mu_l(mu_k(P)): P's record at k, (N, psi), and N's at psi(l), (R, chi),
+      give chi o psi;
+    - pentagons: with |B[k][l]| == 1, mu_k(Q') is sigma mu_k mu_l mu_k(P),
+      sigma the swap of k and l (the period-5 relation of a rank-2 A2
+      subseed): three records P -> N -> M -> R, which through a reverse
+      record may start at P's own parent.
+    When only the last record of a square or a pentagon is missing, the
+    child's form fills it, so that corner costs no form when expanded.
+    Every record names a visited class, so it only drops a child that
+    keying it would find visited: words, arrived quivers and visited counts
+    are those of keying every child.  BFS levels are distances in the class
+    graph, so records more than two levels above the expanded quiver are
+    dropped; a pentagon through one could only miss.
     """
     if predicate(start):
         return start, MutationWord([])
@@ -335,14 +338,25 @@ def mutation_class_search(start: Quiver,
     pack = bytes if m <= 256 else tuple
     identity = pack(range(m))
     key, order = start._canonical_form()
-    # a class is an id into these lists: its representative's canonical
-    # order, its skip bitmask, and per vertex (child class, isomorphism)
+    # a class is an id into these lists: canonical order, per vertex (class, isomorphism)
     visited = {key: 0}
     orders = [order]
-    skips = [0]
     records: list[list | None] = [[None] * m]
     level_starts = [0]  # first class id of each BFS level
     dropped = 0
+    isos: dict = {}  # one object per isomorphism, shared by the records
+
+    def link(c: int, k: int, r: int, iso) -> None:
+        records[c][k] = (r, isos.setdefault(iso, iso))
+        if records[r][iso[k]] is None:
+            inverse = pack(sorted(range(m), key=iso.__getitem__))
+            records[r][iso[k]] = (c, isos.setdefault(inverse, inverse))
+
+    def swapped(iso, u: int, v: int):
+        iso = list(iso)
+        iso[u], iso[v] = iso[v], iso[u]
+        return pack(iso)
+
     queue = deque([(start, (), 0, None, None)])
     while queue:
         quiver, word, c, parent, l = queue.popleft()
@@ -351,47 +365,58 @@ def mutation_class_search(start: Quiver,
             records[dropped] = None
             dropped += 1
         record = records[c]
-        above = records[parent] if parent is not None else None
-        rows = set()
+        first = {}
         for k in range(m):
             row = quiver.b[k]
-            if quiver.labels[k] in quiver.frozen or row in rows:
+            if quiver.labels[k] in quiver.frozen:
                 continue
-            rows.add(row)
-            if skips[c] >> k & 1:
+            twin = first.setdefault(row, k)
+            if record[k] is not None:
                 continue
-            if above is not None and not row[l] and above[k] is not None:
-                n, psi = above[k]
-                square = records[n][psi[l]]
-                if square is not None:
-                    r, chi = square
-                    iso = pack(map(chi.__getitem__, psi))
-                    skips[r] |= 1 << iso[k]
-                    record[k] = (r, iso)
+            if twin != k:
+                r, iso = record[twin]
+                link(c, k, r, swapped(iso, k, twin))
+                continue
+            # (X, phi): phi maps mu_k(quiver) onto mu_phi(l) of X's representative
+            corner = None
+            if parent is not None and abs(row[l]) < 2:
+                n, psi = records[parent][k]
+                if not row[l]:
+                    corner = (n, psi)
+                elif (hop := records[n][psi[l]]) is not None:
+                    corner = (hop[0], swapped([hop[1][v] for v in psi], k, l))
+            if corner is not None and records[corner[0]] is not None:
+                x, phi = corner
+                if (hit := records[x][phi[l]]) is not None:
+                    link(c, k, hit[0], pack(map(hit[1].__getitem__, phi)))
                     continue
+            else:
+                corner = None  # none, or through a class whose records are dropped
             nxt = quiver.mutate(k)
             key, order = nxt._canonical_form()
             seen = visited.get(key)
             if seen is not None:
                 # vertex order[i] of the child is vertex orders[seen][i] there
                 iso = pack(v for _, v in sorted(zip(order, orders[seen])))
-                skips[seen] |= 1 << iso[k]
-                record[k] = (seen, iso)
-                continue
-            if predicate(nxt):
-                return nxt, MutationWord(word + (k,))
-            new = len(orders)
-            visited[key] = new
-            if len(visited) >= max_nodes:
-                raise SearchNotFound("no quiver matching the predicate within %d canonical quivers"
-                                     % max_nodes)
-            orders.append(order)
-            skips.append(1 << k)
-            records.append([None] * m)
-            record[k] = (new, identity)
-            if len(level_starts) == level + 1:
-                level_starts.append(new)
-            queue.append((nxt, word + (k,), new, c, k))
+            else:
+                if predicate(nxt):
+                    return nxt, MutationWord(word + (k,))
+                seen = len(orders)
+                visited[key] = seen
+                if len(visited) >= max_nodes:
+                    raise SearchNotFound("no quiver matching the predicate within %d canonical quivers"
+                                         % max_nodes)
+                orders.append(order)
+                records.append([None] * m)
+                iso = identity
+                if len(level_starts) == level + 1:
+                    level_starts.append(seen)
+                queue.append((nxt, word + (k,), seen, c, k))
+            link(c, k, seen, iso)
+            if corner is not None:
+                # the missing last record: mu_phi(l) of X's representative is the child
+                x, phi = corner
+                link(x, phi[l], seen, pack(iso[v] for v in sorted(range(m), key=phi.__getitem__)))
     raise SearchNotFound("mutation class exhausted (%d canonical quivers) without a match"
                          % len(visited))
 

@@ -77,7 +77,8 @@ class Seed:
 
 def replay(quiver: Quiver, values: Sequence, word: Sequence[int], divide) -> tuple[Quiver, list]:
     """The quiver and values after exchanges along word, leftmost first, over any
-    values `exchange` accepts.  A k outside the quiver raises before any exchange."""
+    values `exchange` accepts.  A k outside the quiver or frozen raises before any
+    exchange."""
     values = list(values)
     for k in word:
         quiver, values[k] = quiver.mutate(k), exchange(quiver, values, k, divide)
@@ -92,8 +93,6 @@ def exchange(quiver: Quiver, values: Sequence, k: int, divide):
     The values may be Laurent polynomials or integers, and `divide` is
     exact division.
     """
-    if quiver.labels[k] in quiver.frozen:
-        raise ValueError("cannot mutate frozen vertex %r" % quiver.labels[k])
     b, m = quiver.b, quiver.m
     inc = product([values[j] ** b[j][k] for j in range(m) if b[j][k] > 0], values[k])
     out = product([values[j] ** b[k][j] for j in range(m) if b[k][j] > 0], values[k])

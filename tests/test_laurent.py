@@ -54,6 +54,14 @@ def test_variable_list_mismatch():
         p * q
 
 
+def test_int_on_the_left_and_foreign_operands():
+    p = lp("x0 + 1")
+    assert 3 - p == lp("2 - x0")
+    with pytest.raises(TypeError, match="cannot combine LaurentPoly with 'float'"):
+        p + 1.5
+    assert p.__eq__("x0 + 1") is NotImplemented and p != "x0 + 1"
+
+
 def test_div_exact_factor():
     assert lp("x0^2 - x1^2").div_exact(lp("x0 + x1")) == lp("x0 - x1")
 

@@ -189,22 +189,50 @@ def test_bfs_reaches_double_arrow_from_affine_orientations():
     for q in starts:
         found, _ = mutation_class_search(q, has_double_arrow)
         assert found.double_arrows()
-    # the E8 search runs in test_search_skips_commuting_squares
+    # the E8 search runs in test_search_places_children_from_records
 
 
-@pytest.mark.parametrize("name,budget", [("e7", 2430), ("e8", 16800)])
-def test_search_skips_commuting_squares(name, budget, monkeypatch):
-    # a child mu_k(mu_l(Q)) with B[k][l] == 0 is mu_l(mu_k(Q)), whose class
-    # the records of Q and of mu_k(Q)'s class already hold: the search
-    # computes 2,377 forms for E7 and 16,456 for E8, where one form per
-    # crossed edge of the class graph takes 4,212 and 33,378 and keying
-    # every child but the parent 7,085 and 58,975; the pinned E8 quiver has
-    # its double arrow 2 => 1
+@pytest.mark.parametrize("name,budget", [("e7", 1374), ("e8", 9305)])
+def test_search_places_children_from_records(name, budget, monkeypatch):
+    # most children are placed by records (reversed, copied to twins, across
+    # commuting squares and around pentagons) with no canonical form: the
+    # search computes 1,347 forms for E7 and 9,123 for E8, where the square
+    # rule alone took 2,379 and 16,456, one form per crossed edge of the
+    # class graph 4,212 and 33,378, and keying every child but the parent
+    # 7,085 and 58,975; the pinned E8 quiver has its double arrow 2 => 1
     calls = []
     form = Quiver._canonical_form
     monkeypatch.setattr(Quiver, "_canonical_form", lambda q: calls.append(q) or form(q))
     assert_pinned_search(name)
     assert len(calls) <= budget
+
+
+def test_pentagon_identity_on_random_quivers():
+    # with |B[k][l]| == 1, mu_k(mu_l(Q)) is mu_k(mu_l(mu_k(Q))) with k and l
+    # swapped (the period-5 relation of the rank-2 subseed on k and l), which
+    # the search reads through three records; with |B[k][l]| == 2 it mostly
+    # fails, so the rule must not fire there
+    rng = random.Random(48)
+    held, tried = {1: 0, 2: 0}, {1: 0, 2: 0}
+    for _ in range(400):
+        m = rng.randint(2, 7)
+        b = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                b[i][j] = rng.choice([-2, -1, -1, 0, 1, 1, 2])
+                b[j][i] = -b[i][j]
+        q = Quiver([str(i) for i in range(m)], b)
+        k, l = rng.sample(range(m), 2)
+        swap = list(range(m))
+        swap[k], swap[l] = l, k
+        if abs(b[k][l]) in held:
+            held[abs(b[k][l])] += q.mutate_word([k, l, k]).permuted(swap).b == q.mutate_word([l, k]).b
+            tried[abs(b[k][l])] += 1
+    assert held[1] == tried[1] > 100 and held[2] < tried[2] // 2
+    # 0 => 1 -> 2 at k, l = 0, 1: three mutations leave 2 isolated, two do not
+    q = Quiver("012", [[0, 2, 0], [-2, 0, 1], [0, -1, 0]])
+    assert q.mutate_word([0, 1, 0]).permuted([1, 0, 2]).b == ((0, 2, -1), (-2, 0, 0), (1, 0, 0))
+    assert q.mutate_word([1, 0]).b == ((0, 2, -2), (-2, 0, 3), (2, -3, 0))
 
 
 def dynkin(kind, n):
@@ -297,7 +325,7 @@ def search_outcome(start, predicate, max_nodes):
 
 
 def test_search_matches_plain_search_on_random_ice_quivers():
-    # the skips drop only children whose class is visited, so words, arrived
+    # records drop only children whose class is visited, so words, arrived
     # quivers and visited counts are those of keying every child
     rng = random.Random(21)
     for _ in range(60):
@@ -364,6 +392,25 @@ def test_search_matches_plain_search_on_symmetric_quivers():
     for arrows in orientations([(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]):
         q = oriented(6, arrows)
         assert search_outcome(q, has_double_arrow, 150) == plain_search(q, has_double_arrow, 150)
+
+
+def test_search_matches_plain_search_on_affine_orientations():
+    # seeded orientations and vertex orders of affine D5-D8, E6 and E7, whose
+    # classes are large enough for pentagons around records three levels
+    # deep, and an ice quiver: affine E6 with a frozen vertex over one vertex
+    rng = random.Random(48)
+
+    def reoriented(q, extra=(), frozen=()):
+        arrows = [(i, j) if rng.random() < 0.5 else (j, i) for i, j in q.arrows()]
+        return relabeled(oriented(q.m + len(frozen), arrows + list(extra), frozen), rng)
+
+    starts = [reoriented(catalog.affine_d(n)) for n in (5, 5, 6, 6, 7, 7, 8)]
+    starts += [reoriented(make()) for make in (catalog.e6_affine, catalog.e7_affine) * 2]
+    for q in starts:
+        assert search_outcome(q, has_double_arrow, 2000) == plain_search(q, has_double_arrow, 2000)
+    ice = reoriented(catalog.e6_affine(), [(7, 1)], [7])
+    for predicate, budget in ((has_double_arrow, 2000), (lambda p: False, 300)):
+        assert search_outcome(ice, predicate, budget) == plain_search(ice, predicate, budget)
 
 
 def test_search_mutates_one_vertex_of_each_twin_class(monkeypatch):
@@ -433,7 +480,11 @@ def class_sample(rng, per_start=12):
     for start in (catalog.d4_star(), catalog.affine_d(5), catalog.e6_affine(),
                   catalog.e7_affine(), triple):
         for _ in range(per_start):
-            q = start.mutate_word([rng.randrange(start.m) for _ in range(rng.randrange(10))])
+            # the words may mutate the B-matrix at vertex 2 too, which
+            # Quiver.mutate refuses while 2 is frozen; it is frozen again after
+            word = [rng.randrange(start.m) for _ in range(rng.randrange(10))]
+            q = Quiver(start.labels, start.b).mutate_word(word)
+            q = Quiver(q.labels, q.b, start.frozen)
             out.extend([q, relabeled(q, rng)])
     return out
 

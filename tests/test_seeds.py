@@ -4,6 +4,7 @@ import random
 import pytest
 
 from friezelab import catalog
+from friezelab.frieze import Quiddity
 from friezelab.laurent import LaurentPoly
 from friezelab.quivers import Quiver
 from friezelab.seeds import Seed, exchange, replay, variable_name
@@ -78,6 +79,13 @@ def test_laurent_phenomenon_random_words():
         for _ in range(rng.randint(1, 12)):
             seed = seed.mutate(rng.randrange(quiver.m))
         assert all(var.terms for var in seed.vars)
+
+
+@pytest.mark.parametrize("value", [catalog.d4_star(), Seed.initial(catalog.kronecker()),
+                                   catalog.d4_m_lambda(2), Quiddity([1, 2, 1, 2])])
+def test_equality_with_another_type_is_left_to_it(value):
+    assert value.__eq__(object()) is NotImplemented
+    assert value != object()
 
 
 def test_seed_needs_one_variable_per_vertex():

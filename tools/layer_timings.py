@@ -6,7 +6,8 @@
 
 Each row is one named workload on one layer: the growth route, the Laurent
 layer under Kronecker mutations, Grassmannian tables and whole counting
-traversals, the modular relations, the canonical form and reproduce-paper.
+traversals, the modular relations, the canonical form, the catalog E8
+double-arrow search and reproduce-paper.
 ROW names select rows (default: all, in the order of ROWS).  Each run of a
 row is timed with time.perf_counter around the workload alone; building its
 inputs is not timed.  A run that passes the row's wall-clock cap is stopped
@@ -118,6 +119,14 @@ def _relations(n):
     return setup
 
 
+def _search_e8(root):
+    """The double-arrow search from the catalog E8 quiver."""
+    from friezelab import catalog
+    from friezelab.quivers import has_double_arrow, mutation_class_search
+    quiver = catalog.e8_affine()
+    return lambda: mutation_class_search(quiver, has_double_arrow)
+
+
 def _canonical_key_triangles(root):
     from friezelab.quivers import Quiver
     c = 4
@@ -181,6 +190,7 @@ ROWS = {
     "check-relations-e7": (10, _relations(7)),
     "check-relations-e8": (10, _relations(8)),
     "canonical-key-4-triangles": (10, _canonical_key_triangles),
+    "search-e8": (30, _search_e8),
     "reproduce-paper": (30, _reproduce_paper),
     "tube-tables-p3": (30, _tube_tables(3)),
     "tube-tables-p5": (30, _tube_tables(5)),
