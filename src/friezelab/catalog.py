@@ -17,14 +17,14 @@ from .quivers import Quiver
 from .rep import QuiverRep
 
 
-def _quiver_from_arrows(labels, arrows, frozen=()):
+def _quiver_from_arrows(labels, arrows):
     idx = {l: i for i, l in enumerate(labels)}
     m = len(labels)
     b = [[0] * m for _ in range(m)]
     for t, h in arrows:
         b[idx[t]][idx[h]] += 1
         b[idx[h]][idx[t]] -= 1
-    return Quiver(labels, b, frozen)
+    return Quiver(labels, b)
 
 
 # -- acyclic affine quivers ---------------------------------------------------

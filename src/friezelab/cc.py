@@ -26,7 +26,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .chebyshev import first_kind, second_kind
-from .errors import CrossCheckFailed, UnsupportedQuiver
+from .errors import CrossCheckFailed, UnsupportedQuiver, integer
 from .frieze import Quiddity
 from .laurent import LaurentPoly
 from .rep import QuiverRep, grassmannian_table
@@ -91,6 +91,6 @@ def homogeneous_growth(x1: int) -> Iterator[tuple[int, int]]:
 
 def growth_via_homogeneous(x1: int, k: int) -> int:
     """s_k = u_k - u_{k-2}, certified as in homogeneous_growth."""
-    if k < 1:
+    if (k := integer(k)) < 1:
         raise ValueError("k must be positive")
     return next(islice(homogeneous_growth(x1), k, None))[1]

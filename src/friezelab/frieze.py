@@ -1,11 +1,12 @@
 """Periodic infinite frieze patterns generated from quiddity sequences.
 
-Entries x[i][j] live on diagonals: x[i][i] = 0, x[i][i+1] = 1, and the
-division-free recurrence x[i][j+1] = a[j+1]*x[i][j] - x[i][j-1] (quiddity
-index mod n) fills everything below.  Integrality holds by construction and
-the diamond relation bc - ad = 1 is checked afterwards as an invariant.
-Each diagonal runs past the requested depth until every later entry is
-certified positive, so only an infinite frieze gets a pattern.
+Entries x[i][j] live on diagonals: x[i][i] = 0, x[i][i+1] = 1, and
+`chebyshev.recurrence` fills everything below with the division-free
+x[i][j+1] = a[j+1]*x[i][j] - x[i][j-1] (quiddity index mod n).  Integrality
+holds by construction and the diamond relation bc - ad = 1 is checked
+afterwards as an invariant.  Each diagonal runs past the requested depth
+until every later entry is certified positive, so only an infinite frieze
+gets a pattern.
 
 Row numbering follows the staggered layout: the row of 0's is row -1, the
 row of 1's is row 0, the quiddity row is row 1.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .chebyshev import chebyshev_T
+from .chebyshev import chebyshev_T, recurrence
 from .errors import InvalidFrieze, NonPositiveEntry, integer
 
 
@@ -37,9 +38,6 @@ class Quiddity:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i % len(self.entries)]
 
     def rotations(self) -> list[tuple[int, ...]]:
         n = len(self.entries)
@@ -105,15 +103,15 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     quiddity, depth = Quiddity(quiddity), integer(depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    n = len(quiddity)
+    n, rotations = len(quiddity), quiddity.rotations()
     diagonals: dict[int, list[int]] = {}
     for res in range(n):
-        # the diagonal through (i, i) depends only on i mod n
-        diag = [0, 1]
-        streak = 0
-        t = 1
+        # the diagonal through (i, i) depends only on i mod n; a[i+t+1] makes x[i][i+t+1]
+        entries = recurrence(0, 1, rotations[(res + 2) % n])
+        diag = [next(entries), next(entries)]
+        streak, t = 0, 1
         while t <= depth or streak < n:
-            nxt = quiddity[(res + t + 1) % n] * diag[t] - diag[t - 1]
+            nxt = next(entries)
             if nxt <= 0:
                 raise NonPositiveEntry(
                     "entry in row %d is %d <= 0; quiddity %s does not bound an infinite frieze"

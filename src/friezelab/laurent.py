@@ -225,7 +225,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if not isinstance(k, int) or k < 0:
+        if (k := integer(k)) < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if not k:
             return LaurentPoly.one(self.vars)

@@ -140,7 +140,7 @@ class Quiver:
 
         A row with B[i][k] == 0 is left unchanged and is reused as it is.
         """
-        if not 0 <= k < self.m:
+        if not 0 <= (k := integer(k)) < self.m:
             raise IndexError("vertex index %r is outside 0..%d" % (k, self.m - 1))
         if self.labels[k] in self.frozen:
             raise ValueError("cannot mutate frozen vertex %r" % self.labels[k])

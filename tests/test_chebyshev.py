@@ -1,3 +1,4 @@
+from itertools import islice
 from typing import Iterator
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import friezelab.cc as cc_module
 from friezelab import catalog
 from friezelab.cc import growth_via_homogeneous
-from friezelab.chebyshev import chebyshev_S, chebyshev_T
+from friezelab.chebyshev import chebyshev_S, chebyshev_T, recurrence, second_kind
 from friezelab.errors import CrossCheckFailed
 from friezelab.laurent import LaurentPoly
 from friezelab.theta import growth_from_affine_quiver
@@ -46,6 +47,41 @@ def test_invalid_indices():
         chebyshev_T(-1, 3)
     with pytest.raises(ValueError):
         chebyshev_S(-3, 3)
+    # True used to read as 1 and a float to fail inside islice
+    for k in (True, 2.0, 2.5):
+        for call in (lambda: chebyshev_T(k, 14), lambda: chebyshev_S(k, 14),
+                     lambda: growth_via_homogeneous(14, k)):
+            with pytest.raises(ValueError, match="%r is not an integer" % k):
+                call()
+
+
+def _laurent_diagonals(names, rows):
+    """Entries 0..rows of each diagonal of the frieze whose quiddity is the
+    variables named, as generate reads them from the shared recurrence."""
+    a = [LaurentPoly.variable(names, v) for v in names]
+    n = len(a)
+    return [list(islice(recurrence(0, 1, a[(i + 2) % n:] + a[:(i + 2) % n]), rows + 1))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("names, growth", [(("x", "y"), "x*y - 2"),
+                                           (("x", "y", "z"), "x*y*z - x - y - z")])
+def test_the_recurrence_runs_laurent_frieze_diagonals(names, growth):
+    n = len(names)
+    diagonals = _laurent_diagonals(names, 9)
+    for i, d in enumerate(diagonals):
+        e = diagonals[(i + 1) % n]
+        for t in range(1, 9):
+            assert d[t] * e[t] - e[t - 1] * d[t + 1] == 1, (i, t)
+    # the growth difference d_i[n+1] - d_{i+1}[n-1] is one Laurent polynomial
+    differences = {diagonals[i][n + 1] - diagonals[(i + 1) % n][n - 1] for i in range(n)}
+    assert differences == {parse_laurent(growth, names)}
+
+
+@pytest.mark.parametrize("a", [14, -3, LaurentPoly.variable(("x",), "x")])
+def test_one_coefficient_recurrence_is_the_second_kind(a):
+    # recurrence(0, 1, (a,)) runs from S_{-1}
+    assert list(islice(recurrence(0, 1, (a,)), 12)) == list(islice(second_kind(a), 1, 13))
 
 
 def test_symbolic_first_second_kind_identity():

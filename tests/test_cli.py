@@ -263,7 +263,7 @@ def test_mutate_prints_the_multiplicity_of_a_triple_arrow(capsys, tmp_path):
 @pytest.mark.parametrize("mode", [[], ["--json"], ["--seed"], ["--seed", "--json"]])
 def test_mutate_refuses_a_frozen_vertex(capsys, tmp_path, mode):
     path = tmp_path / "quiver.json"
-    path.write_text(json.dumps(catalog._quiver_from_arrows("012", ["01", "12"], "2").to_json()))
+    path.write_text(json.dumps(Quiver("012", [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "2").to_json()))
     code, out = run(capsys, "mutate", "--quiver", str(path), "--word", "0,2", *mode)
     assert code == 1
     assert json.loads(out) == {"error": {"type": "ValueError",

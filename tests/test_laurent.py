@@ -165,6 +165,9 @@ def test_pow():
     assert (x0 + 1) ** 3 == lp("x0^3 + 3*x0^2 + 3*x0 + 1")
     with pytest.raises(ValueError):
         x0 ** -1
+    for k in (True, 2.0):  # True used to return x0
+        with pytest.raises(ValueError, match="is not an integer"):
+            x0 ** k
 
 
 def test_div_exact_roundtrip_several_variables():

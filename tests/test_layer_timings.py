@@ -27,3 +27,9 @@ def test_a_row_that_raises_or_passes_its_cap_records_the_error_name(monkeypatch)
     assert layer_timings.time_row("fails", ROOT, 3)["error"] == "KeyError"
     slow = layer_timings.time_row("sleeps", ROOT, 3)
     assert slow["error"] == "TimeoutError" and slow["after_s"] < 1
+
+
+def test_the_frieze_rows_run_once(capsys):
+    assert layer_timings.main(["-r", "1", "frieze-tube", "frieze-8-2"]) == 0
+    for row in json.loads(capsys.readouterr().out)["rows"].values():
+        assert row["runs"] == 1 and 0 < row["best_s"] < row["cap_s"]

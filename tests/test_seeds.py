@@ -104,6 +104,16 @@ def test_a_vertex_index_outside_the_quiver_raises(k):
             mutate(k)
 
 
+@pytest.mark.parametrize("k", [True, 1.0])
+def test_a_vertex_index_that_is_not_an_integer_raises(k):
+    # True used to mutate vertex 1, and 1.0 to fail inside tuple indexing
+    quiver = catalog.d4_star()
+    for mutate in (quiver.mutate, Seed.initial(quiver).mutate,
+                   lambda k: replay(quiver, [1] * quiver.m, [1, k], _exact_quotient)):
+        with pytest.raises(ValueError, match="%r is not an integer" % k):
+            mutate(k)
+
+
 REPLAY_WORDS = {name: PINNED_SEARCHES[name][:2] for name in ("d4", "d5", "e6", "e7")}
 REPLAY_WORDS["kronecker-12"] = (catalog.kronecker, [0, 1] * 6)
 

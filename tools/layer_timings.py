@@ -7,7 +7,7 @@
 Each row is one named workload on one layer: the growth route, the Laurent
 layer under Kronecker mutations, Grassmannian tables and whole counting
 traversals, the modular relations, the canonical form, the catalog E8
-double-arrow search and reproduce-paper.
+double-arrow search, reproduce-paper and the integer frieze.
 ROW names select rows (default: all, in the order of ROWS).  Each run of a
 row is timed with time.perf_counter around the workload alone; building its
 inputs is not timed.  A run that passes the row's wall-clock cap is stopped
@@ -148,16 +148,22 @@ def _reproduce_paper(root):
     return run
 
 
+def _perfbench_inputs(root):
+    """perfbench/inputs.py of the timed tree, read by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  root / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
 def _tube_tables(p):
     """Whole counting traversals of the distinct E6 delta-representations that
     the seed-0 perfbench tube workload counts at p, each on a fresh rep."""
     def setup(root):
         from friezelab import catalog
         from friezelab import rep as rep_module
-        path = root / "perfbench" / "inputs.py"
-        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-        inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inputs)
+        inputs = _perfbench_inputs(root)
         maps = []
         for op in inputs.generate("tube", 0):
             if op["kind"] == "count" and op["p"] == p and op["maps"] not in maps:
@@ -169,6 +175,20 @@ def _tube_tables(p):
                 rep_module._count_by_dimvector(rep_module.QuiverRep(quiver, inputs.E6_DELTA, m), p)
         return run
     return setup
+
+
+def _frieze_tube(root):
+    """The frieze operations of the seed-0 perfbench tube workload, each run as
+    perfbench's run_frieze runs it: generate, then growth and measured_growth."""
+    from friezelab.frieze import generate, growth, measured_growth
+    ops = [op for op in _perfbench_inputs(root).generate("tube", 0) if op["kind"] == "frieze"]
+
+    def run():
+        for op in ops:
+            pattern = generate(op["quiddity"], op["depth"])
+            growth(pattern, op["k"])
+            measured_growth(pattern, op["k"])
+    return run
 
 
 # name -> (wall-clock cap per run in seconds, set-up returning the timed callable)
@@ -194,6 +214,9 @@ ROWS = {
     "reproduce-paper": (30, _reproduce_paper),
     "tube-tables-p3": (30, _tube_tables(3)),
     "tube-tables-p5": (30, _tube_tables(5)),
+    "frieze-tube": (30, _frieze_tube),
+    "frieze-8-2": (10, _cli("frieze", "--quiddity", "8,2", "--depth", "40", "--growth", "20",
+                            "--json")),
 }
 
 
