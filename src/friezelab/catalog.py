@@ -13,6 +13,7 @@ generator t_w has exponent legs[w] + 2 in ta^2 == tb^3 == tc^(n-3).
 
 from __future__ import annotations
 
+from .errors import integer
 from .quivers import Quiver
 from .rep import QuiverRep
 
@@ -36,8 +37,7 @@ def kronecker() -> Quiver:
 
 def affine_a(p: int, q: int) -> Quiver:
     """Cycle with p clockwise and q counterclockwise arrows (p, q >= 1)."""
-    if p < 1 or q < 1:
-        raise ValueError("need p, q >= 1")
+    p, q = integer(p, least=1, name="p"), integer(q, least=1, name="q")
     n = p + q
     labels = [str(i) for i in range(n)]
     arrows = [(labels[i], labels[(i + 1) % n]) if i < p else (labels[(i + 1) % n], labels[i])
@@ -54,8 +54,7 @@ def d4_star() -> Quiver:
 
 def affine_d(rank: int) -> Quiver:
     """An orientation of the affine D_rank diagram (rank >= 4)."""
-    if rank < 4:
-        raise ValueError("affine D needs rank >= 4")
+    rank = integer(rank, least=4, name="rank")
     if rank == 4:
         return d4_star()
     spine = ["s%d" % i for i in range(1, rank - 2)]
@@ -110,14 +109,12 @@ def _fan(legs: dict[str, int]) -> Quiver:
 
 def d_double_arrow(rank: int) -> Quiver:
     """Double-arrow quiver of affine type D_rank (unique for rank 4)."""
-    if rank < 4:
-        raise ValueError("affine D needs rank >= 4")
-    return _fan({"a": 0, "b": 0, "c": rank - 4})
+    return _fan({"a": 0, "b": 0, "c": integer(rank, least=4, name="rank") - 4})
 
 
 def e_legs(n: int) -> dict[str, int]:
     """The legs of the affine E_n fan."""
-    if n not in E_LEGS:
+    if (n := integer(n)) not in E_LEGS:
         raise ValueError("n must be 6, 7 or 8")
     return E_LEGS[n]
 

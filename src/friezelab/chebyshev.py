@@ -13,6 +13,7 @@ from itertools import cycle, islice
 from typing import Iterator, Sequence
 
 from .errors import integer
+from .laurent import LaurentPoly
 
 
 def recurrence(first, second, coefficients: Sequence) -> Iterator:
@@ -23,25 +24,28 @@ def recurrence(first, second, coefficients: Sequence) -> Iterator:
         first, second = second, c * second - first
 
 
+def _ring_element(x):
+    """x itself when it is a LaurentPoly, else x read as an integer."""
+    return x if isinstance(x, LaurentPoly) else integer(x)
+
+
 def first_kind(x) -> Iterator:
     """T_0(x), T_1(x), ..."""
+    x = _ring_element(x)
     return recurrence(2 * x ** 0, x, (x,))
 
 
 def chebyshev_T(k: int, x):
     """First-kind value T_k(x); x may be an int or a LaurentPoly."""
-    if (k := integer(k)) < 0:
-        raise ValueError("k must be nonnegative")
-    return next(islice(first_kind(x), k, None))
+    return next(islice(first_kind(x), integer(k, least=0, name="k"), None))
 
 
 def second_kind(x) -> Iterator:
     """S_{-2}(x), S_{-1}(x), S_0(x), S_1(x), ..."""
+    x = _ring_element(x)
     return recurrence(-x ** 0, 0 * x ** 0, (x,))
 
 
 def chebyshev_S(k: int, x):
     """Second-kind value S_k(x) for k >= -2."""
-    if (k := integer(k)) < -2:
-        raise ValueError("k must be at least -2")
-    return next(islice(second_kind(x), k + 2, None))
+    return next(islice(second_kind(x), integer(k, least=-2, name="k") + 2, None))

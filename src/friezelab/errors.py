@@ -1,16 +1,21 @@
-"""Exception hierarchy shared by all friezelab modules, and the integrality
-check of their constructors."""
+"""Exception hierarchy shared by all friezelab modules, and the one reader of
+the integer arguments their callers pass: `integer` refuses what is not an
+integer, and a value below the argument's least allowed value."""
 
 import operator
 
 
-def integer(value) -> int:
+def integer(value, least: int | None = None, name: str = "value") -> int:
     """value as an int, or a ValueError naming it when it is not an integer:
     a float such as 2.9, a string or None is not truncated or parsed, and a
-    bool is not read as 0 or 1."""
+    bool is not read as 0 or 1.  When least is given, a smaller value raises
+    a ValueError that names the argument and the bound."""
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            number = operator.index(value)
+            if least is None or number >= least:
+                return number
+            raise ValueError("%s must be at least %d, got %d" % (name, least, number))
     except TypeError:
         pass
     raise ValueError("%r is not an integer" % (value,))

@@ -26,11 +26,9 @@ class Quiddity:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[int]):
-        ent = tuple(map(integer, entries))
+        ent = tuple(integer(a, least=1, name="quiddity entry") for a in entries)
         if not ent:
             raise ValueError("quiddity must have at least one entry")
-        if any(a < 1 for a in ent):
-            raise ValueError("quiddity entries must be positive integers")
         self.entries = ent
 
     def __len__(self) -> int:
@@ -100,9 +98,7 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     is <= 0, and when s >= 2 each subsequence either starts to grow or
     reaches 0 or below.
     """
-    quiddity, depth = Quiddity(quiddity), integer(depth)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    quiddity, depth = Quiddity(quiddity), integer(depth, least=1, name="depth")
     n, rotations = len(quiddity), quiddity.rotations()
     diagonals: dict[int, list[int]] = {}
     for res in range(n):
@@ -138,17 +134,12 @@ def growth(pattern: FriezePattern, k: int) -> int:
     """The k-th growth coefficient s_k = T_k(s_1) of the pattern, with s_1
     read from the entries (row n minus row n-2, checked to be independent
     of the starting diagonal)."""
-    k = integer(k)
-    if k < 1:
-        raise ValueError("k must be positive")
-    return chebyshev_T(k, measured_growth(pattern, 1))
+    return chebyshev_T(integer(k, least=1, name="k"), measured_growth(pattern, 1))
 
 
 def measured_growth(pattern: FriezePattern, k: int) -> int:
     """Read s_k directly from the entries (needs depth >= k*n)."""
-    k = integer(k)
-    if k < 1:
-        raise ValueError("k must be positive")
+    k = integer(k, least=1, name="k")
     n = pattern.period
     if pattern.depth < k * n:
         raise ValueError("depth %d too shallow to measure s_%d" % (pattern.depth, k))

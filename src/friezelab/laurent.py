@@ -142,6 +142,8 @@ class LaurentPoly:
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "LaurentPoly":
         vs = tuple(variables)
+        if name not in vs:
+            raise ValueError("no variable named %r in %s" % (name, vs))
         exp = [0] * len(vs)
         exp[vs.index(name)] = 1
         return cls(vs, {tuple(exp): 1})
@@ -225,8 +227,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if (k := integer(k)) < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        k = integer(k, least=0, name="exponent")
         if not k:
             return LaurentPoly.one(self.vars)
         # binary powering from the top bit: p**(2m) = (p**m)**2, p**(2m+1) = p**(2m) * p

@@ -89,7 +89,9 @@ class Quiver:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        return self.labels.index(str(label))
+        if (label := str(label)) not in self.labels:
+            raise ValueError("no vertex labelled %r in %s" % (label, self.labels))
+        return self.labels.index(label)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quiver):
@@ -178,9 +180,9 @@ class Quiver:
 
     def permuted(self, perm: Sequence[int]) -> "Quiver":
         """Relabel: vertex i moves to slot perm[i] (labels move with it)."""
-        m = self.m
+        m, perm = self.m, list(map(integer, perm))
         if sorted(perm) != list(range(m)):
-            raise ValueError("perm %r is not a permutation of range(%d)" % (list(perm), m))
+            raise ValueError("perm %r is not a permutation of range(%d)" % (perm, m))
         inv = sorted(range(m), key=perm.__getitem__)  # inv[perm[i]] == i
         labels = tuple(self.labels[inv[s]] for s in range(m))
         b = tuple(tuple(self.b[inv[s]][inv[t]] for t in range(m)) for s in range(m))
@@ -331,12 +333,11 @@ def mutation_class_search(start: Quiver,
     graph, so records more than two levels above the expanded quiver are
     dropped; a pentagon through one could only miss.
     """
+    max_nodes = integer(max_nodes, least=1, name="max_nodes")
     if predicate(start):
         return start, MutationWord([])
     m = start.m
-    # isomorphisms are vertex maps, packed as bytes while vertex indices fit
-    pack = bytes if m <= 256 else tuple
-    identity = pack(range(m))
+    identity = tuple(range(m))
     key, order = start._canonical_form()
     # a class is an id into these lists: canonical order, per vertex (class, isomorphism)
     visited = {key: 0}
@@ -349,13 +350,13 @@ def mutation_class_search(start: Quiver,
     def link(c: int, k: int, r: int, iso) -> None:
         records[c][k] = (r, isos.setdefault(iso, iso))
         if records[r][iso[k]] is None:
-            inverse = pack(sorted(range(m), key=iso.__getitem__))
+            inverse = tuple(sorted(range(m), key=iso.__getitem__))
             records[r][iso[k]] = (c, isos.setdefault(inverse, inverse))
 
     def swapped(iso, u: int, v: int):
         iso = list(iso)
         iso[u], iso[v] = iso[v], iso[u]
-        return pack(iso)
+        return tuple(iso)
 
     queue = deque([(start, (), 0, None, None)])
     while queue:
@@ -388,7 +389,7 @@ def mutation_class_search(start: Quiver,
             if corner is not None and records[corner[0]] is not None:
                 x, phi = corner
                 if (hit := records[x][phi[l]]) is not None:
-                    link(c, k, hit[0], pack(map(hit[1].__getitem__, phi)))
+                    link(c, k, hit[0], tuple(map(hit[1].__getitem__, phi)))
                     continue
             else:
                 corner = None  # none, or through a class whose records are dropped
@@ -397,7 +398,7 @@ def mutation_class_search(start: Quiver,
             seen = visited.get(key)
             if seen is not None:
                 # vertex order[i] of the child is vertex orders[seen][i] there
-                iso = pack(v for _, v in sorted(zip(order, orders[seen])))
+                iso = tuple(v for _, v in sorted(zip(order, orders[seen])))
             else:
                 if predicate(nxt):
                     return nxt, MutationWord(word + (k,))
@@ -416,7 +417,7 @@ def mutation_class_search(start: Quiver,
             if corner is not None:
                 # the missing last record: mu_phi(l) of X's representative is the child
                 x, phi = corner
-                link(x, phi[l], seen, pack(iso[v] for v in sorted(range(m), key=phi.__getitem__)))
+                link(x, phi[l], seen, tuple(iso[v] for v in sorted(range(m), key=phi.__getitem__)))
     raise SearchNotFound("mutation class exhausted (%d canonical quivers) without a match"
                          % len(visited))
 

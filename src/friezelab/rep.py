@@ -48,11 +48,9 @@ class QuiverRep:
     def __init__(self, quiver: Quiver, dims: Iterable[int],
                  maps: Sequence[Sequence[Sequence[int]]],
                  params: Mapping[str, int] | None = None):
-        dims = tuple(map(integer, dims))
+        dims = tuple(integer(d, least=0, name="dimension") for d in dims)
         if len(dims) != quiver.m:
             raise ValueError("need one dimension per vertex")
-        if any(d < 0 for d in dims):
-            raise ValueError("dimensions must be nonnegative")
         arrows = quiver.arrows()
         if len(maps) != len(arrows):
             raise ValueError("need one matrix per arrow (%d arrows, %d matrices)"
@@ -333,7 +331,7 @@ def is_prime(n: int) -> bool:
 def counting_primes(rep: QuiverRep, n: int) -> tuple[int, ...]:
     """The first n odd primes admissible for rep (module docstring)."""
     odd = (p for p in itertools.count(3, 2) if is_prime(p) and rep.admissible(p))
-    return tuple(itertools.islice(odd, n))
+    return tuple(itertools.islice(odd, integer(n, least=0, name="n")))
 
 
 def _certified_chi(rep: QuiverRep, e: DimVector, primes: Sequence[int], count) -> int:

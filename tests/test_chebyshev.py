@@ -53,6 +53,12 @@ def test_invalid_indices():
                      lambda: growth_via_homogeneous(14, k)):
             with pytest.raises(ValueError, match="%r is not an integer" % k):
                 call()
+    # x is an int or a ring element: a float or bool is not read as a number
+    for x in (True, 1.5, 2.5):
+        for call in (lambda: chebyshev_T(3, x), lambda: chebyshev_S(2, x),
+                     lambda: chebyshev_T(1, x)):
+            with pytest.raises(ValueError, match="^%r is not an integer$" % x):
+                call()
 
 
 def _laurent_diagonals(names, rows):

@@ -117,7 +117,7 @@ def test_growth_needs_depth():
 def test_growth_needs_positive_k(k):
     f = generate([8, 2], depth=6)
     for read in (growth, measured_growth):
-        with pytest.raises(ValueError, match="k must be positive"):
+        with pytest.raises(ValueError, match="^k must be at least 1, got %d$" % k):
             read(f, k)
 
 

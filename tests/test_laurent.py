@@ -54,6 +54,11 @@ def test_variable_list_mismatch():
         p * q
 
 
+def test_an_unknown_variable_name_is_named():
+    with pytest.raises(ValueError, match=r"^no variable named 'y' in \('x',\)$"):
+        LaurentPoly.variable(("x",), "y")
+
+
 def test_int_on_the_left_and_foreign_operands():
     p = lp("x0 + 1")
     assert 3 - p == lp("2 - x0")

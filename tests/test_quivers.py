@@ -31,11 +31,17 @@ def test_validation():
     with pytest.raises(ValueError, match="frozen vertices must be existing labels"):
         Quiver(["0", "1"], [[0, 1], [-1, 0]], frozen=["2"])
     # the catalog refuses ranks below its families' smallest member
-    with pytest.raises(ValueError, match="need p, q >= 1"):
+    with pytest.raises(ValueError, match="^p must be at least 1, got 0$"):
         catalog.affine_a(0, 1)
     for family in (catalog.affine_d, catalog.d_double_arrow):
-        with pytest.raises(ValueError, match="affine D needs rank >= 4"):
+        with pytest.raises(ValueError, match="^rank must be at least 4, got 3$"):
             family(3)
+
+
+def test_an_unknown_label_is_named():
+    with pytest.raises(ValueError, match=r"^no vertex labelled 'zz' in \('0', '1'\)$"):
+        catalog.kronecker().index("zz")
+    assert catalog.kronecker().index(1) == 1
 
 
 def test_kronecker_mutation_flips_double_arrow():

@@ -522,7 +522,7 @@ def test_rep_validation():
         QuiverRep(q, (1, 1), [[[1]]])
     with pytest.raises(ValueError):
         QuiverRep(q, (1, 1), [[[1, 0]], [[1]]])
-    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+    with pytest.raises(ValueError, match="^dimension must be at least 0, got -1$"):
         QuiverRep(q, (1, -1), [[[1]], [[1]]])
     with pytest.raises(ValueError, match="vector length must equal the vertex count"):
         euler_form(q, (1, 0), (1, 0, 0))
