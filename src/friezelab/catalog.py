@@ -93,7 +93,7 @@ E_LEGS = {n: {"a": 0, "b": 1, "c": n - 5} for n in (6, 7, 8)}
 
 def leg(w: str, k: int) -> list[str]:
     """The triangle vertex w and the k vertices w1, ..., wk of its leg."""
-    return [w] + ["%s%d" % (w, i) for i in range(1, k + 1)]
+    return [w] + ["%s%d" % (w, i) for i in range(1, integer(k, least=0, name="k") + 1)]
 
 
 def _fan(legs: dict[str, int]) -> Quiver:

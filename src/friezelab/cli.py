@@ -46,7 +46,10 @@ def _quiddity(text: str) -> Quiddity:
 
 
 def _dimvec(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 class _Object(dict):

@@ -67,6 +67,7 @@ class FriezePattern:
 
     def entry(self, i: int, j: int) -> int:
         """The entry x[i][j]; defined for j - i in [0, depth + 1]."""
+        i, j = integer(i), integer(j)
         t = j - i
         if t < 0 or t > self.depth + 1:
             raise IndexError("entry (%d, %d) lies outside the computed band" % (i, j))
@@ -74,10 +75,11 @@ class FriezePattern:
 
     def row(self, r: int) -> list[int]:
         """One period of row r, aligned with the printed staggered layout."""
-        if r < -1 or r > self.depth:
+        if (r := integer(r)) < -1 or r > self.depth:
             raise IndexError("row %d not computed (depth %d)" % (r, self.depth))
-        start = -2 - (r // 2) if r >= 0 else -2
-        return [self.entry(start + t, start + t + r + 1) for t in range(self.period)]
+        start, n = (-2 - (r // 2) if r >= 0 else -2), self.period
+        # x[start + t][start + t + r + 1] is entry r + 1 of the diagonal through start + t
+        return [self._diagonals[(start + t) % n][r + 1] for t in range(n)]
 
     def __repr__(self) -> str:
         return "FriezePattern(quiddity=%s, depth=%d)" % (self.quiddity.entries, self.depth)

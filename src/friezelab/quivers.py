@@ -30,7 +30,8 @@ no record places it.  Every class records, per vertex, the class of the
 child there and an isomorphism onto that class's representative, read off
 other records by reversal, twins, commuting squares and pentagons where it
 can.  A record only ever names a visited class, so a shortcut never hides
-a new class, and a missing record costs one form.
+a new class, and a missing record costs one form.  Records live as long as
+the search; equal isomorphisms are stored once.
 """
 
 from __future__ import annotations
@@ -329,9 +330,8 @@ def mutation_class_search(start: Quiver,
     child's form fills it, so that corner costs no form when expanded.
     Every record names a visited class, so it only drops a child that
     keying it would find visited: words, arrived quivers and visited counts
-    are those of keying every child.  BFS levels are distances in the class
-    graph, so records more than two levels above the expanded quiver are
-    dropped; a pentagon through one could only miss.
+    are those of keying every child.  Records live as long as the search,
+    and the records share one object per distinct isomorphism.
     """
     max_nodes = integer(max_nodes, least=1, name="max_nodes")
     if predicate(start):
@@ -342,9 +342,7 @@ def mutation_class_search(start: Quiver,
     # a class is an id into these lists: canonical order, per vertex (class, isomorphism)
     visited = {key: 0}
     orders = [order]
-    records: list[list | None] = [[None] * m]
-    level_starts = [0]  # first class id of each BFS level
-    dropped = 0
+    records = [[None] * m]
     isos: dict = {}  # one object per isomorphism, shared by the records
 
     def link(c: int, k: int, r: int, iso) -> None:
@@ -361,10 +359,6 @@ def mutation_class_search(start: Quiver,
     queue = deque([(start, (), 0, None, None)])
     while queue:
         quiver, word, c, parent, l = queue.popleft()
-        level = len(word)
-        while level > 2 and dropped < level_starts[level - 2]:
-            records[dropped] = None
-            dropped += 1
         record = records[c]
         first = {}
         for k in range(m):
@@ -386,13 +380,11 @@ def mutation_class_search(start: Quiver,
                     corner = (n, psi)
                 elif (hop := records[n][psi[l]]) is not None:
                     corner = (hop[0], swapped([hop[1][v] for v in psi], k, l))
-            if corner is not None and records[corner[0]] is not None:
+            if corner is not None:
                 x, phi = corner
                 if (hit := records[x][phi[l]]) is not None:
                     link(c, k, hit[0], tuple(map(hit[1].__getitem__, phi)))
                     continue
-            else:
-                corner = None  # none, or through a class whose records are dropped
             nxt = quiver.mutate(k)
             key, order = nxt._canonical_form()
             seen = visited.get(key)
@@ -410,8 +402,6 @@ def mutation_class_search(start: Quiver,
                 orders.append(order)
                 records.append([None] * m)
                 iso = identity
-                if len(level_starts) == level + 1:
-                    level_starts.append(seen)
                 queue.append((nxt, word + (k,), seen, c, k))
             link(c, k, seen, iso)
             if corner is not None:

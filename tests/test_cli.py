@@ -101,6 +101,8 @@ def test_frieze_usage_error_on_nonpositive_quiddity(capsys):
 
 @pytest.mark.parametrize("argv, mentions", [
     (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--dimvec", "1,x,1"], "--dimvec"),
+    # the message names the bad entry, not the parser's private type function
+    (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--dimvec", "1,,2"], ": ''"),
     (["nosuch"], "nosuch"),
     # the counting primes are worked out from the degree bound, never given
     (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--table", "--primes", "3,5,7"],

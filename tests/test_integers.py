@@ -32,6 +32,8 @@ ROWS = {
     "generate.depth": (lambda depth: generate([8, 2], depth), 0, "depth"),
     "growth.k": (lambda k: growth(generate([8, 2], 6), k), 0, "k"),
     "measured_growth.k": (lambda k: measured_growth(generate([8, 2], 6), k), 0, "k"),
+    "FriezePattern.row": (lambda r: generate([8, 2], 6).row(r), None, None),
+    "FriezePattern.entry": (lambda j: generate([8, 2], 6).entry(0, j), None, None),
     "LaurentPoly.__pow__": (lambda k: X ** k, -1, "exponent"),
     "QuiverRep.dims": (_rep_with_dimension, -1, "dimension"),
     "affine_a.p": (lambda p: catalog.affine_a(p, 1), 0, "p"),
@@ -47,6 +49,7 @@ ROWS = {
     "counting_primes.n": (lambda n: counting_primes(catalog.d4_m_lambda(2), n), -1, "n"),
     "e_legs.n": (catalog.e_legs, 5, "n"),
     "e_double_arrow.n": (catalog.e_double_arrow, 5, "n"),
+    "leg.k": (lambda k: catalog.leg("a", k), -1, "k"),
     "Quiver.permuted.perm": (lambda s: catalog.kronecker().permuted([s, 0]), -1, "perm"),
 }
 

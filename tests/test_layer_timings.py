@@ -12,7 +12,7 @@ spec.loader.exec_module(layer_timings)
 def test_the_two_cheapest_rows_run_once(capsys):
     assert layer_timings.main(["-r", "1", "table-d4-golden", "check-relations-e6"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["python"] and out["cpu_count"] >= 1
+    assert out["python"] and out["cpu_count"] >= 1 and out["maxrss_mb"] > 0
     assert list(out["rows"]) == ["table-d4-golden", "check-relations-e6"]
     for row in out["rows"].values():
         assert row["runs"] == 1 and 0 < row["best_s"] == row["median_s"] < row["cap_s"]

@@ -198,14 +198,17 @@ def test_bfs_reaches_double_arrow_from_affine_orientations():
     # the E8 search runs in test_search_places_children_from_records
 
 
-@pytest.mark.parametrize("name,budget", [("e7", 1374), ("e8", 9305)])
+@pytest.mark.parametrize("name,budget", [("d5", 51), ("e7", 1374), ("e8", 9305)])
 def test_search_places_children_from_records(name, budget, monkeypatch):
     # most children are placed by records (reversed, copied to twins, across
     # commuting squares and around pentagons) with no canonical form: the
     # search computes 1,347 forms for E7 and 9,123 for E8, where the square
     # rule alone took 2,379 and 16,456, one form per crossed edge of the
     # class graph 4,212 and 33,378, and keying every child but the parent
-    # 7,085 and 58,975; the pinned E8 quiver has its double arrow 2 => 1
+    # 7,085 and 58,975; the pinned E8 quiver has its double arrow 2 => 1.
+    # D5 guards the twin rule, without which the E7 and E8 counts do not
+    # change: it takes 50 forms, 60 without the twin rule and 52 without
+    # filling a missing last record
     calls = []
     form = Quiver._canonical_form
     monkeypatch.setattr(Quiver, "_canonical_form", lambda q: calls.append(q) or form(q))

@@ -15,15 +15,18 @@ by SIGALRM and records TimeoutError.  A row that raises records the name of
 the exception and the seconds until then, and runs no more.  Process-wide
 caches of the library stay warm after a row's first run.
 
-The output gives the Python version, the CPU count and, per row, the best
-and the median of R runs in seconds.  --tree times the source tree rooted at
-DIR (its src/, fixtures/ and perfbench/; default: this checkout).
+The output gives the Python version, the CPU count, per row the best and
+the median of R runs in seconds, and maxrss_mb: the peak resident set size
+of the process in MB, read after the rows have run, so one row per call
+gives that row's memory.  --tree times the source tree rooted at DIR (its
+src/, fixtures/ and perfbench/; default: this checkout).
 
 --compare A B times two source trees alternately, as perfbench pairs are
 run: in each of R rounds each tree runs every row once in a fresh process,
 A first in even rounds and B first in odd ones, so every sample is a first
 run.  Per row it gives each tree's best and median and the ratio B / A of the
-medians when both are positive.
+medians when both are positive, and per tree the best and median maxrss_mb
+of its processes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import io
 import json
 import os
 import platform
+import resource
 import signal
 import statistics
 import subprocess
@@ -261,11 +265,14 @@ def header() -> dict:
 def compare(trees: list[Path], rows: list[str], rounds: int) -> dict:
     samples = {tree: {name: [] for name in rows} for tree in trees}
     errors: dict = {tree: {} for tree in trees}
+    rss: dict = {tree: [] for tree in trees}
     for i in range(rounds):
         for tree in trees if i % 2 == 0 else trees[::-1]:
             proc = subprocess.run([sys.executable, __file__, "--tree", str(tree), "-r", "1"]
                                   + rows, capture_output=True, text=True, check=True)
-            for name, row in json.loads(proc.stdout)["rows"].items():
+            result = json.loads(proc.stdout)
+            rss[tree].append(result["maxrss_mb"])
+            for name, row in result["rows"].items():
                 if "error" in row:
                     errors[tree].setdefault(name, row)
                 else:
@@ -277,7 +284,9 @@ def compare(trees: list[Path], rows: list[str], rounds: int) -> dict:
         medians = [side.get("median_s", 0) for side in (a, b)]
         out[name] = {"a": a, "b": b,
                      "ratio": medians[1] / medians[0] if min(medians) > 0 else None}
-    return {**header(), "rounds": rounds, "trees": [str(t) for t in trees], "rows": out}
+    return {**header(), "rounds": rounds, "trees": [str(t) for t in trees], "rows": out,
+            "maxrss_mb": {side: {"best": min(rss[t]), "median": statistics.median(rss[t])}
+                          for side, t in zip("ab", trees)}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -299,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, str(root / "src"))
         result = {**header(), "tree": str(root),
                   "rows": {name: time_row(name, root, args.runs) for name in rows}}
+        result["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(result, indent=1))
     return 0
 
