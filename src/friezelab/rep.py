@@ -14,7 +14,9 @@ Gaussian binomials [d_v - w, e_v - w]_p.  Each span join and each row's images
 along its vertex's out-arrows are computed once per traversal and dropped with
 it.  One traversal per prime counts every e <= dims at once, and the table it
 fills is kept on the QuiverRep while it lives, so a QuiverRep is treated as
-immutable; count_points reads a single e from it.  chi(Gr_e) is
+immutable; count_points reads a single e from it.  Once the table is kept,
+a read of a tuple e of ints costs one type scan, one set lookup and one dict
+read; any other e takes the full checks.  chi(Gr_e) is
 P(1) for the point-counting polynomial P in the field size, held in an integer
 Newton divided-difference table over the first bound + 1 admissible primes,
 bound = sum_v e_v(d_v - e_v).  Monic integer Newton basis polynomials make P
@@ -305,21 +307,40 @@ def _count_by_dimvector(rep: QuiverRep, p: int) -> dict[DimVector, int]:
 
 def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
     """Number of subrepresentations of dimension vector e over F_p, read from
-    the table of every e that one traversal per prime fills (module docstring)."""
+    the table of every e that one traversal per prime fills (module docstring).
+    Once the table of an int p is kept, a tuple e of ints is checked by one
+    type scan and one lookup in the set of every e <= dims; any other e or p
+    takes the full checks of _check_dimvector and integer."""
+    table = rep._tables.get(p) if type(p) is int else None
+    # the type scan comes first: True and 1.0 equal 1, and a list is unhashable
+    if (table is not None and type(e) is tuple and all(type(x) is int for x in e)
+            and e in _dimvectors(rep.dims)):
+        return table.get(e, 0)
     e = _check_dimvector(rep, e)
     return _count_by_dimvector(rep, integer(p)).get(e, 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _dimvectors(dims: DimVector) -> frozenset[DimVector]:
+    """Every dimension vector 0 <= e <= dims."""
+    return frozenset(itertools.product(*(range(d + 1) for d in dims)))
 
 
 def _check_dimvector(rep: QuiverRep, e: Sequence[int]) -> DimVector:
     e = tuple(map(integer, e))
     if len(e) != len(rep.dims):
         raise ValueError("dimension vector length mismatch")
-    if min(e, default=0) < 0 or not all(map(le, e, rep.dims)):
+    if min(e, default=0) < 0:
+        raise ValueError("dimension vector %s has a negative entry" % (e,))
+    if not all(map(le, e, rep.dims)):
         raise ValueError("dimension vector %s exceeds dims %s" % (e, rep.dims))
     return e
 
 
 def counting_degree_bound(rep: QuiverRep, e: Sequence[int]) -> int:
+    """sum_v e_v(d_v - e_v), the degree bound of the point-counting polynomial
+    of Gr_e (module docstring), with e read and checked as count_points reads
+    it on a fresh rep."""
     e = _check_dimvector(rep, e)
     return sum(x * (d - x) for x, d in zip(e, rep.dims))
 

@@ -329,12 +329,14 @@ def test_grassmannian_dimvec_counts_each_prime_once(capsys, monkeypatch):
 @pytest.mark.parametrize("dimvec, message", [
     ("1,1,3,0,0", "dimension vector (1, 1, 3, 0, 0) exceeds dims (1, 1, 2, 1, 1)"),
     ("1,1", "dimension vector length mismatch"),
+    ("-1,1,1,0,0", "dimension vector (-1, 1, 1, 0, 0) has a negative entry"),
 ])
 def test_grassmannian_dimvec_is_checked_before_the_primes(capsys, dimvec, message):
     # a bad e would otherwise give a degree bound, possibly negative, to
-    # work out the primes from
+    # work out the primes from; "--dimvec=" keeps a leading "-" from reading
+    # as an option
     code, payload = run_json(capsys, "grassmannian", "--rep", fixture("d4/m_lambda.json"),
-                             "--dimvec", dimvec)
+                             "--dimvec=" + dimvec)
     assert code == 1
     assert payload["error"] == {"type": "ValueError", "message": message}
 

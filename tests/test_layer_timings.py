@@ -33,3 +33,9 @@ def test_the_frieze_rows_run_once(capsys):
     assert layer_timings.main(["-r", "1", "frieze-tube", "frieze-8-2"]) == 0
     for row in json.loads(capsys.readouterr().out)["rows"].values():
         assert row["runs"] == 1 and 0 < row["best_s"] < row["cap_s"]
+
+
+def test_the_tube_reads_row_runs_once(capsys):
+    assert layer_timings.main(["-r", "1", "tube-reads-p3"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"]["tube-reads-p3"]
+    assert row["runs"] == 1 and 0 < row["best_s"] < row["cap_s"]

@@ -486,6 +486,23 @@ def test_counting_refuses_a_modulus_that_is_not_an_integer(p):
         assert count_points(M, (1, 1, 1, 0, 0), 3) == 4
 
 
+@pytest.mark.parametrize("e, message", [
+    ((1, 1, 1.5, 0, 0), "^1.5 is not an integer$"),
+    ((True, 1, 1, 0, 0), "^True is not an integer$"),
+    (([1], 1, 1, 0, 0), r"^\[1\] is not an integer$"),  # unhashable, so scanned first
+    ((-1, 1, 1, 0, 0), r"^dimension vector \(-1, 1, 1, 0, 0\) has a negative entry$"),
+    ((1, 1, 3, 0, 0), r"^dimension vector \(1, 1, 3, 0, 0\) exceeds dims \(1, 1, 2, 1, 1\)$"),
+    ((1, 1, 1, 0), "^dimension vector length mismatch$"),
+])
+def test_a_kept_table_is_read_only_at_a_valid_dimension_vector(e, message):
+    M = catalog.d4_m_lambda(2)
+    for _ in range(2):  # fresh, then with the table of p = 3 kept on M
+        with pytest.raises(ValueError, match=message):
+            count_points(M, e, 3)
+        assert count_points(M, (1, 1, 1, 0, 0), 3) == count_points(M, [1, 1, 1, 0, 0], 3) == 4
+        assert 3 in M._tables
+
+
 def test_direct_sum_dims_and_maps():
     (r1, r2), _, _ = catalog.d4_tubes()
     s = direct_sum(r1, r2)

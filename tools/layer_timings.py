@@ -5,9 +5,10 @@
     python3 tools/layer_timings.py --compare A B [-r R] [ROW ...]
 
 Each row is one named workload on one layer: the growth route, the Laurent
-layer under Kronecker mutations, Grassmannian tables and whole counting
-traversals, the modular relations, the canonical form, the catalog E8
-double-arrow search, reproduce-paper and the integer frieze.
+layer under Kronecker mutations, Grassmannian tables, whole counting
+traversals, reads of kept counting tables, the modular relations, the
+canonical form, the catalog E8 double-arrow search, reproduce-paper and the
+integer frieze.
 ROW names select rows (default: all, in the order of ROWS).  Each run of a
 row is timed with time.perf_counter around the workload alone; building its
 inputs is not timed.  A run that passes the row's wall-clock cap is stopped
@@ -35,6 +36,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import platform
@@ -161,22 +163,56 @@ def _perfbench_inputs(root):
     return inputs
 
 
+def _tube_counts(root, p):
+    """perfbench/inputs.py of the timed tree and the count operations at p of
+    its seed-0 tube workload."""
+    inputs = _perfbench_inputs(root)
+    ops = [op for op in inputs.generate("tube", 0) if op["kind"] == "count" and op["p"] == p]
+    return inputs, ops
+
+
 def _tube_tables(p):
     """Whole counting traversals of the distinct E6 delta-representations that
     the seed-0 perfbench tube workload counts at p, each on a fresh rep."""
     def setup(root):
         from friezelab import catalog
         from friezelab import rep as rep_module
-        inputs = _perfbench_inputs(root)
+        inputs, ops = _tube_counts(root, p)
         maps = []
-        for op in inputs.generate("tube", 0):
-            if op["kind"] == "count" and op["p"] == p and op["maps"] not in maps:
+        for op in ops:
+            if op["maps"] not in maps:
                 maps.append(op["maps"])
         quiver = catalog.e6_affine()
 
         def run():
             for m in maps:
                 rep_module._count_by_dimvector(rep_module.QuiverRep(quiver, inputs.E6_DELTA, m), p)
+        return run
+    return setup
+
+
+def _tube_reads(p):
+    """Every count_points read that the count operations at p of the seed-0
+    perfbench tube workload make, each e a tuple as perfbench builds it.  The
+    set-up keeps the table at p of each distinct representation, so no
+    traversal is timed: only the reads."""
+    def setup(root):
+        from friezelab import catalog
+        from friezelab.rep import QuiverRep, count_points
+        inputs, ops = _tube_counts(root, p)
+        quiver, delta = catalog.e6_affine(), inputs.E6_DELTA
+        rests = list(itertools.product(*(range(d + 1) for d in delta[1:])))
+        reps: dict = {}
+        reads = []
+        for op in ops:
+            if (key := repr(op["maps"])) not in reps:
+                reps[key] = QuiverRep(quiver, delta, op["maps"])
+                count_points(reps[key], delta, p)  # keeps the table at p
+            reads += [(reps[key], (c,) + rest) for c in op["centers"] for rest in rests]
+
+        def run():
+            for rep, e in reads:
+                count_points(rep, e, p)
         return run
     return setup
 
@@ -218,6 +254,7 @@ ROWS = {
     "reproduce-paper": (30, _reproduce_paper),
     "tube-tables-p3": (30, _tube_tables(3)),
     "tube-tables-p5": (30, _tube_tables(5)),
+    "tube-reads-p3": (10, _tube_reads(3)),
     "frieze-tube": (30, _frieze_tube),
     "frieze-8-2": (10, _cli("frieze", "--quiddity", "8,2", "--depth", "40", "--growth", "20",
                             "--json")),
