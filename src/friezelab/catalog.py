@@ -114,7 +114,7 @@ def d_double_arrow(rank: int) -> Quiver:
 
 def e_legs(n: int) -> dict[str, int]:
     """The legs of the affine E_n fan."""
-    if (n := integer(n)) not in E_LEGS:
+    if (n := integer(n, name="n")) not in E_LEGS:
         raise ValueError("n must be 6, 7 or 8")
     return E_LEGS[n]
 

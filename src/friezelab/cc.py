@@ -78,7 +78,7 @@ def homogeneous_growth(x1: int) -> Iterator[tuple[int, int]]:
     growth coefficients s_k = u_k - u_{k-2} from homogeneous data, each s_k
     certified against the first-kind value T_k(x1).  Each recurrence runs
     once, and only the last three u values are kept."""
-    x1 = integer(x1)
+    x1 = integer(x1, name="x1")
     u = second_kind(x1)
     older, old = next(u), next(u)  # u_{-2}, u_{-1}
     for k, (uk, want) in enumerate(zip(u, first_kind(x1))):

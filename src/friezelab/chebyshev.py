@@ -26,7 +26,7 @@ def recurrence(first, second, coefficients: Sequence) -> Iterator:
 
 def _ring_element(x):
     """x itself when it is a LaurentPoly, else x read as an integer."""
-    return x if isinstance(x, LaurentPoly) else integer(x)
+    return x if isinstance(x, LaurentPoly) else integer(x, name="x")
 
 
 def first_kind(x) -> Iterator:

@@ -1,15 +1,17 @@
 """Exception hierarchy shared by all friezelab modules, and the one reader of
 the integer arguments their callers pass: `integer` refuses what is not an
-integer, and a value below the argument's least allowed value."""
+integer, and a value below the argument's least allowed value, each with a
+message that names the argument."""
 
 import operator
 
 
-def integer(value, least: int | None = None, name: str = "value") -> int:
-    """value as an int, or a ValueError naming it when it is not an integer:
-    a float such as 2.9, a string or None is not truncated or parsed, and a
-    bool is not read as 0 or 1.  When least is given, a smaller value raises
-    a ValueError that names the argument and the bound."""
+def integer(value, least: int | None = None, *, name: str) -> int:
+    """value as an int, or a ValueError naming the argument and the value
+    when it is not an integer: a float such as 2.9, a string or None is not
+    truncated or parsed, and a bool is not read as 0 or 1.  When least is
+    given, a smaller value raises a ValueError that names the argument and
+    the bound."""
     try:
         if not isinstance(value, bool):
             number = operator.index(value)
@@ -18,7 +20,7 @@ def integer(value, least: int | None = None, name: str = "value") -> int:
             raise ValueError("%s must be at least %d, got %d" % (name, least, number))
     except TypeError:
         pass
-    raise ValueError("%r is not an integer" % (value,))
+    raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 class FriezelabError(Exception):
@@ -39,7 +41,10 @@ class NonPositiveEntry(FriezelabError):
 
 class InvalidFrieze(FriezelabError):
     """A computed pattern is not a frieze: a diamond bc - ad = 1 fails, or
-    the growth difference depends on the diagonal."""
+    the growth difference depends on the diagonal.  generate certifies every
+    stored diamond, most of them by the telescoping identity of
+    frieze._check_diamonds and the rest by the products, so the diamond
+    check costs work linear in the entries' size."""
 
 
 class CrossCheckFailed(FriezelabError):

@@ -3,10 +3,13 @@
 Entries x[i][j] live on diagonals: x[i][i] = 0, x[i][i+1] = 1, and
 `chebyshev.recurrence` fills everything below with the division-free
 x[i][j+1] = a[j+1]*x[i][j] - x[i][j-1] (quiddity index mod n).  Integrality
-holds by construction and the diamond relation bc - ad = 1 is checked
-afterwards as an invariant.  Each diagonal runs past the requested depth
-until every later entry is certified positive, so only an infinite frieze
-gets a pattern.
+holds by construction, and the diamond relation bc - ad = 1 is certified
+afterwards on every stored diamond: the first diamond of each pair of
+adjacent diagonals, and any on which the telescoping step is inconclusive,
+by its two products, and every other one by the identity that equates it
+with the diamond above, at a cost linear in its entries' size.  Each
+diagonal runs past the requested depth until every later entry is
+certified positive, so only an infinite frieze gets a pattern.
 
 Row numbering follows the staggered layout: the row of 0's is row -1, the
 row of 1's is row 0, the quiddity row is row 1.
@@ -67,7 +70,7 @@ class FriezePattern:
 
     def entry(self, i: int, j: int) -> int:
         """The entry x[i][j]; defined for j - i in [0, depth + 1]."""
-        i, j = integer(i), integer(j)
+        i, j = integer(i, name="i"), integer(j, name="j")
         t = j - i
         if t < 0 or t > self.depth + 1:
             raise IndexError("entry (%d, %d) lies outside the computed band" % (i, j))
@@ -75,7 +78,7 @@ class FriezePattern:
 
     def row(self, r: int) -> list[int]:
         """One period of row r, aligned with the printed staggered layout."""
-        if (r := integer(r)) < -1 or r > self.depth:
+        if (r := integer(r, name="r")) < -1 or r > self.depth:
             raise IndexError("row %d not computed (depth %d)" % (r, self.depth))
         start, n = (-2 - (r // 2) if r >= 0 else -2), self.period
         # x[start + t][start + t + r + 1] is entry r + 1 of the diagonal through start + t
@@ -99,6 +102,10 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     or until an entry <= 0 appears.  Either happens: when s <= 1 some entry
     is <= 0, and when s >= 2 each subsequence either starts to grow or
     reaches 0 or below.
+
+    Then _check_diamonds certifies bc - ad = 1 on every stored diamond, in
+    work linear in each diamond's entries' size, and raises InvalidFrieze at
+    the first that fails.
     """
     quiddity, depth = Quiddity(quiddity), integer(depth, least=1, name="depth")
     n, rotations = len(quiddity), quiddity.rotations()
@@ -122,14 +129,36 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
                 streak = streak + 1 if convex else 0
         del diag[depth + 2:]
         diagonals[res] = diag
+    _check_diamonds(diagonals, depth)
+    return FriezePattern(quiddity, depth, diagonals)
+
+
+def _check_diamonds(diagonals: dict[int, list[int]], depth: int) -> None:
+    """Certify every stored diamond, or raise InvalidFrieze at the first that fails.
+
+    The diamond at (i, i + t) reads the adjacent diagonals d = i and e = i + 1:
+    W_t = d[t]*e[t] - e[t-1]*d[t+1] = x[i][i+t]*x[i+1][i+1+t] -
+    x[i+1][i+t]*x[i][i+1+t] must be 1 for t in 1..depth.  W_1 is multiplied
+    out.  For t >= 2,
+        W_t - W_{t-1} = d[t]*(e[t] + e[t-2]) - e[t-1]*(d[t+1] + d[t-1]),
+    which is 0 when the two sums are the same multiple a of d[t] and of
+    e[t-1]; then W_t = W_{t-1}, already certified.  Any other t (d[t] == 0,
+    a remainder, or an e-side that is not a*e[t-1]) multiplies W_t out, so
+    this accepts exactly the diagonals on which every W_t is 1 and names the
+    same first failure as the products would.  On a frieze W_{t-1} = W_t = 1
+    makes d[t] prime to e[t-1], so the division is exact, its quotient is a
+    quiddity entry and each diamond costs work linear in its entries' size.
+    """
+    n = len(diagonals)
     for i in range(n):
-        # x[i][i+t]*x[i+1][i+1+t] - x[i+1][i+t]*x[i][i+1+t] == 1 on every
-        # stored diamond, read on the adjacent diagonals d = i and e = i + 1
         d, e = diagonals[i], diagonals[(i + 1) % n]
         for t in range(1, depth + 1):
+            if t > 1 and d[t]:
+                a, r = divmod(d[t + 1] + d[t - 1], d[t])
+                if not r and e[t] + e[t - 2] == a * e[t - 1]:
+                    continue
             if d[t] * e[t] - e[t - 1] * d[t + 1] != 1:
                 raise InvalidFrieze("diamond relation fails at (%d, %d)" % (i, i + t))
-    return FriezePattern(quiddity, depth, diagonals)
 
 
 def growth(pattern: FriezePattern, k: int) -> int:

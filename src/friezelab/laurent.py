@@ -92,10 +92,10 @@ class LaurentPoly:
             raise ValueError("duplicate variable names")
         clean: dict[Exponent, int] = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(map(integer, exp))
+            exp = tuple([integer(x, name="exponent") for x in exp])
             if len(exp) != len(vs):
                 raise ValueError("exponent vector length does not match variable count")
-            coef = integer(coef)
+            coef = integer(coef, name="coefficient")
             if coef:
                 clean[exp] = coef
         self.vars, self._terms, self._box = vs, clean, None

@@ -59,7 +59,7 @@ class Quiver:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
         m = len(labels)
-        rows = tuple(tuple(map(integer, row)) for row in b)
+        rows = tuple(tuple(integer(x, name="B entry") for x in row) for row in b)
         if len(rows) != m or any(len(r) != m for r in rows):
             raise ValueError("B must be a %d x %d matrix" % (m, m))
         for i in range(m):
@@ -143,7 +143,7 @@ class Quiver:
 
         A row with B[i][k] == 0 is left unchanged and is reused as it is.
         """
-        if not 0 <= (k := integer(k)) < self.m:
+        if not 0 <= (k := integer(k, name="k")) < self.m:
             raise IndexError("vertex index %r is outside 0..%d" % (k, self.m - 1))
         if self.labels[k] in self.frozen:
             raise ValueError("cannot mutate frozen vertex %r" % self.labels[k])
@@ -181,7 +181,7 @@ class Quiver:
 
     def permuted(self, perm: Sequence[int]) -> "Quiver":
         """Relabel: vertex i moves to slot perm[i] (labels move with it)."""
-        m, perm = self.m, list(map(integer, perm))
+        m, perm = self.m, [integer(s, name="perm") for s in perm]
         if sorted(perm) != list(range(m)):
             raise ValueError("perm %r is not a permutation of range(%d)" % (perm, m))
         inv = sorted(range(m), key=perm.__getitem__)  # inv[perm[i]] == i
@@ -293,7 +293,7 @@ class MutationWord(tuple):
     """A mutation sequence: a tuple of vertex indices, applied left first."""
 
     def __new__(cls, sequence: Iterable[int]):
-        return super().__new__(cls, map(integer, sequence))
+        return super().__new__(cls, (integer(k, name="mutation word entry") for k in sequence))
 
     def __repr__(self) -> str:
         return "MutationWord(%s)" % (list(self),)

@@ -59,7 +59,7 @@ class QuiverRep:
                              % (len(arrows), len(maps)))
         clean: list[Matrix] = []
         for (t, h), mat in zip(arrows, maps):
-            rows = tuple(tuple(map(integer, row)) for row in mat)
+            rows = tuple(tuple(integer(x, name="matrix entry") for x in row) for row in mat)
             if len(rows) != dims[h] or any(len(r) != dims[t] for r in rows):
                 raise ValueError("matrix for arrow %s->%s must be %d x %d"
                                  % (quiver.labels[t], quiver.labels[h], dims[h], dims[t]))
@@ -67,7 +67,7 @@ class QuiverRep:
         self.quiver = quiver
         self.dims = dims
         self.maps = tuple(clean)
-        self.params = {k: integer(v) for k, v in (params or {}).items()}
+        self.params = {k: integer(v, name=k) for k, v in (params or {}).items()}
         if bad := {k: v for k, v in self.params.items() if v in (0, 1)}:
             raise ValueError("parameters %s degenerate at every prime" % (bad,))
         self._tables: dict = {}  # prime -> _count_by_dimvector(self, prime)
@@ -91,8 +91,10 @@ class QuiverRep:
         arrows = quiver.arrows()
         # arrows() is row-major with parallel arrows adjacent: a stable sort
         # aligns the maps and keeps parallel arrows in declaration order
-        entries = sorted(data["maps"], key=lambda entry: tuple(map(integer, entry["arrow"])))
-        declared = [tuple(map(integer, entry["arrow"])) for entry in entries]
+        def arrow(entry):
+            return tuple(integer(v, name="arrow endpoint") for v in entry["arrow"])
+        entries = sorted(data["maps"], key=arrow)
+        declared = [arrow(entry) for entry in entries]
         if declared != arrows:
             raise ValueError("declared arrows %s do not match the quiver's %s"
                              % (declared, arrows))
@@ -317,7 +319,7 @@ def count_points(rep: QuiverRep, e: Sequence[int], p: int) -> int:
             and e in _dimvectors(rep.dims)):
         return table.get(e, 0)
     e = _check_dimvector(rep, e)
-    return _count_by_dimvector(rep, integer(p)).get(e, 0)
+    return _count_by_dimvector(rep, integer(p, name="p")).get(e, 0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -327,7 +329,7 @@ def _dimvectors(dims: DimVector) -> frozenset[DimVector]:
 
 
 def _check_dimvector(rep: QuiverRep, e: Sequence[int]) -> DimVector:
-    e = tuple(map(integer, e))
+    e = tuple(integer(x, name="dimension vector entry") for x in e)
     if len(e) != len(rep.dims):
         raise ValueError("dimension vector length mismatch")
     if min(e, default=0) < 0:

@@ -51,13 +51,13 @@ def test_invalid_indices():
     for k in (True, 2.0, 2.5):
         for call in (lambda: chebyshev_T(k, 14), lambda: chebyshev_S(k, 14),
                      lambda: growth_via_homogeneous(14, k)):
-            with pytest.raises(ValueError, match="%r is not an integer" % k):
+            with pytest.raises(ValueError, match="^k must be an integer, got %r$" % k):
                 call()
     # x is an int or a ring element: a float or bool is not read as a number
     for x in (True, 1.5, 2.5):
         for call in (lambda: chebyshev_T(3, x), lambda: chebyshev_S(2, x),
                      lambda: chebyshev_T(1, x)):
-            with pytest.raises(ValueError, match="^%r is not an integer$" % x):
+            with pytest.raises(ValueError, match="^x must be an integer, got %r$" % x):
                 call()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from friezelab.chebyshev import chebyshev_T
 from friezelab.errors import InvalidFrieze, NonPositiveEntry
-from friezelab.frieze import Quiddity, generate, growth, measured_growth
+from friezelab.frieze import Quiddity, _check_diamonds, generate, growth, measured_growth
 
 
 def test_quiddity_validation():
@@ -16,7 +16,7 @@ def test_quiddity_validation():
     with pytest.raises(ValueError):
         Quiddity([3, -1])
     # numbers that are not integers are rejected, not truncated
-    with pytest.raises(ValueError, match="8.9 is not an integer"):
+    with pytest.raises(ValueError, match="^quiddity entry must be an integer, got 8.9$"):
         generate([8.9, 2.2], 3)
     with pytest.raises(ValueError, match="depth must be at least 1"):
         generate([8, 2], 0)
@@ -123,12 +123,12 @@ def test_growth_needs_positive_k(k):
 
 @pytest.mark.parametrize("x", [2.5, True, "3"])
 def test_depth_and_k_must_be_integers(x):
-    message = "^%s is not an integer$" % re.escape(repr(x))
-    with pytest.raises(ValueError, match=message):
+    got = re.escape(repr(x))
+    with pytest.raises(ValueError, match="^depth must be an integer, got %s$" % got):
         generate([8, 2], x)
     f = generate([8, 2], depth=6)
     for read in (growth, measured_growth):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="^k must be an integer, got %s$" % got):
             read(f, x)
 
 
@@ -223,8 +223,10 @@ def test_growth_differences_match_chebyshev_on_random_quiddities():
 
 
 def test_diamond_on_random_surviving_quiddities():
-    # generate() itself asserts the diamond relation; survivors must also be
-    # n-periodic with positive interior rows.
+    # generate() itself certifies the diamond relation on every stored
+    # diamond (the first of each diagonal pair and any inconclusive step by
+    # the products, the rest by the telescoping identity, each in work linear
+    # in its entries' size); survivors must also have positive interior rows.
     rng = random.Random(2024)
     survivors = 0
     attempts = 0
@@ -240,3 +242,50 @@ def test_diamond_on_random_surviving_quiddities():
         for r in range(1, f.depth + 1):
             assert all(v > 0 for v in f.row(r))
     assert survivors == 100
+
+
+def _multiplied_out(diagonals, depth):
+    """The diamond check with both products of every diamond, as the oracle."""
+    n = len(diagonals)
+    for i in range(n):
+        d, e = diagonals[i], diagonals[(i + 1) % n]
+        for t in range(1, depth + 1):
+            if d[t] * e[t] - e[t - 1] * d[t + 1] != 1:
+                raise InvalidFrieze("diamond relation fails at (%d, %d)" % (i, i + t))
+
+
+def _diamond_verdict(check, diagonals, depth):
+    try:
+        check(diagonals, depth)
+    except InvalidFrieze as error:
+        return str(error)
+    return None
+
+
+_ENTRY_CHANGES = (lambda x: x + 1, lambda x: x - 1, lambda x: x + 2, lambda x: x - 2,
+                  lambda x: 0, lambda x: -x, lambda x: 2 * x, lambda x: x + 10 ** 6)
+
+
+def test_telescoped_diamonds_fail_where_the_products_fail():
+    # 1-3 seeded changes to the entries of generated patterns, on any diagonal
+    # and at any t in 0..depth+1: the telescoping check names the same first
+    # failing diamond as the products, or accepts with them, and a 0 entry
+    # sends it to the products rather than into a division
+    rng = random.Random(53)
+    quiddities = ((3,), (8, 2), (4, 4), (9, 36), (7, 7, 7), (4, 5, 7, 9, 22))
+    patterns: dict = {}
+    failed = 0
+    for _ in range(3000):
+        quiddity, depth = rng.choice(quiddities), rng.randint(1, 40)
+        if (quiddity, depth) not in patterns:
+            diagonals = generate(quiddity, depth)._diagonals
+            assert _diamond_verdict(_check_diamonds, diagonals, depth) is None
+            patterns[quiddity, depth] = diagonals
+        changed = {res: list(diag) for res, diag in patterns[quiddity, depth].items()}
+        for _ in range(rng.randint(1, 3)):
+            diag, t = changed[rng.randrange(len(quiddity))], rng.randint(0, depth + 1)
+            diag[t] = rng.choice(_ENTRY_CHANGES)(diag[t])
+        want = _diamond_verdict(_multiplied_out, changed, depth)
+        assert _diamond_verdict(_check_diamonds, changed, depth) == want, (quiddity, depth)
+        failed += want is not None
+    assert 2000 < failed < 3000

@@ -30,8 +30,10 @@ def test_a_row_that_raises_or_passes_its_cap_records_the_error_name(monkeypatch)
 
 
 def test_the_frieze_rows_run_once(capsys):
-    assert layer_timings.main(["-r", "1", "frieze-tube", "frieze-8-2"]) == 0
-    for row in json.loads(capsys.readouterr().out)["rows"].values():
+    assert layer_timings.main(["-r", "1", "frieze-tube", "frieze-8-2", "frieze-e8-deep"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert list(rows) == ["frieze-tube", "frieze-8-2", "frieze-e8-deep"]
+    for row in rows.values():
         assert row["runs"] == 1 and 0 < row["best_s"] < row["cap_s"]
 
 

@@ -22,9 +22,9 @@ def test_validation():
         Quiver(["0", "1"], [[1, 0], [0, 0]])  # diagonal
     with pytest.raises(ValueError):
         Quiver(["0", "0"], [[0, 0], [0, 0]])  # duplicate labels
-    with pytest.raises(ValueError, match="2.9"):
+    with pytest.raises(ValueError, match="^B entry must be an integer, got 2.9$"):
         Quiver(["0", "1"], [[0, 2.9], [-2.9, 0]])  # not an integer
-    with pytest.raises(ValueError, match="1.7 is not an integer"):
+    with pytest.raises(ValueError, match="^mutation word entry must be an integer, got 1.7$"):
         MutationWord([1.7, 0])
     with pytest.raises(ValueError, match="B must be a 2 x 2 matrix"):
         Quiver(["0", "1"], [[0, 1]])  # not square

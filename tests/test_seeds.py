@@ -110,7 +110,7 @@ def test_a_vertex_index_that_is_not_an_integer_raises(k):
     quiver = catalog.d4_star()
     for mutate in (quiver.mutate, Seed.initial(quiver).mutate,
                    lambda k: replay(quiver, [1] * quiver.m, [1, k], _exact_quotient)):
-        with pytest.raises(ValueError, match="%r is not an integer" % k):
+        with pytest.raises(ValueError, match="k must be an integer, got %r" % k):
             mutate(k)
 
 

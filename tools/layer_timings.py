@@ -8,7 +8,7 @@ Each row is one named workload on one layer: the growth route, the Laurent
 layer under Kronecker mutations, Grassmannian tables, whole counting
 traversals, reads of kept counting tables, the modular relations, the
 canonical form, the catalog E8 double-arrow search, reproduce-paper and the
-integer frieze.
+integer frieze, shallow and deep.
 ROW names select rows (default: all, in the order of ROWS).  Each run of a
 row is timed with time.perf_counter around the workload alone; building its
 inputs is not timed.  A run that passes the row's wall-clock cap is stopped
@@ -231,6 +231,18 @@ def _frieze_tube(root):
     return run
 
 
+def _frieze_e8_deep(root):
+    """A deep frieze of entries tens of thousands of bits long: quiddity
+    (98, 252) to depth 4000, then growth and measured_growth at k = 2000."""
+    from friezelab.frieze import generate, growth, measured_growth
+
+    def run():
+        pattern = generate((98, 252), 4000)
+        growth(pattern, 2000)
+        measured_growth(pattern, 2000)
+    return run
+
+
 # name -> (wall-clock cap per run in seconds, set-up returning the timed callable)
 ROWS = {
     "growth-d8": (30, _growth("affine_d", 8)),
@@ -258,6 +270,7 @@ ROWS = {
     "frieze-tube": (30, _frieze_tube),
     "frieze-8-2": (10, _cli("frieze", "--quiddity", "8,2", "--depth", "40", "--growth", "20",
                             "--json")),
+    "frieze-e8-deep": (30, _frieze_e8_deep),
 }
 
 
