@@ -31,7 +31,10 @@ from .theta import double_arrow_seed, growth_from_affine_quiver, theta, theta_in
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     if value <= 0:
         raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
     return value
@@ -76,9 +79,12 @@ def _load(path: str, parse):
     shape, which parse meets as a TypeError, AttributeError or ValueError
     (a number that is not an integer, a matrix that is not skew-symmetric),
     or without a key that parse reads (named with its object's path), raises
-    a ValueError naming the file."""
+    a ValueError naming the file, and so does JSON nested too deeply to read."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = _located(json.load(handle))
+        try:
+            data = _located(json.load(handle))
+        except RecursionError:
+            raise ValueError("%s is malformed: JSON nested too deeply" % path) from None
     try:
         return parse(data)
     except KeyError as exc:
@@ -399,7 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         # a bad argument value found by the handler rather than by the parser
         _emit_error("UsageError", str(exc))
         return 2
-    except (FriezelabError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (FriezelabError, ValueError, OSError, json.JSONDecodeError, KeyError,
+            RecursionError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
     finally:

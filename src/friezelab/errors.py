@@ -43,8 +43,8 @@ class InvalidFrieze(FriezelabError):
     """A computed pattern is not a frieze: a diamond bc - ad = 1 fails, or
     the growth difference depends on the diagonal.  generate certifies every
     stored diamond, most of them by the telescoping identity of
-    frieze._check_diamonds and the rest by the products, so the diamond
-    check costs work linear in the entries' size."""
+    frieze._check_diamonds, read with the quiddity entry, and the rest by
+    the products."""
 
 
 class CrossCheckFailed(FriezelabError):

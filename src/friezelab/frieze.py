@@ -4,10 +4,9 @@ Entries x[i][j] live on diagonals: x[i][i] = 0, x[i][i+1] = 1, and
 `chebyshev.recurrence` fills everything below with the division-free
 x[i][j+1] = a[j+1]*x[i][j] - x[i][j-1] (quiddity index mod n).  Integrality
 holds by construction, and the diamond relation bc - ad = 1 is certified
-afterwards on every stored diamond: the first diamond of each pair of
-adjacent diagonals, and any on which the telescoping step is inconclusive,
-by its two products, and every other one by the identity that equates it
-with the diamond above, at a cost linear in its entries' size.  Each
+afterwards on every stored diamond: the first of each pair of adjacent
+diagonals by its two products, and every later one by the identity, read
+with the quiddity entry, that equates it with the diamond above.  Each
 diagonal runs past the requested depth until every later entry is
 certified positive, so only an infinite frieze gets a pattern.
 
@@ -103,9 +102,8 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
     is <= 0, and when s >= 2 each subsequence either starts to grow or
     reaches 0 or below.
 
-    Then _check_diamonds certifies bc - ad = 1 on every stored diamond, in
-    work linear in each diamond's entries' size, and raises InvalidFrieze at
-    the first that fails.
+    Then _check_diamonds certifies bc - ad = 1 on every stored diamond and
+    raises InvalidFrieze at the first that fails.
     """
     quiddity, depth = Quiddity(quiddity), integer(depth, least=1, name="depth")
     n, rotations = len(quiddity), quiddity.rotations()
@@ -129,34 +127,31 @@ def generate(quiddity: Quiddity | Sequence[int], depth: int) -> FriezePattern:
                 streak = streak + 1 if convex else 0
         del diag[depth + 2:]
         diagonals[res] = diag
-    _check_diamonds(diagonals, depth)
+    _check_diamonds(quiddity.entries, diagonals, depth)
     return FriezePattern(quiddity, depth, diagonals)
 
 
-def _check_diamonds(diagonals: dict[int, list[int]], depth: int) -> None:
+def _check_diamonds(entries: Sequence, diagonals: dict[int, list], depth: int) -> None:
     """Certify every stored diamond, or raise InvalidFrieze at the first that fails.
 
     The diamond at (i, i + t) reads the adjacent diagonals d = i and e = i + 1:
     W_t = d[t]*e[t] - e[t-1]*d[t+1] = x[i][i+t]*x[i+1][i+1+t] -
-    x[i+1][i+t]*x[i][i+1+t] must be 1 for t in 1..depth.  W_1 is multiplied
-    out.  For t >= 2,
+    x[i+1][i+t]*x[i][i+1+t] must be 1 for t in 1..depth.  For t >= 2,
         W_t - W_{t-1} = d[t]*(e[t] + e[t-2]) - e[t-1]*(d[t+1] + d[t-1]),
-    which is 0 when the two sums are the same multiple a of d[t] and of
-    e[t-1]; then W_t = W_{t-1}, already certified.  Any other t (d[t] == 0,
-    a remainder, or an e-side that is not a*e[t-1]) multiplies W_t out, so
-    this accepts exactly the diagonals on which every W_t is 1 and names the
-    same first failure as the products would.  On a frieze W_{t-1} = W_t = 1
-    makes d[t] prime to e[t-1], so the division is exact, its quotient is a
-    quiddity entry and each diamond costs work linear in its entries' size.
+    which is 0 when both sums are a*d[t] and a*e[t-1] for the quiddity entry
+    a = entries[(i + t + 1) % n]; then W_t = W_{t-1}, already certified.  W_1
+    and any other t multiply W_t out.  This holds for any a, so the check
+    accepts exactly the diagonals on which every W_t is 1 and names the same
+    first failure as the products would.  It uses only +, * and ==, so the
+    quiddity and the diagonals may hold ints or LaurentPolys.
     """
-    n = len(diagonals)
+    n = len(entries)
     for i in range(n):
         d, e = diagonals[i], diagonals[(i + 1) % n]
         for t in range(1, depth + 1):
-            if t > 1 and d[t]:
-                a, r = divmod(d[t + 1] + d[t - 1], d[t])
-                if not r and e[t] + e[t - 2] == a * e[t - 1]:
-                    continue
+            a = entries[(i + t + 1) % n]
+            if t > 1 and d[t + 1] + d[t - 1] == a * d[t] and e[t] + e[t - 2] == a * e[t - 1]:
+                continue
             if d[t] * e[t] - e[t - 1] * d[t + 1] != 1:
                 raise InvalidFrieze("diamond relation fails at (%d, %d)" % (i, i + t))
 

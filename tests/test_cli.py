@@ -99,6 +99,9 @@ def test_frieze_usage_error_on_nonpositive_quiddity(capsys):
     assert "--quiddity" in error["message"]
 
 
+_NOT_AN_INT = "argument %s: invalid literal for int() with base 10: 'abc'"
+
+
 @pytest.mark.parametrize("argv, mentions", [
     (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--dimvec", "1,x,1"], "--dimvec"),
     # the message names the bad entry, not the parser's private type function
@@ -108,6 +111,19 @@ def test_frieze_usage_error_on_nonpositive_quiddity(capsys):
     (["grassmannian", "--rep", fixture("d4/m_lambda.json"), "--table", "--primes", "3,5,7"],
      "--primes"),
     (["frieze", "--quiddity", "8,2", "--depth", "0"], "--depth"),
+    # a positive integer option gives int()'s message, not the private type function's name
+    (["frieze", "--quiddity", "8,2", "--depth", "abc"], _NOT_AN_INT % "--depth"),
+    (["frieze", "--quiddity", "8,2", "--growth", "abc"], _NOT_AN_INT % "--growth"),
+    (["search", "--quiver", fixture("d4/quiver.json"), "--max-nodes", "abc"],
+     _NOT_AN_INT % "--max-nodes"),
+    (["theta", "--quiver", fixture("d4/quiver.json"), "--max-nodes", "abc"],
+     _NOT_AN_INT % "--max-nodes"),
+    (["tube-frieze", "--quiver", fixture("d4/quiver.json"), "--tube", fixture("d4/tube2.json"),
+      "--depth", "abc"], _NOT_AN_INT % "--depth"),
+    (["tube-frieze", "--quiver", fixture("d4/quiver.json"), "--tube", fixture("d4/tube2.json"),
+      "--growth", "abc"], _NOT_AN_INT % "--growth"),
+    (["growth-identity", "--k", "2", "--x1", "abc"], _NOT_AN_INT % "--x1"),
+    (["growth-identity", "--x1", "3", "--k", "abc"], _NOT_AN_INT % "--k"),
 ])
 def test_parser_usage_errors_are_json(capsys, argv, mentions):
     assert mentions in usage_error(capsys, *argv)["message"]
@@ -621,6 +637,43 @@ def test_missing_key_names_the_object(capsys, tmp_path, option, payload, message
     assert code == 1 and captured.err == ""
     error = json.loads(captured.out)["error"]
     assert error == {"type": "ValueError", "message": "%s is malformed: %s" % (bad, message)}
+
+
+def _nested_note(levels):
+    """The Kronecker quiver with a key that nothing reads, whose value nests
+    levels objects deep."""
+    return ('{"labels": ["0", "1"], "b": [[0, 2], [-2, 0]], "note": '
+            + '{"a": ' * levels + "0" + "}" * levels + "}")
+
+
+def _long_path(m):
+    """A path of m vertices with dimension 1 and identity maps."""
+    b = [[0] * m for _ in range(m)]
+    for v in range(m - 1):
+        b[v][v + 1], b[v + 1][v] = 1, -1
+    return json.dumps({"quiver": {"labels": [str(v) for v in range(m)], "b": b},
+                       "dims": [1] * m,
+                       "maps": [{"arrow": [v, v + 1], "matrix": [[1]]} for v in range(m - 1)]})
+
+
+@pytest.mark.parametrize("command, text, kind", [
+    # the copy that locates each object overflows at 600 levels (two frames
+    # a level), and json.load itself at 100,000
+    (["search", "--quiver"], lambda: _nested_note(600), "ValueError"),
+    (["search", "--quiver"], lambda: _nested_note(100_000), "ValueError"),
+    # the counting traversal takes one frame per vertex
+    (["grassmannian", "--table", "--rep"], lambda: _long_path(1200), "RecursionError"),
+], ids=["nested-600", "nested-100000", "path-1200"])
+def test_deep_input_is_a_json_error_not_a_traceback(capsys, tmp_path, command, text, kind):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text())
+    code = main(command + [str(deep), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == kind
+    if kind == "ValueError":
+        assert error["message"] == "%s is malformed: JSON nested too deeply" % deep
 
 
 def test_search_budget_error(capsys):

@@ -1,11 +1,13 @@
 import random
 import re
+from itertools import islice
 
 import pytest
 
-from friezelab.chebyshev import chebyshev_T
+from friezelab.chebyshev import chebyshev_T, recurrence
 from friezelab.errors import InvalidFrieze, NonPositiveEntry
 from friezelab.frieze import Quiddity, _check_diamonds, generate, growth, measured_growth
+from friezelab.laurent import LaurentPoly
 
 
 def test_quiddity_validation():
@@ -224,9 +226,9 @@ def test_growth_differences_match_chebyshev_on_random_quiddities():
 
 def test_diamond_on_random_surviving_quiddities():
     # generate() itself certifies the diamond relation on every stored
-    # diamond (the first of each diagonal pair and any inconclusive step by
-    # the products, the rest by the telescoping identity, each in work linear
-    # in its entries' size); survivors must also have positive interior rows.
+    # diamond (the first of each diagonal pair, and any step whose sums are
+    # not the quiddity entry's multiples, by the products, the rest by the
+    # telescoping identity); survivors must also have positive interior rows.
     rng = random.Random(2024)
     survivors = 0
     attempts = 0
@@ -244,7 +246,7 @@ def test_diamond_on_random_surviving_quiddities():
     assert survivors == 100
 
 
-def _multiplied_out(diagonals, depth):
+def _multiplied_out(entries, diagonals, depth):
     """The diamond check with both products of every diamond, as the oracle."""
     n = len(diagonals)
     for i in range(n):
@@ -254,9 +256,9 @@ def _multiplied_out(diagonals, depth):
                 raise InvalidFrieze("diamond relation fails at (%d, %d)" % (i, i + t))
 
 
-def _diamond_verdict(check, diagonals, depth):
+def _diamond_verdict(check, entries, diagonals, depth):
     try:
-        check(diagonals, depth)
+        check(entries, diagonals, depth)
     except InvalidFrieze as error:
         return str(error)
     return None
@@ -266,11 +268,11 @@ _ENTRY_CHANGES = (lambda x: x + 1, lambda x: x - 1, lambda x: x + 2, lambda x: x
                   lambda x: 0, lambda x: -x, lambda x: 2 * x, lambda x: x + 10 ** 6)
 
 
-def test_telescoped_diamonds_fail_where_the_products_fail():
-    # 1-3 seeded changes to the entries of generated patterns, on any diagonal
-    # and at any t in 0..depth+1: the telescoping check names the same first
-    # failing diamond as the products, or accepts with them, and a 0 entry
-    # sends it to the products rather than into a division
+def _compare_with_the_products(read):
+    """Make 1-3 seeded changes to the entries of generated patterns, on any
+    diagonal and at any t in 0..depth+1, and check that _check_diamonds,
+    given read(quiddity), names the same first failing diamond as the
+    products or accepts with them."""
     rng = random.Random(53)
     quiddities = ((3,), (8, 2), (4, 4), (9, 36), (7, 7, 7), (4, 5, 7, 9, 22))
     patterns: dict = {}
@@ -279,13 +281,44 @@ def test_telescoped_diamonds_fail_where_the_products_fail():
         quiddity, depth = rng.choice(quiddities), rng.randint(1, 40)
         if (quiddity, depth) not in patterns:
             diagonals = generate(quiddity, depth)._diagonals
-            assert _diamond_verdict(_check_diamonds, diagonals, depth) is None
+            assert _diamond_verdict(_check_diamonds, read(quiddity), diagonals, depth) is None
             patterns[quiddity, depth] = diagonals
         changed = {res: list(diag) for res, diag in patterns[quiddity, depth].items()}
         for _ in range(rng.randint(1, 3)):
             diag, t = changed[rng.randrange(len(quiddity))], rng.randint(0, depth + 1)
             diag[t] = rng.choice(_ENTRY_CHANGES)(diag[t])
-        want = _diamond_verdict(_multiplied_out, changed, depth)
-        assert _diamond_verdict(_check_diamonds, changed, depth) == want, (quiddity, depth)
+        want = _diamond_verdict(_multiplied_out, quiddity, changed, depth)
+        assert _diamond_verdict(_check_diamonds, read(quiddity), changed, depth) == want, (
+            quiddity, depth)
         failed += want is not None
     assert 2000 < failed < 3000
+
+
+def test_telescoped_diamonds_fail_where_the_products_fail():
+    _compare_with_the_products(lambda quiddity: quiddity)
+
+
+@pytest.mark.parametrize("read", [lambda q: tuple(a + 1 for a in q), lambda q: q[1:] + q[:1]],
+                         ids=["entries-plus-one", "rotated"])
+def test_a_wrong_quiddity_only_sends_steps_to_the_products(read):
+    # the identity equates W_t with W_{t-1} for any a, so a wrong quiddity
+    # costs products but never accepts a diamond that fails
+    _compare_with_the_products(read)
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+@pytest.mark.parametrize("res, first_failure", [(0, "(0, 3)"), (1, "(0, 4)")])
+def test_diamonds_are_certified_over_laurent_polynomials(names, res, first_failure):
+    # the diagonals of the frieze whose quiddity is the variables named, as
+    # generate builds them from the shared recurrence; entry 4 of diagonal 0
+    # is a d-side entry of the first failing diamond, that of diagonal 1 an
+    # e-side one
+    a = [LaurentPoly.variable(names, v) for v in names]
+    n, depth = len(a), 8
+    diagonals = {i: list(islice(recurrence(0, 1, a[(i + 2) % n:] + a[:(i + 2) % n]), depth + 2))
+                 for i in range(n)}
+    assert _diamond_verdict(_check_diamonds, a, diagonals, depth) is None
+    diagonals[res][4] += 1
+    want = _diamond_verdict(_multiplied_out, a, diagonals, depth)
+    assert want == "diamond relation fails at " + first_failure
+    assert _diamond_verdict(_check_diamonds, a, diagonals, depth) == want

@@ -38,7 +38,8 @@ GOLDEN = REPO / "tests" / "cli_transcript.json"
 # modular relations of E6 (with those of gamma) and of E7, the E8
 # generators, the refusal of a quiver that is not a double-arrow fan, a
 # dimension vector that one arrow's kernel rank shows to be empty, and two
-# multi-step Laurent replays (six Kronecker steps, five E7 steps by label)
+# multi-step Laurent replays (six Kronecker steps, five E7 steps by label),
+# and a usage error (a depth that is not an integer)
 EXTRA = [
     ["mutate", "--quiver", "fixtures/d4/quiver.json", "--word", "3,1"],
     ["cc", "--rep", "fixtures/d4/m_lambda.json"],
@@ -66,6 +67,7 @@ EXTRA = [
     ["grassmannian", "--rep", "fixtures/d4/m_lambda.json", "--dimvec", "0,0,2,0,0"],
     ["mutate", "--quiver", "fixtures/kronecker/quiver.json", "--word", "0,1,0,1,0,1", "--seed"],
     ["mutate", "--quiver", "fixtures/e7/double_arrow.json", "--word", "c2,c1,c,0,1", "--seed"],
+    ["frieze", "--quiddity", "8,2", "--depth", "abc"],
 ]
 
 
@@ -97,13 +99,16 @@ def invocations() -> list[list[str]]:
 
 def run(argv: list[str]) -> dict:
     """The exit status and stdout of one in-process run from the
-    repository root."""
+    repository root; a usage error's status is that of its SystemExit."""
     out = io.StringIO()
     cwd = os.getcwd()
     os.chdir(REPO)
     try:
         with contextlib.redirect_stdout(out):
-            status = cli.main(argv)
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:
+                status = exc.code
     finally:
         os.chdir(cwd)
     return {"argv": argv, "status": status, "stdout": out.getvalue()}
