@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import islice, repeat
 
 from .cc import cc_map, homogeneous_growth, quiddity_from_tube
 from .chebyshev import first_kind
@@ -64,8 +64,11 @@ class _Object(dict):
 
 def _located(value, path: str = ""):
     """The JSON value with every object an _Object that knows its path in
-    the file, such as reps[1].quiver ("" at the top)."""
+    the file, such as reps[1].quiver ("" at the top).  A list that holds no
+    list or object, such as a matrix row, is returned as it is."""
     if isinstance(value, list):
+        if not any(map(isinstance, value, repeat((list, dict)))):
+            return value
         return [_located(item, "%s[%d]" % (path, i)) for i, item in enumerate(value)]
     if isinstance(value, dict):
         value = _Object((k, _located(v, "%s.%s" % (path, k) if path else k))

@@ -153,6 +153,10 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._keys)
 
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._keys)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.constant(self.vars, other)

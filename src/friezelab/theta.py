@@ -1,8 +1,8 @@
 """The growth element read off at a double arrow.
 
-At a seed whose quiver has a double arrow u => v, the element
+At a seed whose quiver has a double arrow u => v, the element theta with
 
-    (x_u^2 + x_v^2 + prod of the triangle variables) / (x_u * x_v)
+    theta * x_u * x_v = x_u^2 + x_v^2 + T,    T the triangle variables' product,
 
 is independent of the chosen double-arrow seed.  Its value at the all-ones
 point of the input's own seed is the principal growth coefficient of every
@@ -10,6 +10,11 @@ tube frieze of the class: 14 from the D4 star, 3 from the D4 and E6
 double-arrow fans.  The triangle variables sit at the vertices w completing
 directed triangles u => v -> w -> u; the Kronecker quiver has none and uses
 the empty product, the unit.
+
+With x_s the one of x_u, x_v with no more terms and x_l the other, the
+identity holds exactly when x_l * (theta * x_s - x_l) = x_s^2 + T, on a
+Kronecker chain x_{n+1} + x_{n-1} = theta * x_n: two exact divisions read
+theta off it unless T has more terms than |x_s| * |x_l|.
 
 `growth_from_affine_quiver` is the one integer route to that value.  On an
 input that delta certifies affine it replays the exchange relations on
@@ -52,14 +57,19 @@ def theta(seed: Seed) -> ThetaValue:
 
 
 def _growth_element(quiver: Quiver, values: Sequence, divide):
-    """(x_u^2 + x_v^2 + prod of the triangle variables) / (x_u * x_v) at the
-    first double arrow u => v, over Laurent polynomials or integers, where
-    `divide` is exact division."""
+    """The growth element at the first double arrow u => v, over Laurent
+    polynomials or integers (of one term), where `divide` is exact division:
+    (x_l + (x_s^2 + T) / x_l) / x_s if T has at most |x_s| * |x_l| terms, else
+    (x_u^2 + x_v^2 + T) / (x_u * x_v).  Either route fails when the other does."""
     doubles = quiver.double_arrows()
     if not doubles:
         raise MissingDoubleArrow("seed quiver has no double arrow")
     u, v = doubles[0]
     triangle = product([values[w] for w in triangle_neighbors(quiver, u, v)], values[u])
+    terms = [len(x) if isinstance(x, LaurentPoly) else 1 for x in (values[u], values[v], triangle)]
+    if terms[2] <= terms[0] * terms[1]:
+        s, l = (values[u], values[v]) if terms[0] <= terms[1] else (values[v], values[u])
+        return divide(l + divide(s ** 2 + triangle, l), s)
     return divide(values[u] ** 2 + values[v] ** 2 + triangle, values[u] * values[v])
 
 

@@ -656,6 +656,28 @@ def _long_path(m):
                        "maps": [{"arrow": [v, v + 1], "matrix": [[1]]} for v in range(m - 1)]})
 
 
+def _containers(value):
+    """The number of lists and objects in a JSON value, itself included."""
+    if isinstance(value, (list, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return 1 + sum(map(_containers, items))
+    return 0
+
+
+def test_located_visits_each_container_once_and_no_number(monkeypatch):
+    # a flat list, such as a matrix row, comes back as it is
+    from friezelab import cli
+    data = json.loads(_long_path(5))
+    calls = []
+    located = cli._located
+    monkeypatch.setattr(cli, "_located", lambda value, path="": calls.append(path)
+                        or located(value, path))
+    out = cli._located(data)
+    assert out == data and len(calls) == _containers(data) == 27
+    assert out["quiver"].path == "quiver" and out["maps"][2].path == "maps[2]"
+    assert out["quiver"]["b"][3] is data["quiver"]["b"][3] and out["dims"] is data["dims"]
+
+
 @pytest.mark.parametrize("command, text, kind", [
     # the copy that locates each object overflows at 600 levels (two frames
     # a level), and json.load itself at 100,000

@@ -20,7 +20,7 @@ def lp(text, variables=V2):
 
 def test_add_inverse_cancels():
     x0 = LaurentPoly.variable(V2, "x0")
-    assert not (x0 + (-x0))
+    assert not (x0 + (-x0)) and len(x0 + (-x0)) == 0
 
 
 def test_add_like_terms():
@@ -30,6 +30,7 @@ def test_add_like_terms():
 
 def test_add_mixed():
     assert lp("x1^2 + 1") + lp("x1") == lp("x1^2 + x1 + 1")
+    assert len(lp("x1^2 + 1") + lp("x1")) == 3
 
 
 def test_mul_unit():

@@ -41,3 +41,11 @@ def test_the_tube_reads_row_runs_once(capsys):
     assert layer_timings.main(["-r", "1", "tube-reads-p3"]) == 0
     row = json.loads(capsys.readouterr().out)["rows"]["tube-reads-p3"]
     assert row["runs"] == 1 and 0 < row["best_s"] < row["cap_s"]
+
+
+def test_the_growth_element_rows_run_once(capsys):
+    assert layer_timings.main(["-r", "1", "theta-kronecker-14", "theta-modular-e7"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert list(rows) == ["theta-kronecker-14", "theta-modular-e7"]
+    for row in rows.values():
+        assert row["runs"] == 1 and 0 < row["best_s"] < row["cap_s"]

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from friezelab.errors import (CrossCheckFailed, MissingDoubleArrow, NotAffine, N
 from friezelab.laurent import LaurentPoly
 from friezelab.modular import GENERATORS, modular_generator
 from friezelab.quivers import MutationWord, Quiver, has_double_arrow, mutation_class_search
-from friezelab.seeds import Seed
+from friezelab.seeds import Seed, product
 from friezelab.theta import (double_arrow_seed, growth_from_affine_quiver, theta,
                              theta_invariance, triangle_neighbors)
 
@@ -84,6 +85,73 @@ def test_theta_kronecker_empty_product():
     assert theta(seed).laurent == parse_laurent(
         "x1*x0^-1 + x0*x1^-1 + x0^-1*x1^-1", names)
     assert theta(seed).integer == 3
+
+
+def _one_division(seed):
+    """The growth element as (x_u^2 + x_v^2 + T) / (x_u * x_v), T the triangle
+    product: the formula that the two-division route must agree with."""
+    (u, v), x = seed.quiver.double_arrows()[0], seed.vars
+    triangle = product([x[w] for w in triangle_neighbors(seed.quiver, u, v)], x[u])
+    return (x[u] ** 2 + x[v] ** 2 + triangle).div_exact(x[u] * x[v])
+
+
+@pytest.fixture(scope="module")
+def kronecker_chains():
+    """The Kronecker seeds after 0-16 alternating mutations from each start."""
+    chains = []
+    for start in (0, 1):
+        seed = Seed.initial(catalog.kronecker())
+        chains.append([seed])
+        for step in range(16):
+            seed = seed.mutate((start + step) % 2)
+            chains[-1].append(seed)
+    return chains
+
+
+def _search_seeds(quiver):
+    """The double-arrow seeds the search reaches from the orientations of the
+    quiver's underlying tree, one per isomorphism class."""
+    edges = [(quiver.labels[t], quiver.labels[h]) for t, h in quiver.arrows()]
+    classes = {}
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arrows = [(h, t) if flip else (t, h) for (t, h), flip in zip(edges, flips)]
+        oriented = catalog._quiver_from_arrows(quiver.labels, arrows)
+        classes.setdefault(oriented.canonical_key(), oriented)
+    return [double_arrow_seed(oriented)[0] for oriented in classes.values()]
+
+
+def test_theta_matches_the_one_division_formula(kronecker_chains):
+    seeds = [seed for chain in kronecker_chains for seed in chain]
+    rng = random.Random(8)
+    for n in (6, 7, 8):
+        seed = Seed.initial(catalog.e_double_arrow(n))
+        for generator in [rng.choice(("ta", "tb", "tc")) for _ in range(8)]:
+            seeds.append(seed := modular_generator(seed, generator))
+    for quiver in (catalog.d4_star(), catalog.affine_d(5), catalog.e6_affine()):
+        seeds += _search_seeds(quiver)
+    for seed in seeds:
+        assert theta(seed).laurent.sorted_terms() == _one_division(seed).sorted_terms()
+
+
+def test_growth_element_route_follows_the_term_counts(kronecker_chains, monkeypatch):
+    # the 14-step Kronecker seed's variables have 92 and 106 terms and its
+    # triangle product one: two divisions and no product.  At the catalog D6
+    # search seed the triangle product has 51 terms against 1 * 5: one division
+    d6, _ = double_arrow_seed(catalog.affine_d(6))
+    divisions, products = [], []
+
+    def divide(p, q):
+        divisions.append(q)
+        return p.div_exact(q)
+
+    mul = LaurentPoly.__mul__
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, lambda p, q: products.append(q) or mul(p, q))
+    for seed, calls in ((kronecker_chains[0][14], 2), (kronecker_chains[1][14], 2), (d6, 1)):
+        divisions.clear()
+        products.clear()
+        theta_module._growth_element(seed.quiver, seed.vars, divide)
+        assert len(divisions) == calls and (calls == 1) == bool(products)
 
 
 def test_theta_missing_double_arrow():

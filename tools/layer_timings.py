@@ -4,11 +4,11 @@
     python3 tools/layer_timings.py [-r R] [--tree DIR] [ROW ...]
     python3 tools/layer_timings.py --compare A B [-r R] [ROW ...]
 
-Each row is one named workload on one layer: the growth route, the Laurent
-layer under Kronecker mutations, Grassmannian tables, whole counting
-traversals, reads of kept counting tables, the modular relations, the
-canonical form, the catalog E8 double-arrow search, reproduce-paper and the
-integer frieze, shallow and deep.
+Each row is one named workload on one layer: the growth route, the growth
+element, the Laurent layer under Kronecker mutations, Grassmannian tables,
+whole counting traversals, reads of kept counting tables, the modular
+relations, the canonical form, the catalog E8 double-arrow search,
+reproduce-paper and the integer frieze, shallow and deep.
 ROW names select rows (default: all, in the order of ROWS).  Each run of a
 row is timed with time.perf_counter around the workload alone; building its
 inputs is not timed.  A run that passes the row's wall-clock cap is stopped
@@ -83,6 +83,28 @@ def _kronecker_mutations(root):
         for i in range(40):
             seed = seed.mutate(i % 2)
     return run
+
+
+def _theta_kronecker(root):
+    """theta of the Kronecker seed after 14 alternating mutations."""
+    from friezelab import catalog
+    from friezelab.seeds import Seed
+    from friezelab.theta import theta
+    seed = Seed.initial(catalog.kronecker())
+    for i in range(14):
+        seed = seed.mutate(i % 2)
+    return lambda: theta(seed)
+
+
+def _theta_modular_e7(root):
+    """theta of the E7 double-arrow base seed after a fixed modular word."""
+    from friezelab import catalog
+    from friezelab.modular import apply_generator_word
+    from friezelab.seeds import Seed
+    from friezelab.theta import theta
+    seed = apply_generator_word(Seed.initial(catalog.e_double_arrow(7)),
+                                "tc tb ta tc ta ta ta ta".split())
+    return lambda: theta(seed)
 
 
 def _table(make):
@@ -251,6 +273,8 @@ ROWS = {
     "growth-a5-4": (30, _growth("affine_a", 5, 4)),
     "growth-a6-5": (30, _growth("affine_a", 6, 5)),
     "theta-e8-at-ones": (30, _cli("theta", "--quiver", "fixtures/e8/quiver.json", "--at-ones")),
+    "theta-kronecker-14": (10, _theta_kronecker),
+    "theta-modular-e7": (10, _theta_modular_e7),
     "kronecker-40-mutations": (30, _kronecker_mutations),
     "table-d4-golden": (10, _table(_d4_golden)),
     "table-kronecker-4-3": (120, _table(_kronecker_exceptional(4, 3))),
